@@ -408,16 +408,24 @@ def slice_rows(x: DiffTensor, start: int, stop: int) -> DiffTensor:
 # ---------------------------------------------------------------------------
 
 
+def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
+    """Zero-pad both spatial axes of [N,C,H,W] by (ph, pw); a negative amount crops."""
+    if ph == 0 and pw == 0:
+        return x
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
+    r, s = max(ph, 0), max(pw, 0)  # where the kept part of x lands
+    cr, cs = max(-ph, 0), max(-pw, 0)  # how much of x is cropped per side
+    out[:, :, r : r + h - 2 * cr, s : s + w - 2 * cs] = x[:, :, cr : h - cr, cs : w - cs]
+    return out
+
+
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
     """[N,C,H,W] -> [N, C*kh*kw, Ho*Wo] patch matrix (copies)."""
     n, c, h, w = x.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=x.dtype)
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-    else:
-        xp = x
+    xp = _pad2d(x, padding, padding)
     s0, s1, s2, s3 = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp,
@@ -474,9 +482,21 @@ def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: in
     def backward_fn(g):
         gf = g.reshape(n, cout, ho * wo)
         if w.requires_grad:
-            accumulate_grad(w, np.einsum("nol,nkl->ok", gf, cols).reshape(w.shape))
+            gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0)  # [Cout, Cin*kh*kw]
+            accumulate_grad(w, gw.reshape(w.shape))
         if x.requires_grad:
-            accumulate_grad(x, _col2im(np.matmul(wm.T, gf), x.shape, kh, kw, stride, padding))
+            if stride == 1:
+                # Flipped-kernel identity: at stride 1 the input gradient is
+                # the stride-1 correlation of g, padded by (kh-1-p, kw-1-p),
+                # with the kernel flipped in both spatial axes and its
+                # channel axes swapped:
+                #   dx[n,ci,y,x] = sum_{co,i,j} gp[n,co,y+i,x+j] * w[co,ci,kh-1-i,kw-1-j]
+                wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
+                gcols = _im2col(_pad2d(g, kh - 1 - padding, kw - 1 - padding), kh, kw, 1, 0)
+                gx = np.matmul(wflip, gcols).reshape(x.shape)
+            else:
+                gx = _col2im(np.matmul(wm.T, gf), x.shape, kh, kw, stride, padding)
+            accumulate_grad(x, gx)
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=(0, 2, 3)))
 
@@ -527,7 +547,8 @@ def conv_transpose2d(
         if x.requires_grad:
             accumulate_grad(x, np.matmul(wm, gcols).reshape(x.shape))
         if w.requires_grad:
-            accumulate_grad(w, np.einsum("ncl,nkl->ck", xf, gcols).reshape(w.shape))
+            gw = np.matmul(xf, gcols.transpose(0, 2, 1)).sum(axis=0)  # [Cin, Cout*kh*kw]
+            accumulate_grad(w, gw.reshape(w.shape))
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=(0, 2, 3)))
 

@@ -122,8 +122,33 @@ class Rulebook:
         return sum(p.shape[0] for p in self.pairs)
 
 
-def _index_map(coords: np.ndarray) -> dict:
-    return {(int(r), int(c)): i for i, (r, c) in enumerate(coords)}
+def _match_offsets(coords_in: np.ndarray, base: np.ndarray, offsets) -> list:
+    """Per offset (dr, dc), the [m, 2] pairs (i, o) with coords_in[i] == base[o] + (dr, dc).
+
+    Coordinates become linear keys ``(r - r0) * span + (c - c0)`` over the
+    bounding box of ``coords_in``; a neighbour outside that box is rejected
+    before its key is formed, so keys never alias across a row end, and the
+    rest are found by binary search in the sorted input keys. Within an
+    offset the pairs run in ascending ``o``; a duplicated input coordinate
+    resolves to its last index.
+    """
+    if coords_in.shape[0] == 0:
+        return [np.zeros((0, 2), dtype=np.int64) for _ in offsets]
+    (r0, c0), (r1, c1) = coords_in.min(axis=0), coords_in.max(axis=0)
+    span = c1 - c0 + 1
+    keys = (coords_in[:, 0] - r0) * span + (coords_in[:, 1] - c0)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    pairs = []
+    for dr, dc in offsets:
+        r = base[:, 0] + dr
+        c = base[:, 1] + dc
+        inside = (r >= r0) & (r <= r1) & (c >= c0) & (c <= c1)
+        nkeys = (r[inside] - r0) * span + (c[inside] - c0)
+        pos = np.searchsorted(sorted_keys, nkeys, side="right") - 1
+        hit = (pos >= 0) & (sorted_keys[pos] == nkeys)
+        pairs.append(np.stack([order[pos[hit]], np.flatnonzero(inside)[hit]], axis=1))
+    return pairs
 
 
 def build_rulebook(active, kernel, mode: str = "submanifold", height: int | None = None, width: int | None = None) -> Rulebook:
@@ -144,17 +169,9 @@ def build_rulebook(active, kernel, mode: str = "submanifold", height: int | None
     if width is None:
         width = int(coords[:, 1].max()) + 1 if coords.shape[0] else 0
 
-    index = _index_map(coords)
     ch, cw = kh // 2, kw // 2
-    pairs = []
-    for di in range(-ch, ch + 1):
-        for dj in range(-cw, cw + 1):
-            lst = []
-            for p, (r, c) in enumerate(coords):
-                q = index.get((int(r) + di, int(c) + dj))
-                if q is not None:
-                    lst.append((q, p))
-            pairs.append(np.asarray(lst, dtype=np.int64).reshape(-1, 2))
+    offsets = [(di, dj) for di in range(-ch, ch + 1) for dj in range(-cw, cw + 1)]
+    pairs = _match_offsets(coords, coords, offsets)
     key = _coords_key(height, width, coords)
     return Rulebook((kh, kw), 1, (kh // 2, kw // 2), "submanifold", pairs, key, key, len(coords), len(coords))
 
@@ -185,25 +202,15 @@ def build_downsample_rulebook(
                 f"build_downsample_rulebook: target site outside {h_out}x{w_out} output grid"
             )
 
-    index = _index_map(coords_in)
-    per_offset = [[] for _ in range(kh * kw)]
-    hits = np.zeros(coords_out.shape[0], dtype=np.int64)
-    for q, (ro, co) in enumerate(coords_out):
-        base_r = int(ro) * stride - padding
-        base_c = int(co) * stride - padding
-        for i in range(kh):
-            for j in range(kw):
-                p = index.get((base_r + i, base_c + j))
-                if p is not None:
-                    per_offset[i * kw + j].append((p, q))
-                    hits[q] += 1
+    offsets = [(i, j) for i in range(kh) for j in range(kw)]
+    pairs = _match_offsets(coords_in, coords_out * stride - padding, offsets)
+    hits = np.bincount(np.concatenate([pr[:, 1] for pr in pairs]), minlength=coords_out.shape[0])
     if coords_out.shape[0] and int(hits.min()) == 0:
         bad = coords_out[int(np.argmin(hits))]
         raise ValueError(
             f"build_downsample_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
             f"receptive field (mask/stride misalignment)"
         )
-    pairs = [np.asarray(lst, dtype=np.int64).reshape(-1, 2) for lst in per_offset]
     return Rulebook(
         (kh, kw),
         stride,

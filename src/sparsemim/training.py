@@ -273,6 +273,32 @@ def save_checkpoint(path, arrays: "OrderedDict[str, np.ndarray]", config: dict):
             f.write(blob)
 
 
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= 0
+
+
+def _check_header(header):
+    """Raise CheckpointError unless the header has the layout save_checkpoint writes."""
+    if not isinstance(header, dict):
+        raise CheckpointError(f"corrupt checkpoint header: expected a JSON object, got {type(header).__name__}")
+    for key in ("config", "manifest"):
+        if key not in header:
+            raise CheckpointError(f"corrupt checkpoint header: no {key!r}")
+    if not isinstance(header["config"], dict) or not isinstance(header["manifest"], list):
+        raise CheckpointError("corrupt checkpoint header: 'config' must be an object and 'manifest' a list")
+    for entry in header["manifest"]:
+        if not isinstance(entry, dict) or not all(k in entry for k in ("name", "shape", "offset")):
+            raise CheckpointError(f"corrupt checkpoint manifest entry {entry!r}: needs name, shape and offset")
+        if not isinstance(entry["name"], str):
+            raise CheckpointError(f"corrupt checkpoint manifest entry {entry!r}: name must be a string")
+        shape, offset = entry["shape"], entry["offset"]
+        if not isinstance(shape, list) or not all(_is_count(d) for d in shape) or not _is_count(offset):
+            raise CheckpointError(
+                f"corrupt checkpoint manifest entry {entry['name']!r}: shape {shape!r} and offset "
+                f"{offset!r} must be non-negative integers"
+            )
+
+
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
         raw = f.read()
@@ -290,10 +316,11 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+    _check_header(header)
     data = raw[16 + hlen :]
     arrays = OrderedDict()
     for entry in header["manifest"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
+        count = math.prod(entry["shape"])  # exact: a huge shape cannot wrap around
         start = entry["offset"]
         end = start + 4 * count
         if end > len(data):

@@ -128,6 +128,61 @@ class TestConv2d:
         assert np.array_equal(y1, y2)
 
 
+class TestConvGradientForms:
+    """The GEMM-shaped backward against the im2col/col2im and einsum formulations."""
+
+    @staticmethod
+    def _grads(op, x, w, g, **kw):
+        xt, wt = ag.tensor(x, requires_grad=True), ag.tensor(w, requires_grad=True)
+        y = op(xt, wt, **kw)
+        ag.backward(ag.sum_over(ag.mul(y, ag.tensor(g))))
+        return xt.grad, wt.grad
+
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("pad_kind", ["zero", "half", "wide"])
+    def test_conv2d_stride1_matches_col2im(self, k, pad_kind):
+        rng = np.random.default_rng(20 + k)
+        # "wide" pads past k - 1, so the gradient's full correlation crops g
+        pad = {"zero": 0, "half": k // 2, "wide": k}[pad_kind]
+        n, cin, cout, h, wd = 2, 3, 4, 7, 6
+        x, w = rng.normal(size=(n, cin, h, wd)), rng.normal(size=(cout, cin, k, k))
+        ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
+        g = rng.normal(size=(n, cout, ho, wo))
+        gx, gw = self._grads(ag.conv2d, x, w, g, stride=1, padding=pad)
+        gf = g.reshape(n, cout, ho * wo)
+        ref_x = ag._col2im(np.matmul(w.reshape(cout, -1).T, gf), x.shape, k, k, 1, pad)
+        ref_w = np.einsum("nol,nkl->ok", gf, ag._im2col(x, k, k, 1, pad)).reshape(w.shape)
+        assert np.abs(gx - ref_x).max() < 1e-12
+        assert np.abs(gw - ref_w).max() < 1e-12
+
+    def test_conv2d_strided_weight_grad_matches_einsum(self):
+        rng = np.random.default_rng(30)
+        x, w = rng.normal(size=(2, 3, 8, 8)), rng.normal(size=(4, 3, 2, 2))
+        g = rng.normal(size=(2, 4, 4, 4))
+        _, gw = self._grads(ag.conv2d, x, w, g, stride=2, padding=0)
+        ref = np.einsum("nol,nkl->ok", g.reshape(2, 4, 16), ag._im2col(x, 2, 2, 2, 0)).reshape(w.shape)
+        assert np.abs(gw - ref).max() < 1e-12
+
+    def test_conv_transpose2d_weight_grad_matches_einsum(self):
+        rng = np.random.default_rng(31)
+        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(3, 2, 4, 4))
+        g = rng.normal(size=(2, 2, 8, 10))
+        _, gw = self._grads(ag.conv_transpose2d, x, w, g)
+        ref = np.einsum("ncl,nkl->ck", x.reshape(2, 3, 20), ag._im2col(g, 4, 4, 2, 1)).reshape(w.shape)
+        assert np.abs(gw - ref).max() < 1e-12
+
+    def test_gradcheck_padding0_3x3(self):
+        rng = np.random.default_rng(32)
+        x = ag.tensor(rng.normal(size=(2, 2, 6, 5)), requires_grad=True)
+        w = ag.tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
+        b = ag.tensor(rng.normal(size=3), requires_grad=True)
+
+        def f(t):
+            return ag.mean_over(ag.square(ag.conv2d(t[0], t[1], t[2], stride=1, padding=0)))
+
+        assert ag.grad_check(f, [x, w, b]) <= 1e-4
+
+
 class TestConvTranspose2d:
     def test_single_pixel(self):
         v, c = 3.0, 2.0

@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -141,6 +142,17 @@ class TestReconstruct:
                      "--out", str(out)]) == 0
         lines = (out / "metrics.csv").read_text().strip().split("\n")
         assert lines[0] == "step,lr,loss" and len(lines) == 1 + 2 * (256 // 8)
+
+
+def test_malformed_checkpoint_header_exits_2(tmp_path, capsys):
+    blob = json.dumps({"config": {"kind": "spark"}}).encode("utf-8")  # no manifest
+    ckpt = tmp_path / "bad.ckpt"
+    ckpt.write_bytes(b"SPRK" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob)
+    img = tmp_path / "x.ppm"
+    save_ppm(img, np.zeros((3, 16, 16)))
+    assert main(["convert", "--ckpt", str(ckpt), "--out", str(tmp_path / "enc.ckpt")]) == 2
+    assert main(["reconstruct", "--ckpt", str(ckpt), "--image", str(img), "--out", str(tmp_path / "o")]) == 2
+    assert "no 'manifest'" in capsys.readouterr().err
 
 
 class TestConvert:

@@ -9,6 +9,7 @@ from sparsemim import autograd as ag
 from sparsemim.sparse import (
     SparseTensor2D,
     as_coords,
+    build_downsample_rulebook,
     build_rulebook,
     densify,
     dense_conv_macs,
@@ -79,6 +80,89 @@ class TestRulebook:
         sp = random_sparse(rng, h, w, 1, rng.uniform(0.1, 1.0))
         rb = build_rulebook(sp.coords, k, height=h, width=w)
         assert rb.total_pairs == count_pairs_oracle(sp.coords, h, w, k)
+
+
+def rulebook_reference(coords, k):
+    """Per-site dict enumeration of submanifold pairs, offsets in row-major scan order."""
+    index = {(int(r), int(c)): i for i, (r, c) in enumerate(coords)}
+    half = k // 2
+    pairs = []
+    for di in range(-half, half + 1):
+        for dj in range(-half, half + 1):
+            lst = [(index[(int(r) + di, int(c) + dj)], p) for p, (r, c) in enumerate(coords)
+                   if (int(r) + di, int(c) + dj) in index]
+            pairs.append(np.asarray(lst, dtype=np.int64).reshape(-1, 2))
+    return pairs
+
+
+def downsample_reference(coords_in, coords_out, k, stride, pad):
+    """Per-target dict enumeration of strided pairs; returns (pairs, first empty target or None)."""
+    index = {(int(r), int(c)): i for i, (r, c) in enumerate(coords_in)}
+    per_offset = [[] for _ in range(k * k)]
+    empty = None
+    for q, (ro, co) in enumerate(coords_out):
+        hits = 0
+        for i in range(k):
+            for j in range(k):
+                p = index.get((int(ro) * stride - pad + i, int(co) * stride - pad + j))
+                if p is not None:
+                    per_offset[i * k + j].append((p, q))
+                    hits += 1
+        if hits == 0 and empty is None:
+            empty = (int(ro), int(co))
+    return [np.asarray(lst, dtype=np.int64).reshape(-1, 2) for lst in per_offset], empty
+
+
+def assert_pairs_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert np.array_equal(g, w)
+
+
+class TestRulebookOracle:
+    """Both builders against the per-site dict enumeration: pair arrays identical."""
+
+    DENSITY = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20), DENSITY, st.sampled_from([1, 3, 5]))
+    def test_submanifold(self, seed, h, w, density, k):
+        rng = np.random.default_rng(seed)
+        coords = np.argwhere(rng.random((h, w)) < density).astype(np.int64)
+        rb = build_rulebook(coords, k, height=h, width=w)
+        assert_pairs_identical(rb.pairs, rulebook_reference(coords, k))
+        assert rb.num_in == rb.num_out == coords.shape[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 20), st.integers(1, 20), DENSITY, DENSITY,
+           st.sampled_from([(2, 2, 0), (3, 2, 1), (4, 4, 0)]), st.booleans())
+    def test_downsample(self, seed, h, w, density, target_density, geometry, reachable_only):
+        k, stride, pad = geometry
+        ho, wo = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        if ho < 1 or wo < 1:
+            return
+        rng = np.random.default_rng(seed)
+        coords_in = np.argwhere(rng.random((h, w)) < density).astype(np.int64)
+        coords_out = np.argwhere(rng.random((ho, wo)) < target_density).astype(np.int64)
+        if reachable_only:
+            all_out = np.argwhere(np.ones((ho, wo), dtype=bool)).astype(np.int64)
+            pairs, _ = downsample_reference(coords_in, all_out, k, stride, pad)
+            seen = np.zeros(ho * wo, dtype=bool)
+            for pr in pairs:
+                seen[pr[:, 1]] = True
+            coords_out = coords_out[seen[coords_out[:, 0] * wo + coords_out[:, 1]]]
+        want, empty = downsample_reference(coords_in, coords_out, k, stride, pad)
+        if empty is not None:
+            msg = (f"build_downsample_rulebook: target site {empty} has an empty receptive field "
+                   f"(mask/stride misalignment)")
+            with pytest.raises(ValueError) as exc:
+                build_downsample_rulebook(coords_in, (h, w), coords_out, k, stride, pad)
+            assert str(exc.value) == msg
+            return
+        rb = build_downsample_rulebook(coords_in, (h, w), coords_out, k, stride, pad)
+        assert_pairs_identical(rb.pairs, want)
+        assert (rb.num_in, rb.num_out) == (coords_in.shape[0], coords_out.shape[0])
 
 
 class TestSubmConv:

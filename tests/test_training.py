@@ -1,7 +1,9 @@
 """Training tests: schedule values, optimizer recurrences against independent
 scalar oracles, loop determinism, divergence handling, and checkpoints."""
 
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -281,3 +283,53 @@ class TestCheckpoint:
         assert opt2 is not None and opt2.t == 2
         for a, b in zip(opt.m, opt2.m):
             np.testing.assert_array_equal(b, a.astype(np.float32).astype(np.float64))
+
+
+def write_raw_checkpoint(path, header, payload=b""):
+    """An SPRK file with an arbitrary JSON header (valid magic, version and length)."""
+    blob = json.dumps(header).encode("utf-8")
+    path.write_bytes(b"SPRK" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob + payload)
+
+
+class TestCheckpointHeader:
+    ENTRY = {"name": "w", "shape": [2, 3], "offset": 0}
+    PAYLOAD = np.zeros(6, dtype="<f4").tobytes()
+
+    def _rejected(self, path, header, match):
+        write_raw_checkpoint(path, header, self.PAYLOAD)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+
+    def test_valid_raw_header_loads(self, tmp_path):
+        p = tmp_path / "ok.ckpt"
+        write_raw_checkpoint(p, {"config": {}, "manifest": [self.ENTRY]}, self.PAYLOAD)
+        assert load_checkpoint(p).arrays["w"].shape == (2, 3)
+
+    def test_header_not_an_object(self, tmp_path):
+        for header in ([1, 2], "spark", 3, None):
+            self._rejected(tmp_path / "bad.ckpt", header, "JSON object")
+
+    def test_header_missing_manifest_or_config(self, tmp_path):
+        self._rejected(tmp_path / "bad.ckpt", {"config": {}}, "no 'manifest'")
+        self._rejected(tmp_path / "bad.ckpt", {"manifest": [self.ENTRY]}, "no 'config'")
+        self._rejected(tmp_path / "bad.ckpt", {"config": [], "manifest": [self.ENTRY]}, "must be an object")
+        self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": {}}, "must be an object")
+
+    def test_manifest_entry_missing_field(self, tmp_path):
+        for key in ("name", "shape", "offset"):
+            entry = {k: v for k, v in self.ENTRY.items() if k != key}
+            self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": [entry]},
+                           "needs name, shape and offset")
+        self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": [{**self.ENTRY, "name": ["w"]}]},
+                       "name must be a string")
+
+    def test_negative_or_non_integer_shape_or_offset(self, tmp_path):
+        for change in ({"shape": [-2, -3]}, {"shape": [2.0, 3]}, {"shape": "6"}, {"shape": [True, 6]},
+                       {"offset": -4}, {"offset": 0.5}, {"offset": "0"}):
+            entry = {**self.ENTRY, **change}
+            self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": [entry]},
+                           "must be non-negative integers")
+
+    def test_huge_shape_is_truncation_not_overflow(self, tmp_path):
+        entry = {**self.ENTRY, "shape": [2**40, 2**40]}  # the product overflows int64
+        self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": [entry]}, "truncated")
