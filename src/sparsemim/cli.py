@@ -173,9 +173,8 @@ def cmd_pretrain(args) -> int:
     model = SparkModel(model_cfg, np.random.default_rng(np.random.SeedSequence([resolved["seed"], 1])))
     rows, opt = train(model, dataset, train_cfg, metrics_path=os.path.join(args.out, "metrics.csv"))
 
-    run_rng = np.random.default_rng(np.random.SeedSequence([resolved["seed"], 2]))
     ckpt_cfg = {"kind": "spark", "model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
-                "step": len(rows), "opt_t": opt.t, "rng_state": run_rng.bit_generator.state}
+                "step": len(rows), "opt_t": opt.t}
     save_checkpoint(os.path.join(args.out, "final.ckpt"), model_checkpoint_arrays(model, opt), ckpt_cfg)
     print(f"trained {len(rows)} steps; final loss {rows[-1]['loss']:.6f}; "
           f"artifacts in {args.out}")

@@ -69,15 +69,14 @@ def load_ppm(path) -> np.ndarray:
     if buf[:2] != b"P6":
         raise PpmError(f"{path}: bad magic {buf[:2]!r}, expected b'P6'")
     pos = 2
-    tok, pos = _read_token(buf, pos)
-    try:
-        width = int(tok)
+    fields = []
+    for what in ("width", "height", "maxval"):
         tok, pos = _read_token(buf, pos)
-        height = int(tok)
-        tok, pos = _read_token(buf, pos)
-        maxval = int(tok)
-    except ValueError as e:
-        raise PpmError(f"{path}: malformed header token") from e
+        # bytes.isdigit accepts ASCII digits only (no sign, no '_'); the length cap keeps int() in range
+        if not tok.isdigit() or len(tok) > 18 or int(tok) == 0:
+            raise PpmError(f"{path}: {what} {tok[:32]!r} is not a positive decimal integer")
+        fields.append(int(tok))
+    width, height, maxval = fields
     if maxval != 255:
         raise PpmError(f"{path}: maxval {maxval} unsupported, expected 255")
     pos += 1  # single whitespace byte after maxval

@@ -36,6 +36,7 @@ from .sparse import (
     sparse_batchnorm,
     sparse_downsample,
     sparse_flops,
+    stack_coords,
     subm_conv2d,
 )
 
@@ -307,11 +308,11 @@ class SparkModel:
 
 
 def _sp_relu(sp: SparseTensor2D) -> SparseTensor2D:
-    return SparseTensor2D(sp.height, sp.width, sp.coords, ag.relu(sp.features), validate=False)
+    return sp.with_features(ag.relu(sp.features))
 
 
 def _sp_add(a: SparseTensor2D, b: SparseTensor2D) -> SparseTensor2D:
-    return SparseTensor2D(a.height, a.width, a.coords, ag.add(a.features, b.features), validate=False)
+    return a.with_features(ag.add(a.features, b.features))
 
 
 def add_ape(model: SparkModel, sp: SparseTensor2D) -> SparseTensor2D:
@@ -333,10 +334,11 @@ def _normalize_masks(masks, n: int):
 def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
     """Sparse hierarchical encoding of a batch.
 
-    Returns one list per stage (shallow to deep), each holding one
-    SparseTensor2D per batch sample. Stage i has resolution
-    image/(stem_stride * 2**i) and its active set is exactly the mask's
-    footprint at that stride.
+    The whole batch runs as one batched SparseTensor2D per scale, with one
+    rulebook per stage. Returns one list per stage (shallow to deep), each
+    holding one single-sample SparseTensor2D per batch sample. Stage i has
+    resolution image/(stem_stride * 2**i) and its active set is exactly the
+    mask's footprint at that stride.
     """
     cfg = model.cfg
     enc = cfg.encoder
@@ -353,43 +355,39 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
         if m.visible_count == 0:
             raise ValueError("encoder_forward: mask leaves no visible patch")
 
-    active = [[active_set_at_scale(m, enc.stride_at(i)) for i in range(enc.stages)] for m in masks]
+    # per stage, the batch's active sites as (coords, sample index), rows ordered by (sample, row, col)
+    active = [stack_coords([active_set_at_scale(m, enc.stride_at(i)) for m in masks]) for i in range(enc.stages)]
+
+    def bn_relu(sp, prefix):
+        return _sp_relu(sparse_batchnorm(sp, model.param(f"{prefix}.gamma"), model.param(f"{prefix}.beta"),
+                                         model.bn(prefix), mode=mode))
 
     # stem: dense strided conv, then gather the visible sites. Patch edges are
     # multiples of the stem stride, so every gathered site's window lies
     # entirely inside a visible patch and masked pixels never contribute.
     stem = ag.conv2d(images, model.param("encoder.stem.w"), stride=enc.stem_stride, padding=0)
-    sps = [gather_from_dense(stem, active[b][0], batch_index=b) for b in range(n)]
+    coords, batch = active[0]
+    sp = gather_from_dense(stem, coords, batch_index=batch)
     if cfg.ape:
-        sps = [add_ape(model, sp) for sp in sps]
-    sps = sparse_batchnorm(sps, model.param("encoder.stem.bn.gamma"), model.param("encoder.stem.bn.beta"),
-                           model.bn("encoder.stem.bn"), mode=mode)
-    sps = [_sp_relu(sp) for sp in sps]
+        sp = add_ape(model, sp)
+    sp = bn_relu(sp, "encoder.stem.bn")
 
     stage_outputs = []
     for i in range(enc.stages):
         if i > 0:
             k = enc.down_kernel
             pad = 1 if k == 3 else 0
-            dw = model.param(f"encoder.stage{i}.down.w")
-            sps = [sparse_downsample(sp, active[b][i], dw, stride=2, padding=pad) for b, sp in enumerate(sps)]
-            sps = sparse_batchnorm(sps, model.param(f"encoder.stage{i}.down.bn.gamma"),
-                                   model.param(f"encoder.stage{i}.down.bn.beta"),
-                                   model.bn(f"encoder.stage{i}.down.bn"), mode=mode)
-            sps = [_sp_relu(sp) for sp in sps]
-        rbs = [build_rulebook(sp.coords, 3, height=sp.height, width=sp.width) for sp in sps]
+            coords, batch = active[i]
+            sp = sparse_downsample(sp, coords, model.param(f"encoder.stage{i}.down.w"), stride=2, padding=pad,
+                                   target_batch=batch)
+            sp = bn_relu(sp, f"encoder.stage{i}.down.bn")
+        rb = build_rulebook(sp, 3)
         for j in range(enc.blocks_per_stage):
             pre = f"encoder.stage{i}.block{j}"
-            hidden = [subm_conv2d(sp, model.param(f"{pre}.conv0.w"), None, rb) for sp, rb in zip(sps, rbs)]
-            hidden = sparse_batchnorm(hidden, model.param(f"{pre}.bn0.gamma"), model.param(f"{pre}.bn0.beta"),
-                                      model.bn(f"{pre}.bn0"), mode=mode)
-            hidden = [_sp_relu(sp) for sp in hidden]
-            hidden = [subm_conv2d(sp, model.param(f"{pre}.conv1.w"), None, rb) for sp, rb in zip(hidden, rbs)]
-            hidden = sparse_batchnorm(hidden, model.param(f"{pre}.bn1.gamma"), model.param(f"{pre}.bn1.beta"),
-                                      model.bn(f"{pre}.bn1"), mode=mode)
-            hidden = [_sp_relu(sp) for sp in hidden]
-            sps = [_sp_add(hh, sp) for hh, sp in zip(hidden, sps)]  # identity residual
-        stage_outputs.append(sps)
+            hidden = bn_relu(subm_conv2d(sp, model.param(f"{pre}.conv0.w"), None, rb), f"{pre}.bn0")
+            hidden = bn_relu(subm_conv2d(hidden, model.param(f"{pre}.conv1.w"), None, rb), f"{pre}.bn1")
+            sp = _sp_add(hidden, sp)  # identity residual
+        stage_outputs.append(sp.split(n))
     return stage_outputs
 
 

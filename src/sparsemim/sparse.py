@@ -1,11 +1,17 @@
 """Sparse 2-D feature maps, rulebooks, and submanifold sparse convolution.
 
-A sparse tensor stores only the features of its active sites; a rulebook
-enumerates, per kernel offset, exactly the (input site, output site) pairs a
-sparse convolution multiplies. Submanifold mode keeps the output active set
-identical to the input's, so stacking layers never grows or erodes the mask
-pattern. All feature math runs through the autograd engine and is
-differentiable with respect to features, weights, biases, and fill values.
+A sparse tensor stores only the features of its active sites. One tensor
+holds a whole batch: its rows are ordered by (sample, row, col) and carry a
+per-row sample index, so every layer runs once per batch, not once per
+sample. A rulebook enumerates, per kernel offset, exactly the (input site,
+output site) pairs a sparse convolution multiplies; sites only pair within
+their own sample. From those pairs it derives two neighbour tables, and a
+convolution is one gather of the neighbour rows followed by one GEMM over
+all kernel offsets at once (backward: one gather-GEMM for each gradient).
+Submanifold mode keeps the output active set identical to the input's, so
+stacking layers never grows or erodes the mask pattern. All feature math
+runs through the autograd engine and is differentiable with respect to
+features, weights, biases, and fill values.
 """
 
 from __future__ import annotations
@@ -17,7 +23,6 @@ from .autograd import (
     BatchNormState,
     accumulate_grad,
     batchnorm_rows,
-    concat0,
     record_op,
     slice_rows,
 )
@@ -26,6 +31,7 @@ __all__ = [
     "SparseTensor2D",
     "Rulebook",
     "as_coords",
+    "stack_coords",
     "build_rulebook",
     "build_downsample_rulebook",
     "subm_conv2d",
@@ -39,27 +45,50 @@ __all__ = [
 
 
 def as_coords(obj) -> np.ndarray:
-    """Canonicalize a coordinate collection to a row-major sorted [m,2] int64 array."""
-    arr = np.asarray(sorted((int(r), int(c)) for r, c in obj), dtype=np.int64)
-    return arr.reshape(-1, 2)
+    """Canonicalize a coordinate collection to a row-major sorted [m,2] int64 array.
+
+    Duplicates are kept; an empty collection gives a [0,2] array.
+    """
+    arr = np.asarray(obj if isinstance(obj, np.ndarray) else list(obj), dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    elif arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"as_coords: expected (row, col) pairs, got shape {arr.shape}")
+    return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
 
 
-def _coords_key(height: int, width: int, coords: np.ndarray) -> bytes:
-    return np.int64(height).tobytes() + np.int64(width).tobytes() + np.ascontiguousarray(coords).tobytes()
+def stack_coords(coord_sets) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample [m_b,2] coordinate arrays -> batched (coords [m,2], sample index [m])."""
+    coord_sets = [np.asarray(c, dtype=np.int64).reshape(-1, 2) for c in coord_sets]
+    batch = np.repeat(np.arange(len(coord_sets), dtype=np.int64), [c.shape[0] for c in coord_sets])
+    return np.concatenate(coord_sets) if coord_sets else np.zeros((0, 2), dtype=np.int64), batch
+
+
+def _no_batch(coords: np.ndarray) -> np.ndarray:
+    return np.zeros(coords.shape[0], dtype=np.int64)
+
+
+def _coords_key(height: int, width: int, coords: np.ndarray, batch: np.ndarray) -> bytes:
+    return (np.int64(height).tobytes() + np.int64(width).tobytes()
+            + np.ascontiguousarray(coords).tobytes() + np.ascontiguousarray(batch).tobytes())
 
 
 class SparseTensor2D:
     """Active coordinates plus per-site feature rows at one spatial scale.
 
-    ``coords`` is [m,2] int64, unique and sorted row-major; ``features`` is a
-    [m, channels] DiffTensor whose row i belongs to site coords[i]. Empty
-    tensors (m == 0) are legal values.
+    ``coords`` is [m,2] int64 and ``batch`` the [m] sample index of each row
+    (all zeros for a single sample); rows are unique and sorted by (sample,
+    row, col). ``features`` is a [m, channels] DiffTensor whose row i belongs
+    to site coords[i] of sample batch[i]. Empty tensors (m == 0) are legal
+    values.
     """
 
-    __slots__ = ("height", "width", "coords", "features")
+    __slots__ = ("height", "width", "coords", "batch", "features")
 
-    def __init__(self, height: int, width: int, coords: np.ndarray, features: DiffTensor, validate: bool = True):
+    def __init__(self, height: int, width: int, coords: np.ndarray, features: DiffTensor, validate: bool = True,
+                 batch: np.ndarray | None = None):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
+        batch = _no_batch(coords) if batch is None else np.asarray(batch, dtype=np.int64)
         if validate:
             if coords.shape[0] != features.shape[0]:
                 raise ValueError(
@@ -67,15 +96,20 @@ class SparseTensor2D:
                 )
             if features.ndim != 2:
                 raise ValueError("SparseTensor2D: features must be [sites, channels]")
+            if batch.shape != (coords.shape[0],):
+                raise ValueError(f"SparseTensor2D: batch index shape {batch.shape} != ({coords.shape[0]},)")
             if coords.shape[0]:
                 if coords.min() < 0 or coords[:, 0].max() >= height or coords[:, 1].max() >= width:
                     raise ValueError(f"SparseTensor2D: coordinate out of bounds for {height}x{width}")
-                keys = coords[:, 0] * width + coords[:, 1]
+                if batch.min() < 0:
+                    raise ValueError("SparseTensor2D: negative sample index")
+                keys = (batch * height + coords[:, 0]) * width + coords[:, 1]
                 if not np.all(np.diff(keys) > 0):
-                    raise ValueError("SparseTensor2D: coords must be unique and sorted row-major")
+                    raise ValueError("SparseTensor2D: coords must be unique and sorted by (sample, row, col)")
         self.height = int(height)
         self.width = int(width)
         self.coords = coords
+        self.batch = batch
         self.features = features
 
     @property
@@ -87,7 +121,20 @@ class SparseTensor2D:
         return self.coords.shape[0]
 
     def active_key(self) -> bytes:
-        return _coords_key(self.height, self.width, self.coords)
+        return _coords_key(self.height, self.width, self.coords, self.batch)
+
+    def with_features(self, features: DiffTensor) -> "SparseTensor2D":
+        """The same active sites carrying new feature rows."""
+        return SparseTensor2D(self.height, self.width, self.coords, features, validate=False, batch=self.batch)
+
+    def split(self, n: int) -> list:
+        """One single-sample tensor per sample 0..n-1 (empty where a sample has no sites)."""
+        if n == 1:
+            return [self]
+        bounds = np.searchsorted(self.batch, np.arange(n + 1))
+        return [SparseTensor2D(self.height, self.width, self.coords[a:b], slice_rows(self.features, a, b),
+                               validate=False)
+                for a, b in zip(bounds[:-1], bounds[1:])]
 
     def __repr__(self):
         return (
@@ -100,43 +147,62 @@ class Rulebook:
     """Per-offset (input_index, output_index) pair lists for one sparse conv.
 
     ``pairs[o]`` is an [m_o, 2] int64 array in kernel scan order (row-major
-    over offsets); within an offset, indices on each side are unique, which
-    makes fancy-indexed accumulation safe.
+    over offsets); within an offset, indices on each side are unique and
+    the pairs run in ascending output index.
     """
 
-    __slots__ = ("kernel", "stride", "padding", "mode", "pairs", "in_key", "out_key", "num_in", "num_out")
+    __slots__ = ("kernel", "mode", "pairs", "in_key", "num_in", "num_out", "_tables")
 
-    def __init__(self, kernel, stride, padding, mode, pairs, in_key, out_key, num_in, num_out):
+    def __init__(self, kernel, mode, pairs, in_key, num_in, num_out):
         self.kernel = kernel
-        self.stride = stride
-        self.padding = padding
         self.mode = mode
         self.pairs = pairs
         self.in_key = in_key
-        self.out_key = out_key
         self.num_in = num_in
         self.num_out = num_out
+        self._tables = None
 
     @property
     def total_pairs(self) -> int:
         return sum(p.shape[0] for p in self.pairs)
 
+    def neighbour_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """``fwd[num_out, K]``: the input row output row p meets at offset o;
+        ``inv[num_in, K]``: the output row input row i feeds at offset o.
 
-def _match_offsets(coords_in: np.ndarray, base: np.ndarray, offsets) -> list:
-    """Per offset (dr, dc), the [m, 2] pairs (i, o) with coords_in[i] == base[o] + (dr, dc).
+        An absent neighbour points one past the last row (``num_in`` in
+        ``fwd``, ``num_out`` in ``inv``), where the conv appends a zero row.
+        Built from ``pairs`` on first use and cached.
+        """
+        if self._tables is None:
+            k = len(self.pairs)
+            fwd = np.full((self.num_out, k), self.num_in, dtype=np.int64)
+            for o, pr in enumerate(self.pairs):
+                fwd[pr[:, 1], o] = pr[:, 0]
+            inv = np.full((self.num_in, k), self.num_out, dtype=np.int64)
+            for o, pr in enumerate(self.pairs):
+                inv[pr[:, 0], o] = pr[:, 1]
+            self._tables = fwd, inv
+        return self._tables
 
-    Coordinates become linear keys ``(r - r0) * span + (c - c0)`` over the
+
+def _match_offsets(coords_in: np.ndarray, batch_in: np.ndarray, base: np.ndarray, batch_out: np.ndarray,
+                   offsets) -> list:
+    """Per offset (dr, dc), the [m, 2] pairs (i, o) with coords_in[i] == base[o] + (dr, dc)
+    and batch_in[i] == batch_out[o].
+
+    Sites become linear keys ``(b * rows + r - r0) * span + (c - c0)`` over the
     bounding box of ``coords_in``; a neighbour outside that box is rejected
-    before its key is formed, so keys never alias across a row end, and the
-    rest are found by binary search in the sorted input keys. Within an
-    offset the pairs run in ascending ``o``; a duplicated input coordinate
-    resolves to its last index.
+    before its key is formed, so keys never alias across a row end or a
+    sample, and the rest are found by binary search in the sorted input
+    keys. Within an offset the pairs run in ascending ``o``; a duplicated
+    input site resolves to its last index.
     """
     if coords_in.shape[0] == 0:
         return [np.zeros((0, 2), dtype=np.int64) for _ in offsets]
     (r0, c0), (r1, c1) = coords_in.min(axis=0), coords_in.max(axis=0)
-    span = c1 - c0 + 1
-    keys = (coords_in[:, 0] - r0) * span + (coords_in[:, 1] - c0)
+    rows, span = r1 - r0 + 1, c1 - c0 + 1
+    keys = (batch_in * rows + coords_in[:, 0] - r0) * span + (coords_in[:, 1] - c0)
     order = np.argsort(keys, kind="stable")
     sorted_keys = keys[order]
     pairs = []
@@ -144,7 +210,7 @@ def _match_offsets(coords_in: np.ndarray, base: np.ndarray, offsets) -> list:
         r = base[:, 0] + dr
         c = base[:, 1] + dc
         inside = (r >= r0) & (r <= r1) & (c >= c0) & (c <= c1)
-        nkeys = (r[inside] - r0) * span + (c[inside] - c0)
+        nkeys = (batch_out[inside] * rows + r[inside] - r0) * span + (c[inside] - c0)
         pos = np.searchsorted(sorted_keys, nkeys, side="right") - 1
         hit = (pos >= 0) & (sorted_keys[pos] == nkeys)
         pairs.append(np.stack([order[pos[hit]], np.flatnonzero(inside)[hit]], axis=1))
@@ -155,15 +221,23 @@ def build_rulebook(active, kernel, mode: str = "submanifold", height: int | None
     """Enumerate all (input, output) site pairs of a submanifold convolution.
 
     For every active output site p and kernel offset o the pair
-    (p + o - center, p) is emitted iff the neighbor is active. The output
-    active set is the input active set by construction.
+    (p + o - center, p) is emitted iff the neighbor is active in the same
+    sample. The output active set is the input active set by construction.
+    ``active`` is a SparseTensor2D (its sample index and, by default, its
+    size are used) or a single sample's coordinate collection.
     """
     if mode != "submanifold":
         raise ValueError(f"build_rulebook: unsupported mode {mode!r}")
     kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
     if kh % 2 == 0 or kw % 2 == 0:
         raise ValueError(f"build_rulebook: even kernel {kh}x{kw} is invalid in submanifold mode")
-    coords = active.coords if isinstance(active, SparseTensor2D) else as_coords(active)
+    if isinstance(active, SparseTensor2D):
+        coords, batch = active.coords, active.batch
+        height = active.height if height is None else height
+        width = active.width if width is None else width
+    else:
+        coords = as_coords(active)
+        batch = _no_batch(coords)
     if height is None:
         height = int(coords[:, 0].max()) + 1 if coords.shape[0] else 0
     if width is None:
@@ -171,9 +245,9 @@ def build_rulebook(active, kernel, mode: str = "submanifold", height: int | None
 
     ch, cw = kh // 2, kw // 2
     offsets = [(di, dj) for di in range(-ch, ch + 1) for dj in range(-cw, cw + 1)]
-    pairs = _match_offsets(coords, coords, offsets)
-    key = _coords_key(height, width, coords)
-    return Rulebook((kh, kw), 1, (kh // 2, kw // 2), "submanifold", pairs, key, key, len(coords), len(coords))
+    pairs = _match_offsets(coords, batch, coords, batch, offsets)
+    return Rulebook((kh, kw), "submanifold", pairs, _coords_key(height, width, coords, batch),
+                    len(coords), len(coords))
 
 
 def build_downsample_rulebook(
@@ -183,12 +257,16 @@ def build_downsample_rulebook(
     kernel,
     stride: int,
     padding: int = 0,
+    batch_in: np.ndarray | None = None,
+    batch_out: np.ndarray | None = None,
 ) -> Rulebook:
     """Pairs of a strided sparse convolution onto an externally given target set.
 
-    Every target site must see at least one active input inside its
-    receptive field; an empty field means the target set and the stride
-    geometry disagree (a mask alignment bug upstream).
+    ``batch_in`` / ``batch_out`` are the per-site sample indices of a batch
+    (default: one sample). Every target site must see at least one active
+    input of its sample inside its receptive field; an empty field means the
+    target set and the stride geometry disagree (a mask alignment bug
+    upstream).
     """
     kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
     h_in, w_in = in_hw
@@ -196,6 +274,8 @@ def build_downsample_rulebook(
     w_out = (w_in + 2 * padding - kw) // stride + 1
     coords_in = as_coords(coords_in) if not isinstance(coords_in, np.ndarray) else coords_in
     coords_out = as_coords(coords_out) if not isinstance(coords_out, np.ndarray) else coords_out
+    batch_in = _no_batch(coords_in) if batch_in is None else batch_in
+    batch_out = _no_batch(coords_out) if batch_out is None else batch_out
     if coords_out.shape[0]:
         if coords_out[:, 0].max() >= h_out or coords_out[:, 1].max() >= w_out:
             raise ValueError(
@@ -203,7 +283,7 @@ def build_downsample_rulebook(
             )
 
     offsets = [(i, j) for i in range(kh) for j in range(kw)]
-    pairs = _match_offsets(coords_in, coords_out * stride - padding, offsets)
+    pairs = _match_offsets(coords_in, batch_in, coords_out * stride - padding, batch_out, offsets)
     hits = np.bincount(np.concatenate([pr[:, 1] for pr in pairs]), minlength=coords_out.shape[0])
     if coords_out.shape[0] and int(hits.min()) == 0:
         bad = coords_out[int(np.argmin(hits))]
@@ -211,51 +291,53 @@ def build_downsample_rulebook(
             f"build_downsample_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
             f"receptive field (mask/stride misalignment)"
         )
-    return Rulebook(
-        (kh, kw),
-        stride,
-        (padding, padding),
-        "strided",
-        pairs,
-        _coords_key(h_in, w_in, coords_in),
-        _coords_key(h_out, w_out, coords_out),
-        coords_in.shape[0],
-        coords_out.shape[0],
-    )
+    return Rulebook((kh, kw), "strided", pairs, _coords_key(h_in, w_in, coords_in, batch_in),
+                    coords_in.shape[0], coords_out.shape[0])
 
 
-def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rulebook, num_out: int) -> DiffTensor:
-    """Gather/multiply/scatter feature rows along the rulebook; differentiable."""
+def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Rows of ``a`` plus one zero row, gathered along ``table`` into [rows, K * channels]."""
+    padded = np.concatenate([a, np.zeros((1, a.shape[1]))])
+    return np.take(padded, table, axis=0).reshape(table.shape[0], table.shape[1] * a.shape[1])
+
+
+def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rulebook) -> DiffTensor:
+    """One gather-GEMM along the rulebook's neighbour tables; differentiable.
+
+    Forward: ``x_pad[fwd].reshape(M, K*Cin) @ W`` with ``W[(o, ci), co] =
+    w[co, ci, o]``. Backward re-gathers instead of keeping that matrix:
+    the weight gradient is ``g.T @ x_pad[fwd]`` and the input gradient
+    ``g_pad[inv].reshape(num_in, K*Cout) @ W'`` with ``W'[(o, co), ci] =
+    w[co, ci, o]``.
+    """
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
         raise ValueError(f"sparse conv: feature channel dim {x.shape[1]} != weight in-channel dim {cin}")
     if (kh, kw) != rb.kernel:
         raise ValueError(f"sparse conv: weight kernel {kh}x{kw} != rulebook kernel {rb.kernel}")
-    wk = w.data.reshape(cout, cin, kh * kw)
-    out_data = np.zeros((num_out, cout))
-    for o, pr in enumerate(rb.pairs):
-        if pr.shape[0] == 0:
-            continue
-        out_data[pr[:, 1]] += x.data[pr[:, 0]] @ wk[:, :, o].T
+    if b is not None and b.shape != (cout,):
+        raise ValueError(f"sparse conv: bias shape {tuple(b.shape)} != out-channel dim ({cout},)")
+    fwd, inv = rb.neighbour_tables()
+    k = kh * kw
+    wk = w.data.reshape(cout, cin, k)
+
+    def w_rows():
+        # W.T = w as [co, (o, ci)]: swapping only the inner axes moves whole runs
+        # of the weight and copies several times faster than building W itself
+        return wk.transpose(0, 2, 1).reshape(cout, k * cin)
+
+    out_data = _gather_rows(x.data, fwd) @ w_rows().T
     if b is not None:
-        if b.shape != (cout,):
-            raise ValueError(f"sparse conv: bias shape {tuple(b.shape)} != out-channel dim ({cout},)")
         out_data += b.data
     out = DiffTensor(out_data)
 
     def backward_fn(g):
         if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            for o, pr in enumerate(rb.pairs):
-                if pr.shape[0]:
-                    gx[pr[:, 0]] += g[pr[:, 1]] @ wk[:, :, o]
-            accumulate_grad(x, gx)
+            w_in = w_rows().reshape(cout, k, cin).transpose(1, 0, 2).reshape(k * cout, cin)  # W'
+            accumulate_grad(x, _gather_rows(g, inv) @ w_in)
         if w.requires_grad:
-            gw = np.zeros((cout, cin, kh * kw))
-            for o, pr in enumerate(rb.pairs):
-                if pr.shape[0]:
-                    gw[:, :, o] = g[pr[:, 1]].T @ x.data[pr[:, 0]]
-            accumulate_grad(w, gw.reshape(w.shape))
+            gw = g.T @ _gather_rows(x.data, fwd)  # [cout, (o, ci)]
+            accumulate_grad(w, gw.reshape(cout, k, cin).transpose(0, 2, 1).reshape(w.shape))
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=0))
 
@@ -268,8 +350,7 @@ def subm_conv2d(sp: SparseTensor2D, w: DiffTensor, b: DiffTensor | None, rb: Rul
         raise ValueError("subm_conv2d: rulebook was not built in submanifold mode")
     if rb.in_key != sp.active_key():
         raise ValueError("subm_conv2d: rulebook active set does not match the input's")
-    feats = _apply_rulebook(sp.features, w, b, rb, sp.num_active)
-    return SparseTensor2D(sp.height, sp.width, sp.coords, feats, validate=False)
+    return sp.with_features(_apply_rulebook(sp.features, w, b, rb))
 
 
 def sparse_downsample(
@@ -280,53 +361,46 @@ def sparse_downsample(
     stride: int = 2,
     padding: int = 0,
     rulebook: Rulebook | None = None,
+    target_batch: np.ndarray | None = None,
 ) -> SparseTensor2D:
-    """Strided sparse convolution onto a mask-derived target active set."""
+    """Strided sparse convolution onto a mask-derived target active set.
+
+    ``target_batch`` is the sample index of each target site when ``sp``
+    holds a batch (default: every target belongs to sample 0).
+    """
     kh, kw = w.shape[2], w.shape[3]
     coords_out = as_coords(target_active) if not isinstance(target_active, np.ndarray) else target_active
+    batch_out = _no_batch(coords_out) if target_batch is None else np.asarray(target_batch, dtype=np.int64)
     if rulebook is None:
         rulebook = build_downsample_rulebook(
-            sp.coords, (sp.height, sp.width), coords_out, (kh, kw), stride, padding
+            sp.coords, (sp.height, sp.width), coords_out, (kh, kw), stride, padding, sp.batch, batch_out
         )
-    else:
-        if rulebook.in_key != sp.active_key():
-            raise ValueError("sparse_downsample: rulebook input set does not match the input's")
+    elif rulebook.in_key != sp.active_key() or rulebook.num_out != coords_out.shape[0]:
+        raise ValueError("sparse_downsample: rulebook does not match the input's or the target's active set")
     h_out = (sp.height + 2 * padding - kh) // stride + 1
     w_out = (sp.width + 2 * padding - kw) // stride + 1
-    feats = _apply_rulebook(sp.features, w, b, rulebook, coords_out.shape[0])
-    return SparseTensor2D(h_out, w_out, coords_out, feats, validate=False)
+    feats = _apply_rulebook(sp.features, w, b, rulebook)
+    return SparseTensor2D(h_out, w_out, coords_out, feats, validate=False, batch=batch_out)
 
 
 def sparse_batchnorm(
-    sp,
+    sp: SparseTensor2D,
     gamma: DiffTensor,
     beta: DiffTensor,
     state: BatchNormState,
     mode: str = "train",
     eps: float = 1e-5,
-):
+) -> SparseTensor2D:
     """Batch norm over active sites only; inactive sites never contribute.
 
-    Accepts a single SparseTensor2D or a list of them (one per batch
-    sample); statistics pool over all active rows across the batch.
+    A batched tensor is one feature matrix, so statistics pool over all
+    active rows of every sample.
     """
-    single = isinstance(sp, SparseTensor2D)
-    sps = [sp] if single else list(sp)
-    if not sps:
-        raise ValueError("sparse_batchnorm: empty batch")
-    stacked = concat0([s.features for s in sps]) if len(sps) > 1 else sps[0].features
-    normed = batchnorm_rows(stacked, gamma, beta, state, mode=mode, eps=eps)
-    outs = []
-    off = 0
-    for s in sps:
-        part = slice_rows(normed, off, off + s.num_active) if len(sps) > 1 else normed
-        outs.append(SparseTensor2D(s.height, s.width, s.coords, part, validate=False))
-        off += s.num_active
-    return outs[0] if single else outs
+    return sp.with_features(batchnorm_rows(sp.features, gamma, beta, state, mode=mode, eps=eps))
 
 
 def densify(sp: SparseTensor2D, fill: DiffTensor) -> DiffTensor:
-    """Fill inactive sites with a learnable embedding vector; returns [1,C,h,w].
+    """Fill inactive sites of one sample with a learnable embedding vector; returns [1,C,h,w].
 
     Active positions carry their feature rows exactly; every inactive
     position carries ``fill``. Gradients to ``fill`` sum over inactive
@@ -335,6 +409,8 @@ def densify(sp: SparseTensor2D, fill: DiffTensor) -> DiffTensor:
     c = sp.channels
     if fill.shape != (c,):
         raise ValueError(f"densify: fill width {tuple(fill.shape)} != channel count ({c},)")
+    if sp.batch.any():
+        raise ValueError("densify: tensor holds several samples; split it first")
     h, w = sp.height, sp.width
     dense = np.empty((1, c, h, w))
     dense[0] = fill.data[:, None, None]
@@ -354,11 +430,16 @@ def densify(sp: SparseTensor2D, fill: DiffTensor) -> DiffTensor:
     return record_op(out, (feats, fill), backward_fn)
 
 
-def gather_from_dense(x: DiffTensor, active, batch_index: int = 0) -> SparseTensor2D:
+def gather_from_dense(x: DiffTensor, active, batch_index=0) -> SparseTensor2D:
     """Read feature rows of a [N,C,H,W] tensor at the given active coordinates.
 
-    Round-tripping through ``densify`` reproduces the dense values at active
-    sites; gradients to inactive positions are exactly zero.
+    ``batch_index`` is one sample (the result is a single-sample tensor) or
+    an [m] array naming each row's sample (the result is a batched tensor
+    carrying that index). Round-tripping through ``densify`` reproduces the
+    dense values at active sites; gradients to inactive positions are
+    exactly zero. A position read by several rows (the same site in several
+    samples, e.g. a shared [1,C,H,W] embedding) receives the sum of their
+    gradients.
     """
     if x.ndim != 4:
         raise ValueError(f"gather_from_dense: input must be 4-d, got {x.ndim}-d")
@@ -372,11 +453,12 @@ def gather_from_dense(x: DiffTensor, active, batch_index: int = 0) -> SparseTens
     def backward_fn(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            gx[batch_index, :, rows, cols] = g
+            np.add.at(gx, (batch_index, slice(None), rows, cols), g)
             accumulate_grad(x, gx)
 
     record_op(feats, (x,), backward_fn)
-    return SparseTensor2D(h, w, coords, feats, validate=False)
+    batch = np.asarray(batch_index, dtype=np.int64) if np.ndim(batch_index) else None
+    return SparseTensor2D(h, w, coords, feats, validate=False, batch=batch)
 
 
 def sparse_flops(rb: Rulebook, cin: int, cout: int) -> int:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -40,7 +41,6 @@ class TrainConfig:
     epochs: int = 1
     batch_size: int = 8
     lr_peak: float | None = None  # None: peak = 0.0002 * batch_size / 256
-    schedule: str = "cosine"
     warmup_steps: int | None = None  # None: max(1% of steps, 10)
     weight_decay: float = 0.04
     optimizer: str = "lamb"  # "lamb" | "adam"
@@ -60,7 +60,6 @@ class TrainConfig:
             "epochs": self.epochs,
             "batch_size": self.batch_size,
             "lr_peak": self.lr_peak,
-            "schedule": self.schedule,
             "warmup_steps": self.warmup_steps,
             "weight_decay": self.weight_decay,
             "optimizer": self.optimizer,
@@ -74,6 +73,7 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
         d = dict(d)
+        d.pop("schedule", None)  # written by older versions; the schedule is always cosine
         d["betas"] = tuple(d.get("betas", (0.9, 0.999)))
         return cls(**d)
 
@@ -300,33 +300,44 @@ def _check_header(header):
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint written by save_checkpoint; raise CheckpointError if it is malformed.
+
+    Each array is read from the file straight into its own buffer, so loading
+    never holds a copy of the whole file.
+    """
     with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) < 16:
-        raise CheckpointError(f"checkpoint too short ({len(raw)} bytes)")
-    if raw[:4] != MAGIC:
-        raise CheckpointError(f"bad magic {raw[:4]!r}, expected {MAGIC!r}")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
-    hlen = struct.unpack("<Q", raw[8:16])[0]
-    if len(raw) < 16 + hlen:
-        raise CheckpointError("truncated checkpoint: header ends past end of file")
-    try:
-        header = json.loads(raw[16 : 16 + hlen].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"corrupt checkpoint header: {e}") from e
-    _check_header(header)
-    data = raw[16 + hlen :]
-    arrays = OrderedDict()
-    for entry in header["manifest"]:
-        count = math.prod(entry["shape"])  # exact: a huge shape cannot wrap around
-        start = entry["offset"]
-        end = start + 4 * count
-        if end > len(data):
-            raise CheckpointError(f"truncated checkpoint: array {entry['name']!r} ends past end of file")
-        arr = np.frombuffer(data[start:end], dtype="<f4").astype(np.float64)
-        arrays[entry["name"]] = arr.reshape(entry["shape"])
+        size = os.fstat(f.fileno()).st_size
+        if size < 16:
+            raise CheckpointError(f"checkpoint too short ({size} bytes)")
+        head = f.read(16)
+        if head[:4] != MAGIC:
+            raise CheckpointError(f"bad magic {head[:4]!r}, expected {MAGIC!r}")
+        version = struct.unpack("<I", head[4:8])[0]
+        if version != VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version} (expected {VERSION})")
+        hlen = struct.unpack("<Q", head[8:16])[0]
+        if size < 16 + hlen:
+            raise CheckpointError("truncated checkpoint: header ends past end of file")
+        try:
+            header = json.loads(f.read(hlen).decode("utf-8"))
+        except (ValueError, RecursionError) as e:  # bad UTF-8 or JSON, an over-long number, deep nesting
+            raise CheckpointError(f"corrupt checkpoint header: {e}") from e
+        _check_header(header)
+        base = 16 + hlen
+        arrays = OrderedDict()
+        for entry in header["manifest"]:
+            count = math.prod(entry["shape"])  # exact: a huge shape cannot wrap around
+            start = entry["offset"]
+            if base + start + 4 * count > size:
+                raise CheckpointError(f"truncated checkpoint: array {entry['name']!r} ends past end of file")
+            buf = np.empty(count, dtype="<f4")
+            f.seek(base + start)
+            if f.readinto(buf) != buf.nbytes:
+                raise CheckpointError(f"truncated checkpoint: array {entry['name']!r} ends past end of file")
+            try:
+                arrays[entry["name"]] = buf.astype(np.float64).reshape(entry["shape"])
+            except ValueError as e:  # an empty array with a dimension numpy cannot represent
+                raise CheckpointError(f"corrupt checkpoint manifest entry {entry['name']!r}: {e}") from e
     return Checkpoint(version=version, config=header["config"], arrays=arrays)
 
 

@@ -12,7 +12,7 @@ import numpy as np
 from . import autograd as ag
 from .masking import PatchMask, erosion_profile, generate_mask, masked_pixel_map
 from .model import EncoderConfig, SparkConfig, SparkModel, encoder_forward, spark_forward, spark_loss
-from .sparse import SparseTensor2D, as_coords, build_rulebook, subm_conv2d
+from .sparse import SparseTensor2D, as_coords, build_rulebook, sparse_downsample, stack_coords, subm_conv2d
 
 __all__ = ["suite_gradcheck", "suite_oracle", "suite_erosion", "suite_leakage", "run_suites", "SUITES"]
 
@@ -109,38 +109,71 @@ def end_to_end_gradcheck(lines=None) -> bool:
     return err < GRAD_TOL
 
 
+def _random_batch(rng, n, h, w, cin):
+    """A batched SparseTensor2D of n samples; with probability 1/2 (n > 1) one sample has no site."""
+    empty = int(rng.integers(0, n)) if n > 1 and rng.random() < 0.5 else -1
+    sets = []
+    for b in range(n):
+        on = rng.random((h, w)) < rng.uniform(0.2, 1.0)
+        if b != empty and not on.any():
+            on[int(rng.integers(0, h)), int(rng.integers(0, w))] = True
+        sets.append(np.argwhere(on & (b != empty)))
+    coords, batch = stack_coords(sets)
+    feats = ag.tensor(rng.normal(size=(coords.shape[0], cin)))
+    return SparseTensor2D(h, w, coords, feats, batch=batch), empty >= 0
+
+
+def _zero_fill(sp, n, rows):
+    """[n, C, h, w] dense tensor holding ``rows`` at the active sites of each sample, zero elsewhere."""
+    dense = np.zeros((n, rows.shape[1], sp.height, sp.width))
+    dense[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]] = rows
+    return ag.tensor(dense)
+
+
 def suite_oracle(instances: int = 200, seed: int = 123):
-    """subm_conv2d == zero-fill + dense conv + restrict-to-active (random instances)."""
+    """Sparse convs == zero-fill + dense conv + restrict-to-active (random batched instances).
+
+    Every instance is one batched tensor of 1-3 samples, sometimes with an
+    empty sample. It runs a submanifold conv (kernel 1/3/5) and a strided
+    conv (kernel 2 pad 0 or kernel 3 pad 1, stride 2) onto a random subset
+    of the output sites that the sample's active inputs reach.
+    """
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    worst_subm = worst_down = 0.0
     preserved = True
+    with_empty = 0
     for _ in range(instances):
+        n = int(rng.integers(1, 4))
         h = int(rng.integers(3, 9))
         w = int(rng.integers(3, 9))
         k = int(rng.choice([1, 3, 5]))
         cin = int(rng.integers(1, 4))
         cout = int(rng.integers(1, 4))
-        dens = rng.uniform(0.2, 1.0)
-        sites = [(r, c) for r in range(h) for c in range(w) if rng.random() < dens]
-        if not sites:
-            sites = [(int(rng.integers(0, h)), int(rng.integers(0, w)))]
-        coords = as_coords(sites)
-        feats = ag.tensor(rng.normal(size=(coords.shape[0], cin)))
-        sp = SparseTensor2D(h, w, coords, feats)
+        sp, has_empty = _random_batch(rng, n, h, w, cin)
+        with_empty += has_empty
         wt = ag.tensor(rng.normal(size=(cout, cin, k, k)))
         bt = ag.tensor(rng.normal(size=cout))
-        rb = build_rulebook(coords, k, height=h, width=w)
-        out = subm_conv2d(sp, wt, bt, rb)
-        preserved &= np.array_equal(out.coords, coords)
+        out = subm_conv2d(sp, wt, bt, build_rulebook(sp, k))
+        preserved &= np.array_equal(out.coords, sp.coords) and np.array_equal(out.batch, sp.batch)
+        dense = _zero_fill(sp, n, sp.features.data)
+        ref = ag.conv2d(dense, wt, bt, stride=1, padding=k // 2).data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
+        worst_subm = max(worst_subm, float(np.abs(out.features.data - ref).max(initial=0.0)))
 
-        dense = np.zeros((1, cin, h, w))
-        dense[0, :, coords[:, 0], coords[:, 1]] = feats.data
-        ref = ag.conv2d(ag.tensor(dense), wt, bt, stride=1, padding=k // 2)
-        ref_at = ref.data[0][:, coords[:, 0], coords[:, 1]].T
-        worst = max(worst, float(np.abs(out.features.data - ref_at).max()))
-    lines = [f"  {instances} random instances, max abs diff {worst:.3e} (tol 1e-9)",
+        kd = int(rng.choice([2, 3]))
+        pad = 1 if kd == 3 else 0
+        wd = ag.tensor(rng.normal(size=(cout, cin, kd, kd)))
+        bd = ag.tensor(rng.normal(size=cout))
+        reach = ag.conv2d(_zero_fill(sp, n, np.ones((sp.num_active, 1))), ag.tensor(np.ones((1, 1, kd, kd))),
+                          stride=2, padding=pad).data[:, 0]
+        target = np.argwhere((reach > 0) & (rng.random(reach.shape) < 0.8))  # (sample, row, col)
+        down = sparse_downsample(sp, target[:, 1:], wd, bd, stride=2, padding=pad, target_batch=target[:, 0])
+        ref = ag.conv2d(dense, wd, bd, stride=2, padding=pad).data[target[:, 0], :, target[:, 1], target[:, 2]]
+        worst_down = max(worst_down, float(np.abs(down.features.data - ref).max(initial=0.0)))
+    lines = [f"  {instances} random batched instances ({with_empty} with an empty sample)",
+             f"  submanifold: max abs diff {worst_subm:.3e} (tol 1e-9)",
+             f"  strided (kernel 2 and 3): max abs diff {worst_down:.3e} (tol 1e-9)",
              f"  active set preserved in all instances: {preserved}"]
-    return bool(worst < 1e-9 and preserved), lines
+    return bool(worst_subm < 1e-9 and worst_down < 1e-9 and preserved), lines
 
 
 def suite_erosion(max_layers: int = 20):

@@ -58,6 +58,14 @@ class TestPpm:
         with pytest.raises(PpmError, match="maxval"):
             load_ppm(p)
 
+    @pytest.mark.parametrize("header", [b"P6 -2 -3 255\n", b"P6 0 4 255\n", b"P6 1_0 1 255\n"],
+                             ids=["negative", "zero", "underscore"])
+    def test_size_must_be_positive_decimal(self, tmp_path, header):
+        p = tmp_path / "size.ppm"
+        p.write_bytes(header + bytes(30))
+        with pytest.raises(PpmError, match="not a positive decimal integer"):
+            load_ppm(p)
+
     def test_comments_in_header(self, tmp_path):
         p = tmp_path / "c.ppm"
         p.write_bytes(b"P6\n# a comment\n1 1\n# another\n255\n" + bytes([10, 20, 30]))

@@ -110,6 +110,65 @@ class TestEncoderForward:
             cells_per_patch = (32 // (4 * 2 ** i)) ** 2
             assert f[0].num_active == 20 * cells_per_patch
 
+    @pytest.mark.parametrize("down_kernel", [2, 3])
+    def test_batch_equals_per_sample_runs(self, down_kernel):
+        enc = EncoderConfig(stages=3, widths=(4, 8, 8), blocks_per_stage=2, down_kernel=down_kernel)
+        cfg = SparkConfig(encoder=enc, image_size=64, patch_size=16, dec_fea_dim=16, ape=True)
+        model = SparkModel(cfg, np.random.default_rng(40))
+        img = np.random.default_rng(41).random((3, 3, 64, 64))
+        masks = [generate_mask(4, 4, r, np.random.default_rng(42 + i), patch_size=16)
+                 for i, r in enumerate((0.25, 0.6, 0.9))]
+        assert len({m.visible.tobytes() for m in masks}) == 3
+        with ag.no_grad():
+            batched = encoder_forward(model, img, masks, mode="eval")
+            for b, mask in enumerate(masks):
+                single = encoder_forward(model, img[b : b + 1], mask, mode="eval")
+                for stage_b, stage_1 in zip(batched, single):
+                    got, want = stage_b[b], stage_1[0]
+                    assert (got.height, got.width) == (want.height, want.width)
+                    assert np.array_equal(got.coords, want.coords) and not got.batch.any()
+                    np.testing.assert_allclose(got.features.data, want.features.data, rtol=0, atol=1e-12)
+
+    def test_batch_gradients_equal_sum_of_per_sample_runs(self):
+        # overlapping masks: the shared ape is read at the same position by several samples
+        enc = EncoderConfig(stages=3, widths=(4, 8, 8), blocks_per_stage=2, down_kernel=3)
+        cfg = SparkConfig(encoder=enc, image_size=64, patch_size=16, dec_fea_dim=16, ape=True)
+        model = SparkModel(cfg, np.random.default_rng(43))
+        rng = np.random.default_rng(44)
+        img = rng.random((3, 3, 64, 64))
+        masks = [generate_mask(4, 4, r, np.random.default_rng(45 + i), patch_size=16)
+                 for i, r in enumerate((0.25, 0.5, 0.5))]
+        assert (masks[0].visible & masks[1].visible & masks[2].visible).any()
+        with ag.no_grad():
+            shapes = [[sp.features.shape for sp in stage] for stage in encoder_forward(model, img, masks, mode="eval")]
+        weights = [[rng.normal(size=shape) for shape in stage] for stage in shapes]
+
+        def loss(stages, samples):
+            terms = [ag.sum_over(ag.mul(stage[j], ag.tensor(weights[i][b])))
+                     for i, stage in enumerate(stages) for j, b in enumerate(samples)]
+            total = terms[0]
+            for t in terms[1:]:
+                total = ag.add(total, t)
+            return total
+
+        def grads():
+            out = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
+            model.zero_grad()
+            return out
+
+        feats = encoder_forward(model, img, masks, mode="eval")
+        ag.backward(loss([[sp.features for sp in stage] for stage in feats], range(3)))
+        batched = grads()
+        summed = {}
+        for b, mask in enumerate(masks):
+            feats = encoder_forward(model, img[b : b + 1], mask, mode="eval")
+            ag.backward(loss([[stage[0].features] for stage in feats], [b]))
+            for name, g in grads().items():
+                summed[name] = summed.get(name, 0.0) + g
+        assert batched.keys() == summed.keys() and "ape" in batched
+        for name, g in batched.items():
+            np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12, err_msg=name)
+
     def test_divisibility_rejected(self):
         model = tiny_model()
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(8), patch_size=8)

@@ -17,6 +17,7 @@ from sparsemim.sparse import (
     sparse_batchnorm,
     sparse_downsample,
     sparse_flops,
+    stack_coords,
     subm_conv2d,
 )
 
@@ -41,6 +42,21 @@ def random_sparse(rng, h, w, cin, density):
     coords = as_coords(sites)
     feats = ag.tensor(rng.normal(size=(coords.shape[0], cin)), requires_grad=True)
     return SparseTensor2D(h, w, coords, feats)
+
+
+class TestAsCoords:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-5, 30), st.integers(-5, 30)), max_size=60))
+    def test_matches_sorted_tuples(self, sites):
+        want = np.asarray(sorted(sites), dtype=np.int64).reshape(-1, 2)
+        for got in (as_coords(sites), as_coords(np.asarray(sites, dtype=np.int64).reshape(-1, 2))):
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert np.array_equal(got, want)
+
+    def test_empty_and_bad_shape(self):
+        assert as_coords([]).shape == (0, 2) and as_coords(np.zeros((0, 2))).dtype == np.int64
+        with pytest.raises(ValueError, match="pairs"):
+            as_coords(np.zeros((3, 3), dtype=np.int64))
 
 
 class TestRulebook:
@@ -165,6 +181,94 @@ class TestRulebookOracle:
         assert (rb.num_in, rb.num_out) == (coords_in.shape[0], coords_out.shape[0])
 
 
+class TestBatchedRulebook:
+    """A batch's rulebook is its samples' rulebooks, row indices shifted by each sample's offset."""
+
+    @staticmethod
+    def _per_sample_concat(rbs, in_off, out_off):
+        return [np.concatenate([pr[o] + (a, b) for pr, a, b in zip((rb.pairs for rb in rbs), in_off, out_off)])
+                for o in range(len(rbs[0].pairs))]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([1, 3, 5]), st.sampled_from([(2, 0), (3, 1)]))
+    def test_pairs_are_shifted_per_sample_pairs(self, seed, n, h, w, k, down):
+        rng = np.random.default_rng(seed)
+        sets = [np.argwhere(rng.random((h, w)) < rng.uniform(0.0, 1.0)) for _ in range(n)]
+        coords, batch = stack_coords(sets)
+        off = np.cumsum([0] + [s.shape[0] for s in sets])[:-1]
+        sp = SparseTensor2D(h, w, coords, ag.tensor(np.zeros((coords.shape[0], 1))), batch=batch)
+        rb = build_rulebook(sp, k)
+        want = self._per_sample_concat([build_rulebook(s, k, height=h, width=w) for s in sets], off, off)
+        assert_pairs_identical(rb.pairs, [p.astype(np.int64) for p in want])
+
+        kd, pad = down
+        ho, wo = (h + 2 * pad - kd) // 2 + 1, (w + 2 * pad - kd) // 2 + 1
+        if ho < 1 or wo < 1:
+            return
+        targets = []
+        for s in sets:  # every output site that sees an active input of its own sample
+            seen = np.zeros((ho, wo), dtype=bool)
+            for r, c in s:
+                for i in range(kd):
+                    for j in range(kd):
+                        rr, cc = r + pad - i, c + pad - j  # output (rr/2, cc/2) reads input (r, c) at tap (i, j)
+                        if rr % 2 == cc % 2 == 0 and 0 <= rr // 2 < ho and 0 <= cc // 2 < wo:
+                            seen[rr // 2, cc // 2] = True
+            targets.append(np.argwhere(seen))
+        tcoords, tbatch = stack_coords(targets)
+        toff = np.cumsum([0] + [t.shape[0] for t in targets])[:-1]
+        rb = build_downsample_rulebook(coords, (h, w), tcoords, kd, 2, pad, batch, tbatch)
+        want = self._per_sample_concat(
+            [build_downsample_rulebook(s, (h, w), t, kd, 2, pad) for s, t in zip(sets, targets)], off, toff)
+        assert_pairs_identical(rb.pairs, want)
+        assert rb.total_pairs * 3 * 5 == sparse_flops(rb, 3, 5)
+
+
+class TestBatchedGradients:
+    """Gradients of a batched sparse conv equal the dense conv's, restricted to active sites."""
+
+    @pytest.mark.parametrize("kind", ["subm1", "subm3", "subm5", "down2", "down3"])
+    def test_against_dense_backward(self, kind):
+        rng = np.random.default_rng(19)
+        n, h, w, cin, cout = 3, 7, 6, 2, 3
+        sets = [np.argwhere(rng.random((h, w)) < 0.5), np.zeros((0, 2), dtype=np.int64),
+                np.argwhere(rng.random((h, w)) < 0.7)]
+        coords, batch = stack_coords(sets)
+        x = rng.normal(size=(coords.shape[0], cin))
+        k = int(kind[-1])
+        stride, pad = (1, k // 2) if kind.startswith("subm") else (2, k - 2)
+        wt = rng.normal(size=(cout, cin, k, k))
+        bt = rng.normal(size=cout)
+
+        feats = ag.tensor(x, requires_grad=True)
+        ws, bs = ag.tensor(wt, requires_grad=True), ag.tensor(bt, requires_grad=True)
+        sp = SparseTensor2D(h, w, coords, feats, batch=batch)
+        dense_x = np.zeros((n, cin, h, w))
+        dense_x[batch, :, coords[:, 0], coords[:, 1]] = x
+        xd = ag.tensor(dense_x, requires_grad=True)
+        wd, bd = ag.tensor(wt, requires_grad=True), ag.tensor(bt, requires_grad=True)
+        if stride == 1:
+            out = subm_conv2d(sp, ws, bs, build_rulebook(sp, k))
+            tb, tc = batch, coords
+        else:
+            reach = ag.conv2d(ag.tensor((dense_x != 0).any(axis=1, keepdims=True).astype(float)),
+                              ag.tensor(np.ones((1, 1, k, k))), stride=2, padding=pad).data[:, 0]
+            t = np.argwhere(reach > 0)
+            tb, tc = t[:, 0], t[:, 1:]
+            out = sparse_downsample(sp, tc, ws, bs, stride=2, padding=pad, target_batch=tb)
+        gout = rng.normal(size=out.features.shape)
+        ag.backward(ag.sum_over(ag.mul(out.features, ag.tensor(gout))))
+        yd = ag.conv2d(xd, wd, bd, stride=stride, padding=pad)  # backward() clears the tape, so record after
+        gdense = np.zeros(yd.shape)
+        gdense[tb, :, tc[:, 0], tc[:, 1]] = gout
+        ag.backward(ag.sum_over(ag.mul(yd, ag.tensor(gdense))))
+        np.testing.assert_allclose(out.features.data, yd.data[tb, :, tc[:, 0], tc[:, 1]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(feats.grad, xd.grad[batch, :, coords[:, 0], coords[:, 1]], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ws.grad, wd.grad, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(bs.grad, bd.grad, rtol=0, atol=1e-12)
+
+
 class TestSubmConv:
     def _dense_ref(self, sp, w, b, k):
         dense = np.zeros((1, sp.channels, sp.height, sp.width))
@@ -265,6 +369,20 @@ class TestSparseDownsample:
         ref = ag.conv2d(ag.tensor(dense), w, stride=2).data[0, :, 1, 1]
         np.testing.assert_allclose(out.features.data[0], ref, atol=1e-12)
 
+    def test_mismatched_rulebook_rejected(self):
+        rng = np.random.default_rng(20)
+        coords = as_coords([(r, c) for r in range(4) for c in range(4)])
+        sp = SparseTensor2D(4, 4, coords, ag.tensor(rng.normal(size=(16, 1))))
+        w = ag.tensor(rng.normal(size=(1, 1, 2, 2)))
+        rb = build_downsample_rulebook(coords, (4, 4), as_coords([(0, 0), (1, 1)]), 2, 2)
+        assert sparse_downsample(sp, as_coords([(0, 0), (1, 1)]), w, rulebook=rb).num_active == 2
+        for target in ([(0, 0)], [(0, 0), (0, 1), (1, 1)]):
+            with pytest.raises(ValueError, match="rulebook does not match"):
+                sparse_downsample(sp, as_coords(target), w, rulebook=rb)
+        other = SparseTensor2D(4, 4, coords[:4], ag.tensor(rng.normal(size=(4, 1))))
+        with pytest.raises(ValueError, match="rulebook does not match"):
+            sparse_downsample(other, as_coords([(0, 0), (1, 1)]), w, rulebook=rb)
+
     def test_empty_receptive_field_rejected(self):
         rng = np.random.default_rng(9)
         sp = SparseTensor2D(4, 4, as_coords([(0, 0)]), ag.tensor(rng.normal(size=(1, 1))))
@@ -309,11 +427,13 @@ class TestSparseBatchNorm:
         sps = [random_sparse(rng, 5, 5, 3, 0.5) for _ in range(3)]
         g = ag.tensor(rng.uniform(0.5, 1.5, 3))
         b = ag.tensor(rng.normal(size=3))
-        outs = sparse_batchnorm(sps, g, b, ag.BatchNormState(3), mode="train")
+        coords, batch = stack_coords([s.coords for s in sps])
         flat = np.concatenate([s.features.data for s in sps], axis=0)
+        batched = SparseTensor2D(5, 5, coords, ag.tensor(flat), batch=batch)
+        out = sparse_batchnorm(batched, g, b, ag.BatchNormState(3), mode="train")
         ref = (flat - flat.mean(0)) / np.sqrt(flat.var(0) + 1e-5) * g.data + b.data
-        got = np.concatenate([o.features.data for o in outs], axis=0)
-        np.testing.assert_allclose(got, ref, atol=1e-12)
+        np.testing.assert_allclose(out.features.data, ref, atol=1e-12)
+        assert np.array_equal(out.batch, batch)
 
 
 class TestDensifyGather:
@@ -364,6 +484,19 @@ class TestDensifyGather:
         assert np.all(x.grad[1][:, inactive] == 0.0)
         assert np.all(x.grad[0] == 0.0)
         assert np.any(x.grad[1][:, ~inactive] != 0.0)
+
+    def test_repeated_positions_sum_gradients(self):
+        rng = np.random.default_rng(18)
+        x = ag.tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        coords = np.array([[1, 2], [0, 0], [1, 2], [1, 2], [3, 1]], dtype=np.int64)
+        batch = np.array([0, 0, 1, 0, 1], dtype=np.int64)
+        g = rng.normal(size=(5, 3))
+        sp = gather_from_dense(x, coords, batch_index=batch)
+        ag.backward(ag.sum_over(ag.mul(sp.features, ag.tensor(g))))
+        want = np.zeros_like(x.data)
+        for (r, c), b, row in zip(coords, batch, g):
+            want[b, :, r, c] += row
+        np.testing.assert_array_equal(x.grad, want)
 
     def test_empty_active_set_legal(self):
         x = ag.tensor(np.ones((1, 2, 3, 3)))

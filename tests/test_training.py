@@ -3,7 +3,9 @@ scalar oracles, loop determinism, divergence handling, and checkpoints."""
 
 import json
 import math
+import os
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -231,11 +233,13 @@ class TestCheckpoint:
 
     def test_params_preserved_to_f32(self, tmp_path):
         model = desk_model(seed=2)
+        for st in model.bn_states.values():  # running stats that differ from their init
+            st.running_mean = np.random.default_rng(6).normal(size=st.running_mean.shape)
         p = tmp_path / "m.ckpt"
         self._save(p, model)
         m1, _ = model_from_checkpoint(load_checkpoint(p))
-        for name, t in model.named_parameters():
-            np.testing.assert_array_equal(m1.param(name).data, t.data.astype(np.float32).astype(np.float64))
+        for name, arr in model.state_arrays().items():
+            np.testing.assert_array_equal(m1.state_arrays()[name], arr.astype(np.float32).astype(np.float64))
 
     def test_rng_state_preserved(self, tmp_path):
         model = desk_model(seed=2)
@@ -305,6 +309,19 @@ class TestCheckpointHeader:
         write_raw_checkpoint(p, {"config": {}, "manifest": [self.ENTRY]}, self.PAYLOAD)
         assert load_checkpoint(p).arrays["w"].shape == (2, 3)
 
+    def test_arrays_read_at_their_offsets(self, tmp_path):
+        p = tmp_path / "ok.ckpt"
+        payload = np.arange(6, dtype="<f4").tobytes()
+        manifest = [{"name": "a", "shape": [2], "offset": 16}, {"name": "b", "shape": [3], "offset": 0},
+                    {"name": "c", "shape": [1, 2], "offset": 4}, {"name": "e", "shape": [0], "offset": 24}]
+        write_raw_checkpoint(p, {"config": {}, "manifest": manifest}, payload)
+        arrays = load_checkpoint(p).arrays
+        assert list(arrays) == ["a", "b", "c", "e"]
+        np.testing.assert_array_equal(arrays["a"], [4.0, 5.0])
+        np.testing.assert_array_equal(arrays["b"], [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(arrays["c"], [[1.0, 2.0]])
+        assert arrays["e"].shape == (0,) and all(a.dtype == np.float64 for a in arrays.values())
+
     def test_header_not_an_object(self, tmp_path):
         for header in ([1, 2], "spark", 3, None):
             self._rejected(tmp_path / "bad.ckpt", header, "JSON object")
@@ -333,3 +350,34 @@ class TestCheckpointHeader:
     def test_huge_shape_is_truncation_not_overflow(self, tmp_path):
         entry = {**self.ENTRY, "shape": [2**40, 2**40]}  # the product overflows int64
         self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": [entry]}, "truncated")
+
+    def test_file_shrunk_after_open_is_truncation(self, tmp_path, monkeypatch):
+        # the size taken when the file was opened promises more bytes than the reads find
+        p = tmp_path / "short.ckpt"
+        write_raw_checkpoint(p, {"config": {}, "manifest": [self.ENTRY]}, self.PAYLOAD[:12])
+        stat = os.stat(p)
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(st_size=stat.st_size + 12))
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(p)
+
+    def test_empty_array_with_unrepresentable_dimension(self, tmp_path):
+        entry = {**self.ENTRY, "shape": [0, 2**63]}  # zero elements, but no numpy array has that dimension
+        self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": [entry]}, "corrupt checkpoint manifest")
+
+    def test_unparseable_json_numbers_and_nesting(self, tmp_path):
+        for blob in (b"1" * 5000, b"[" * 100_000):
+            p = tmp_path / "bad.ckpt"
+            p.write_bytes(b"SPRK" + struct.pack("<I", 1) + struct.pack("<Q", len(blob)) + blob)
+            with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
+                load_checkpoint(p)
+
+
+class TestTrainConfigDict:
+    def test_round_trip(self):
+        cfg = TrainConfig(epochs=3, batch_size=4, lr_peak=1e-3, seed=5, max_steps=9)
+        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
+        assert "schedule" not in cfg.to_dict()
+
+    def test_old_config_with_schedule_loads(self):
+        old = {**TrainConfig(batch_size=4).to_dict(), "schedule": "cosine"}
+        assert TrainConfig.from_dict(old) == TrainConfig(batch_size=4)
