@@ -16,9 +16,8 @@ from .autograd import (
     relu6,
     tensor,
 )
-from .data import DirectoryDataset, ImageRecord, DatasetManifest, augment, load_ppm, save_ppm, synth_dataset
+from .data import DirectoryDataset, augment, load_ppm, save_ppm, synth_dataset
 from .masking import (
-    MaskConfig,
     PatchMask,
     active_set_at_scale,
     erosion_profile,

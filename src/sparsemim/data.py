@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "ImageRecord",
-    "DatasetManifest",
     "PpmError",
     "load_ppm",
     "save_ppm",
@@ -24,22 +20,6 @@ __all__ = [
 
 class PpmError(ValueError):
     pass
-
-
-@dataclass
-class ImageRecord:
-    id: str
-    pixels: np.ndarray  # [3, H, W] float64 in [0, 1]
-    source: str
-
-
-@dataclass
-class DatasetManifest:
-    root: str
-    entries: list  # [{"id": ..., "path": ...}], ordered lexicographically by id
-
-    def to_json(self) -> str:
-        return json.dumps(self.entries, sort_keys=True, indent=2)
 
 
 def _read_token(buf: bytes, pos: int):
@@ -162,27 +142,13 @@ class SynthDataset:
             raise IndexError(i)
         return _synth_image(self.size, self.seed, i)
 
-    def record(self, i: int) -> ImageRecord:
-        return ImageRecord(id=f"synth-{i:06d}", pixels=self.pixels(i),
-                           source=f"synth:{self.seed}:{self.size}")
-
-    def manifest(self) -> DatasetManifest:
-        return DatasetManifest(
-            root="",
-            entries=[{"id": f"synth-{i:06d}", "path": f"synth:{self.seed}:{self.size}:{i}"} for i in range(self.n)],
-        )
-
-    def materialize(self, out_dir) -> DatasetManifest:
+    def materialize(self, out_dir) -> list[str]:
+        """Write every image as ``synth-<index>.ppm`` under ``out_dir``; returns the file names."""
         os.makedirs(out_dir, exist_ok=True)
-        entries = []
-        for i in range(self.n):
-            name = f"synth-{i:06d}.ppm"
+        names = [f"synth-{i:06d}.ppm" for i in range(self.n)]
+        for i, name in enumerate(names):
             save_ppm(os.path.join(out_dir, name), self.pixels(i))
-            entries.append({"id": f"synth-{i:06d}", "path": name})
-        manifest = DatasetManifest(root=str(out_dir), entries=entries)
-        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-            f.write(manifest.to_json())
-        return manifest
+        return names
 
 
 def synth_dataset(n: int, size: int, seed: int) -> SynthDataset:
@@ -204,10 +170,6 @@ class DirectoryDataset:
 
     def pixels(self, i: int) -> np.ndarray:
         return load_ppm(os.path.join(self.root, self.names[i]))
-
-    def manifest(self) -> DatasetManifest:
-        return DatasetManifest(root=self.root,
-                               entries=[{"id": n[:-4], "path": n} for n in self.names])
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autograd import DiffTensor, mul
 
 __all__ = [
-    "MaskConfig",
     "PatchMask",
     "generate_mask",
     "active_set_at_scale",
@@ -21,16 +18,6 @@ __all__ = [
     "zero_out_image",
     "erosion_profile",
 ]
-
-
-@dataclass
-class MaskConfig:
-    """Masking hyperparameters; patch_size must be divisible by the encoder's total stride."""
-
-    patch_size: int = 32
-    ratio: float = 0.60
-    seed: int = 0
-    mode: str = "fixed"  # "fixed" (round(ratio*N) patches) or "bernoulli" (per-patch coin)
 
 
 class PatchMask:
@@ -71,8 +58,8 @@ class PatchMask:
         )
 
 
-def generate_mask(grid_h: int, grid_w: int, ratio: float, rng, patch_size: int = 32, mode: str = "fixed") -> PatchMask:
-    """Sample a patch mask; exactly round(ratio*N) patches masked in fixed mode.
+def generate_mask(grid_h: int, grid_w: int, ratio: float, rng, patch_size: int = 32) -> PatchMask:
+    """Sample a patch mask with exactly round(ratio*N) patches masked.
 
     Rejects ratios outside [0, 1) and draws that would leave no visible (or,
     for 0 < ratio, no masked) patch, since a fully hidden image cannot be
@@ -83,23 +70,14 @@ def generate_mask(grid_h: int, grid_w: int, ratio: float, rng, patch_size: int =
     n = grid_h * grid_w
     if n < 1:
         raise ValueError("generate_mask: empty patch grid")
+    k = int(round(ratio * n))
+    if ratio > 0.0 and (k == 0 or k == n):
+        raise ValueError(
+            f"generate_mask: ratio {ratio} on a {grid_h}x{grid_w} grid rounds to {k} masked "
+            f"patches; need at least one visible and one masked"
+        )
     visible = np.ones((grid_h, grid_w), dtype=bool)
-    if mode == "fixed":
-        k = int(round(ratio * n))
-        if ratio > 0.0 and (k == 0 or k == n):
-            raise ValueError(
-                f"generate_mask: ratio {ratio} on a {grid_h}x{grid_w} grid rounds to {k} masked "
-                f"patches; need at least one visible and one masked"
-            )
-        idx = rng.choice(n, size=k, replace=False)
-    elif mode == "bernoulli":
-        draw = rng.random(n) < ratio
-        idx = np.flatnonzero(draw)
-        if ratio > 0.0 and (idx.size == 0 or idx.size == n):
-            raise ValueError("generate_mask: bernoulli draw left no visible or no masked patch")
-    else:
-        raise ValueError(f"generate_mask: unknown mode {mode!r}")
-    visible.reshape(-1)[idx] = False
+    visible.reshape(-1)[rng.choice(n, size=k, replace=False)] = False
     return PatchMask(grid_h, grid_w, patch_size, visible, ratio)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,8 +28,6 @@ from .masking import (
     visible_pixel_map,
 )
 from .sparse import (
-    SparseTensor2D,
-    build_downsample_rulebook,
     build_rulebook,
     densify,
     dense_conv_macs,
@@ -42,6 +41,8 @@ from .sparse import (
 
 __all__ = [
     "EncoderConfig",
+    "EncoderLayer",
+    "encoder_layers",
     "LightDecoderConfig",
     "SparkConfig",
     "SparkModel",
@@ -52,7 +53,6 @@ __all__ = [
     "spark_forward",
     "spark_loss",
     "to_dense_encoder",
-    "add_ape",
     "encoder_flops_table",
 ]
 
@@ -87,6 +87,47 @@ class EncoderConfig:
 
     def stride_at(self, stage: int) -> int:
         return self.stem_stride * self.stage_stride ** stage
+
+
+class EncoderLayer(NamedTuple):
+    """One conv + batch norm + ReLU of the encoder."""
+
+    name: str  # the layer's MAC-table row; its weight is encoder.<name>.w
+    bn: str  # batch-norm prefix (gamma, beta, running stats)
+    stage: int  # the output runs at stride stride_at(stage)
+    cin: int
+    cout: int
+    kernel: int
+    stride: int
+    padding: int
+    residual: bool  # closes a residual block: adds the input of the layer before it
+
+    @property
+    def weight(self) -> str:
+        return f"encoder.{self.name}.w"
+
+
+def encoder_layers(enc: EncoderConfig) -> list[EncoderLayer]:
+    """Every layer of the encoder in execution order.
+
+    The first layer is the patchify stem (kernel = stride = stem_stride) and
+    reads the image. Every later stage opens with a stride-2 downsample.
+    Each stage then runs ``blocks_per_stage`` residual blocks, each a pair of
+    3x3 stride-1 layers conv0 and conv1; a block's output is conv1's output
+    plus conv0's input. A stage's output is its last layer's output.
+    """
+    w, s0 = enc.widths, enc.stem_stride
+    layers = [EncoderLayer("stem", "encoder.stem.bn", 0, 3, w[0], s0, s0, 0, False)]
+    for i in range(enc.stages):
+        if i > 0:
+            k = enc.down_kernel
+            layers.append(EncoderLayer(f"stage{i}.down", f"encoder.stage{i}.down.bn", i, w[i - 1], w[i], k,
+                                       enc.stage_stride, 1 if k == 3 else 0, False))
+        for j in range(enc.blocks_per_stage):
+            for cv in (0, 1):
+                layers.append(EncoderLayer(f"stage{i}.block{j}.conv{cv}", f"encoder.stage{i}.block{j}.bn{cv}",
+                                           i, w[i], w[i], 3, 1, 1, cv == 1))
+    return layers
 
 
 @dataclass
@@ -179,6 +220,14 @@ class SparkConfig:
         )
 
 
+def _state_arrays(params, bn_states) -> "OrderedDict[str, np.ndarray]":
+    out = OrderedDict((name, p.data) for name, p in params.items())
+    for name, st in bn_states.items():
+        out[f"{name}.running_mean"] = st.running_mean
+        out[f"{name}.running_var"] = st.running_var
+    return out
+
+
 class SparkModel:
     """Parameter store plus the wiring between encoder, embeddings, and decoder.
 
@@ -223,25 +272,12 @@ class SparkModel:
     def _build(self, rng):
         cfg = self.cfg
         enc = cfg.encoder
-        w0 = enc.widths[0]
-        self._conv_param("encoder.stem.w", w0, 3, enc.stem_stride, enc.stem_stride, rng)
-        self._bn_param("encoder.stem.bn", w0)
-        if cfg.ape:
-            h4 = cfg.image_size // enc.stem_stride
-            self._vec_param("ape", np.zeros((1, w0, h4, h4)))
-
-        for i in range(enc.stages):
-            wi = enc.widths[i]
-            if i > 0:
-                k = enc.down_kernel
-                self._conv_param(f"encoder.stage{i}.down.w", wi, enc.widths[i - 1], k, k, rng)
-                self._bn_param(f"encoder.stage{i}.down.bn", wi)
-            for j in range(enc.blocks_per_stage):
-                pre = f"encoder.stage{i}.block{j}"
-                self._conv_param(f"{pre}.conv0.w", wi, wi, 3, 3, rng)
-                self._bn_param(f"{pre}.bn0", wi)
-                self._conv_param(f"{pre}.conv1.w", wi, wi, 3, 3, rng)
-                self._bn_param(f"{pre}.bn1", wi)
+        for i, layer in enumerate(encoder_layers(enc)):
+            self._conv_param(layer.weight, layer.cout, layer.cin, layer.kernel, layer.kernel, rng)
+            self._bn_param(layer.bn, layer.cout)
+            if i == 0 and cfg.ape:  # a learnable embedding per stem output site
+                h4 = cfg.image_size // enc.stem_stride
+                self._vec_param("ape", np.zeros((1, layer.cout, h4, h4)))
 
         chans = cfg.decoder.channels
         for i in range(enc.stages):
@@ -254,10 +290,7 @@ class SparkModel:
         for k in range(cfg.decoder.n_stages):
             cin, cout = chans[k], chans[k + 1]
             pre = f"decoder.stage{k}"
-            std = math.sqrt(2.0 / (cin * 16))
-            up = DiffTensor(rng.normal(0.0, std, size=(cin, cin, 4, 4)), requires_grad=True)
-            self.params[f"{pre}.up.w"] = up
-            self.decay.add(f"{pre}.up.w")
+            self._conv_param(f"{pre}.up.w", cin, cin, 4, 4, rng)
             self._vec_param(f"{pre}.up.b", np.zeros(cin))
             self._conv_param(f"{pre}.conv0.w", cin, cin, 3, 3, rng)
             self._bn_param(f"{pre}.bn0", cin)
@@ -283,13 +316,7 @@ class SparkModel:
 
     def state_arrays(self) -> "OrderedDict[str, np.ndarray]":
         """All persistent arrays (parameters + BN running stats) in manifest order."""
-        out = OrderedDict()
-        for name, p in self.params.items():
-            out[name] = p.data
-        for name, st in self.bn_states.items():
-            out[f"{name}.running_mean"] = st.running_mean
-            out[f"{name}.running_var"] = st.running_var
-        return out
+        return _state_arrays(self.params, self.bn_states)
 
     def load_state_arrays(self, arrays: dict):
         for name, p in self.params.items():
@@ -305,21 +332,6 @@ class SparkModel:
 # ---------------------------------------------------------------------------
 # encoder
 # ---------------------------------------------------------------------------
-
-
-def _sp_relu(sp: SparseTensor2D) -> SparseTensor2D:
-    return sp.with_features(ag.relu(sp.features))
-
-
-def _sp_add(a: SparseTensor2D, b: SparseTensor2D) -> SparseTensor2D:
-    return a.with_features(ag.add(a.features, b.features))
-
-
-def add_ape(model: SparkModel, sp: SparseTensor2D) -> SparseTensor2D:
-    """Add the learnable per-position embedding at the active stem sites."""
-    ape = model.param("ape")
-    rows = gather_from_dense(ape, sp.coords, batch_index=0)
-    return _sp_add(sp, rows)
 
 
 def _normalize_masks(masks, n: int):
@@ -357,38 +369,36 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
 
     # per stage, the batch's active sites as (coords, sample index), rows ordered by (sample, row, col)
     active = [stack_coords([active_set_at_scale(m, enc.stride_at(i)) for m in masks]) for i in range(enc.stages)]
-
-    def bn_relu(sp, prefix):
-        return _sp_relu(sparse_batchnorm(sp, model.param(f"{prefix}.gamma"), model.param(f"{prefix}.beta"),
-                                         model.bn(prefix), mode=mode))
-
-    # stem: dense strided conv, then gather the visible sites. Patch edges are
-    # multiples of the stem stride, so every gathered site's window lies
-    # entirely inside a visible patch and masked pixels never contribute.
-    stem = ag.conv2d(images, model.param("encoder.stem.w"), stride=enc.stem_stride, padding=0)
-    coords, batch = active[0]
-    sp = gather_from_dense(stem, coords, batch_index=batch)
-    if cfg.ape:
-        sp = add_ape(model, sp)
-    sp = bn_relu(sp, "encoder.stem.bn")
-
-    stage_outputs = []
-    for i in range(enc.stages):
-        if i > 0:
-            k = enc.down_kernel
-            pad = 1 if k == 3 else 0
-            coords, batch = active[i]
-            sp = sparse_downsample(sp, coords, model.param(f"encoder.stage{i}.down.w"), stride=2, padding=pad,
-                                   target_batch=batch)
-            sp = bn_relu(sp, f"encoder.stage{i}.down.bn")
-        rb = build_rulebook(sp, 3)
-        for j in range(enc.blocks_per_stage):
-            pre = f"encoder.stage{i}.block{j}"
-            hidden = bn_relu(subm_conv2d(sp, model.param(f"{pre}.conv0.w"), None, rb), f"{pre}.bn0")
-            hidden = bn_relu(subm_conv2d(hidden, model.param(f"{pre}.conv1.w"), None, rb), f"{pre}.bn1")
-            sp = _sp_add(hidden, sp)  # identity residual
-        stage_outputs.append(sp.split(n))
-    return stage_outputs
+    outputs = [None] * enc.stages
+    sp = block_in = rb = None
+    for layer in encoder_layers(enc):
+        w = model.param(layer.weight)
+        coords, batch = active[layer.stage]
+        x_in = sp
+        if sp is None:
+            # stem: dense strided conv, then gather the visible sites. Patch edges are
+            # multiples of the stem stride, so every gathered site's window lies
+            # entirely inside a visible patch and masked pixels never contribute.
+            stem = ag.conv2d(images, w, stride=layer.stride, padding=layer.padding)
+            sp = gather_from_dense(stem, coords, batch_index=batch)
+            if cfg.ape:
+                ape = gather_from_dense(model.param("ape"), sp.coords, batch_index=0)
+                sp = sp.with_features(ag.add(sp.features, ape.features))
+        elif layer.stride != 1:
+            sp = sparse_downsample(sp, coords, w, stride=layer.stride, padding=layer.padding, target_batch=batch)
+            rb = None
+        else:
+            if rb is None:  # one rulebook serves every stride-1 layer of a stage
+                rb = build_rulebook(sp, layer.kernel)
+            sp = subm_conv2d(sp, w, None, rb)
+        sp = sparse_batchnorm(sp, model.param(f"{layer.bn}.gamma"), model.param(f"{layer.bn}.beta"),
+                              model.bn(layer.bn), mode=mode)
+        sp = sp.with_features(ag.relu(sp.features))
+        if layer.residual:
+            sp = sp.with_features(ag.add(sp.features, block_in.features))
+        block_in = x_in
+        outputs[layer.stage] = sp
+    return [o.split(n) for o in outputs]
 
 
 class DenseEncoder:
@@ -412,44 +422,25 @@ class DenseEncoder:
         if h % enc.total_stride or w % enc.total_stride:
             raise ValueError(f"DenseEncoder: image {h}x{w} not divisible by total stride {enc.total_stride}")
 
-        def bn(x, prefix):
-            return ag.batchnorm2d(x, self.params[f"{prefix}.gamma"], self.params[f"{prefix}.beta"],
-                                  self.bn_states[prefix], mode=mode)
-
-        x = ag.conv2d(images, self.params["encoder.stem.w"], stride=enc.stem_stride, padding=0)
-        if self.ape is not None:
-            if self.ape.shape[2:] != x.shape[2:]:
-                raise ValueError("DenseEncoder: positional embedding size does not match input")
-            x = ag.add_broadcast(x, self.ape)
-        x = ag.relu(bn(x, "encoder.stem.bn"))
-
-        stages = []
-        for i in range(enc.stages):
-            if i > 0:
-                k = enc.down_kernel
-                pad = 1 if k == 3 else 0
-                x = ag.conv2d(x, self.params[f"encoder.stage{i}.down.w"], stride=2, padding=pad)
-                x = ag.relu(bn(x, f"encoder.stage{i}.down.bn"))
-            for j in range(enc.blocks_per_stage):
-                pre = f"encoder.stage{i}.block{j}"
-                hdn = ag.conv2d(x, self.params[f"{pre}.conv0.w"], stride=1, padding=1)
-                hdn = ag.relu(bn(hdn, f"{pre}.bn0"))
-                hdn = ag.conv2d(hdn, self.params[f"{pre}.conv1.w"], stride=1, padding=1)
-                hdn = ag.relu(bn(hdn, f"{pre}.bn1"))
-                x = ag.add(hdn, x)
-            stages.append(x)
+        stages = [None] * enc.stages
+        x, block_in = images, None
+        for i, layer in enumerate(encoder_layers(enc)):
+            x_in = x
+            x = ag.conv2d(x, self.params[layer.weight], stride=layer.stride, padding=layer.padding)
+            if i == 0 and self.ape is not None:
+                if self.ape.shape[2:] != x.shape[2:]:
+                    raise ValueError("DenseEncoder: positional embedding size does not match input")
+                x = ag.add_broadcast(x, self.ape)
+            x = ag.relu(ag.batchnorm2d(x, self.params[f"{layer.bn}.gamma"], self.params[f"{layer.bn}.beta"],
+                                       self.bn_states[layer.bn], mode=mode))
+            if layer.residual:
+                x = ag.add(x, block_in)
+            block_in = x_in
+            stages[layer.stage] = x
         return stages
 
     def state_arrays(self) -> "OrderedDict[str, np.ndarray]":
-        out = OrderedDict()
-        for name, p in self.params.items():
-            out[name] = p.data
-        if self.ape is not None:
-            out["ape"] = self.ape.data
-        for name, st in self.bn_states.items():
-            out[f"{name}.running_mean"] = st.running_mean
-            out[f"{name}.running_var"] = st.running_var
-        return out
+        return _state_arrays({**self.params, **({} if self.ape is None else {"ape": self.ape})}, self.bn_states)
 
 
 def to_dense_encoder(model: SparkModel) -> DenseEncoder:
@@ -472,8 +463,7 @@ def project_and_densify(model: SparkModel, scale: int, sparse_list) -> DiffTenso
     dense [N, dec_width, h, w] tensor ready to enter the decoder.
     """
     fill = model.param(f"embed.scale{scale}")
-    dense = ag.concat0([densify(sp, fill) for sp in sparse_list])
-    return ag.conv2d(dense, model.param(f"proj.scale{scale}.w"), model.param(f"proj.scale{scale}.b"))
+    return _project_dense(model, scale, ag.concat0([densify(sp, fill) for sp in sparse_list]))
 
 
 def _project_dense(model: SparkModel, scale: int, x: DiffTensor) -> DiffTensor:
@@ -533,25 +523,18 @@ def spark_forward(model: SparkModel, images, masks, mode: str = "train"):
     targets = per_patch_normalize(images, cfg.patch_size)
     masked_maps = np.stack([masked_pixel_map(m) for m in masks])
 
-    n_dec = cfg.decoder.n_stages
-    stages = cfg.encoder.stages
-    to_dec: list = [None] * n_dec
     if cfg.masking == "sparse":
         feats = encoder_forward(model, images, masks, mode=mode)
-        for k in range(stages):
-            scale = stages - 1 - k
-            if k > 0 and not cfg.hierarchy:
-                continue
-            to_dec[k] = project_and_densify(model, scale, feats[scale])
+        project = project_and_densify
     else:
         keep = np.stack([visible_pixel_map(m) for m in masks])[:, None, :, :].astype(np.float64)
         zeroed = ag.mul(images, DiffTensor(np.ascontiguousarray(np.broadcast_to(keep, images.shape))))
-        dense_feats = to_dense_encoder(model).forward(zeroed, mode=mode)
-        for k in range(stages):
-            scale = stages - 1 - k
-            if k > 0 and not cfg.hierarchy:
-                continue
-            to_dec[k] = _project_dense(model, scale, dense_feats[scale])
+        feats = to_dense_encoder(model).forward(zeroed, mode=mode)
+        project = _project_dense
+    stages = cfg.encoder.stages
+    to_dec: list = [None] * cfg.decoder.n_stages
+    for k in range(stages if cfg.hierarchy else 1):
+        to_dec[k] = project(model, stages - 1 - k, feats[stages - 1 - k])
 
     recon = decoder_forward(model, to_dec, mode=mode)
     return recon, targets, masked_maps
@@ -584,37 +567,22 @@ def encoder_flops_table(enc: EncoderConfig, mask: PatchMask) -> list[dict]:
     """
     h, w = mask.image_hw
     rows = []
-
-    def add_row(layer, stride, smacs, dmacs):
+    prev, prev_stride, subm = active_set_at_scale(mask, 1), 1, None
+    for layer in encoder_layers(enc):
+        s = enc.stride_at(layer.stage)
+        act = active_set_at_scale(mask, s)
+        if layer.stride != 1 or subm is None:
+            rb = build_rulebook(prev, layer.kernel, height=h // prev_stride, width=w // prev_stride, target=act,
+                                stride=layer.stride, padding=layer.padding)
+        subm = rb if layer.stride == 1 else None  # as in the encoder, one rulebook per stage's stride-1 layers
+        smacs = sparse_flops(rb, layer.cin, layer.cout)
+        dmacs = dense_conv_macs(h // s, w // s, layer.kernel, layer.cin, layer.cout)
         rows.append({
-            "layer": layer,
-            "scale": stride,
+            "layer": layer.name,
+            "scale": s,
             "sparse_macs": int(smacs),
             "dense_macs": int(dmacs),
             "ratio": smacs / dmacs,
         })
-
-    pix = active_set_at_scale(mask, 1)
-    act0 = active_set_at_scale(mask, enc.stem_stride)
-    rb = build_downsample_rulebook(pix, (h, w), act0, enc.stem_stride, enc.stem_stride, 0)
-    g0 = h // enc.stem_stride
-    add_row("stem", enc.stem_stride, sparse_flops(rb, 3, enc.widths[0]),
-            dense_conv_macs(g0, w // enc.stem_stride, enc.stem_stride, 3, enc.widths[0]))
-
-    for i in range(enc.stages):
-        s = enc.stride_at(i)
-        gh, gw = h // s, w // s
-        act = active_set_at_scale(mask, s)
-        if i > 0:
-            k = enc.down_kernel
-            pad = 1 if k == 3 else 0
-            prev = active_set_at_scale(mask, enc.stride_at(i - 1))
-            rb_dn = build_downsample_rulebook(prev, (h // (s // 2), w // (s // 2)), act, k, 2, pad)
-            add_row(f"stage{i}.down", s, sparse_flops(rb_dn, enc.widths[i - 1], enc.widths[i]),
-                    dense_conv_macs(gh, gw, k, enc.widths[i - 1], enc.widths[i]))
-        rb_sub = build_rulebook(act, 3, height=gh, width=gw)
-        for j in range(enc.blocks_per_stage):
-            for cv in (0, 1):
-                add_row(f"stage{i}.block{j}.conv{cv}", s, sparse_flops(rb_sub, enc.widths[i], enc.widths[i]),
-                        dense_conv_macs(gh, gw, 3, enc.widths[i], enc.widths[i]))
+        prev, prev_stride = act, s
     return rows

@@ -1,16 +1,18 @@
-"""Sparse 2-D feature maps, rulebooks, and submanifold sparse convolution.
+"""Sparse 2-D feature maps, rulebooks, and sparse convolution.
 
 A sparse tensor stores only the features of its active sites. One tensor
 holds a whole batch: its rows are ordered by (sample, row, col) and carry a
 per-row sample index, so every layer runs once per batch, not once per
 sample. A rulebook enumerates, per kernel offset, exactly the (input site,
 output site) pairs a sparse convolution multiplies; sites only pair within
-their own sample. From those pairs it derives two neighbour tables, and a
-convolution is one gather of the neighbour rows followed by one GEMM over
-all kernel offsets at once (backward: one gather-GEMM for each gradient).
-Submanifold mode keeps the output active set identical to the input's, so
-stacking layers never grows or erodes the mask pattern. All feature math
-runs through the autograd engine and is differentiable with respect to
+their own sample. One builder makes every rulebook: a strided conv maps
+the input active set onto a given target set, and a submanifold conv is
+the stride-1 case whose output sites are its input sites, so stacking
+layers never grows or erodes the mask pattern. From the pairs a rulebook
+derives two neighbour tables, and a convolution is one gather of the
+neighbour rows followed by one GEMM over all kernel offsets at once
+(backward: one gather-GEMM for each gradient). All feature math runs
+through the autograd engine and is differentiable with respect to
 features, weights, biases, and fill values.
 """
 
@@ -33,7 +35,6 @@ __all__ = [
     "as_coords",
     "stack_coords",
     "build_rulebook",
-    "build_downsample_rulebook",
     "subm_conv2d",
     "sparse_downsample",
     "sparse_batchnorm",
@@ -148,16 +149,18 @@ class Rulebook:
 
     ``pairs[o]`` is an [m_o, 2] int64 array in kernel scan order (row-major
     over offsets); within an offset, indices on each side are unique and
-    the pairs run in ascending output index.
+    the pairs run in ascending output index. ``in_key`` / ``out_key``
+    identify the input and output active sets (grid size, sites, sample
+    index); a submanifold rulebook has ``out_key == in_key``.
     """
 
-    __slots__ = ("kernel", "mode", "pairs", "in_key", "num_in", "num_out", "_tables")
+    __slots__ = ("kernel", "pairs", "in_key", "out_key", "num_in", "num_out", "_tables")
 
-    def __init__(self, kernel, mode, pairs, in_key, num_in, num_out):
+    def __init__(self, kernel, pairs, in_key, out_key, num_in, num_out):
         self.kernel = kernel
-        self.mode = mode
         self.pairs = pairs
         self.in_key = in_key
+        self.out_key = out_key
         self.num_in = num_in
         self.num_out = num_out
         self._tables = None
@@ -217,20 +220,22 @@ def _match_offsets(coords_in: np.ndarray, batch_in: np.ndarray, base: np.ndarray
     return pairs
 
 
-def build_rulebook(active, kernel, mode: str = "submanifold", height: int | None = None, width: int | None = None) -> Rulebook:
-    """Enumerate all (input, output) site pairs of a submanifold convolution.
+def build_rulebook(active, kernel, height: int | None = None, width: int | None = None, target=None,
+                   target_batch: np.ndarray | None = None, stride: int = 1, padding: int | None = None) -> Rulebook:
+    """Enumerate all (input, output) site pairs of a sparse convolution.
 
-    For every active output site p and kernel offset o the pair
-    (p + o - center, p) is emitted iff the neighbor is active in the same
-    sample. The output active set is the input active set by construction.
+    Output site q at kernel tap (i, j) reads input site q * stride - padding
+    + (i, j) of its own sample; the pair is emitted iff that site is active.
     ``active`` is a SparseTensor2D (its sample index and, by default, its
-    size are used) or a single sample's coordinate collection.
+    size are used) or a single sample's coordinate collection. ``target``
+    (with ``target_batch``, default sample 0) is the output active set of a
+    strided conv; every target site must see at least one active input of
+    its sample, since an empty field means the target set and the stride
+    geometry disagree (a mask alignment bug upstream). With no target the
+    output sites are the input sites: a submanifold conv, which needs an odd
+    kernel, stride 1 and the default padding kernel // 2.
     """
-    if mode != "submanifold":
-        raise ValueError(f"build_rulebook: unsupported mode {mode!r}")
     kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-    if kh % 2 == 0 or kw % 2 == 0:
-        raise ValueError(f"build_rulebook: even kernel {kh}x{kw} is invalid in submanifold mode")
     if isinstance(active, SparseTensor2D):
         coords, batch = active.coords, active.batch
         height = active.height if height is None else height
@@ -242,57 +247,32 @@ def build_rulebook(active, kernel, mode: str = "submanifold", height: int | None
         height = int(coords[:, 0].max()) + 1 if coords.shape[0] else 0
     if width is None:
         width = int(coords[:, 1].max()) + 1 if coords.shape[0] else 0
-
-    ch, cw = kh // 2, kw // 2
-    offsets = [(di, dj) for di in range(-ch, ch + 1) for dj in range(-cw, cw + 1)]
-    pairs = _match_offsets(coords, batch, coords, batch, offsets)
-    return Rulebook((kh, kw), "submanifold", pairs, _coords_key(height, width, coords, batch),
-                    len(coords), len(coords))
-
-
-def build_downsample_rulebook(
-    coords_in: np.ndarray,
-    in_hw,
-    coords_out: np.ndarray,
-    kernel,
-    stride: int,
-    padding: int = 0,
-    batch_in: np.ndarray | None = None,
-    batch_out: np.ndarray | None = None,
-) -> Rulebook:
-    """Pairs of a strided sparse convolution onto an externally given target set.
-
-    ``batch_in`` / ``batch_out`` are the per-site sample indices of a batch
-    (default: one sample). Every target site must see at least one active
-    input of its sample inside its receptive field; an empty field means the
-    target set and the stride geometry disagree (a mask alignment bug
-    upstream).
-    """
-    kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-    h_in, w_in = in_hw
-    h_out = (h_in + 2 * padding - kh) // stride + 1
-    w_out = (w_in + 2 * padding - kw) // stride + 1
-    coords_in = as_coords(coords_in) if not isinstance(coords_in, np.ndarray) else coords_in
-    coords_out = as_coords(coords_out) if not isinstance(coords_out, np.ndarray) else coords_out
-    batch_in = _no_batch(coords_in) if batch_in is None else batch_in
-    batch_out = _no_batch(coords_out) if batch_out is None else batch_out
-    if coords_out.shape[0]:
-        if coords_out[:, 0].max() >= h_out or coords_out[:, 1].max() >= w_out:
-            raise ValueError(
-                f"build_downsample_rulebook: target site outside {h_out}x{w_out} output grid"
-            )
+    ph, pw = (kh // 2, kw // 2) if padding is None else (padding, padding)
+    if target is None:
+        if kh % 2 == 0 or kw % 2 == 0:
+            raise ValueError(f"build_rulebook: even kernel {kh}x{kw} is invalid in submanifold mode")
+        if stride != 1 or (ph, pw) != (kh // 2, kw // 2):
+            raise ValueError("build_rulebook: a submanifold rulebook has stride 1 and padding kernel // 2")
+        target, target_batch = coords, batch
+    elif not isinstance(target, np.ndarray):
+        target = as_coords(target)
+    target_batch = _no_batch(target) if target_batch is None else np.asarray(target_batch, dtype=np.int64)
+    h_out = (height + 2 * ph - kh) // stride + 1
+    w_out = (width + 2 * pw - kw) // stride + 1
+    if target.shape[0] and (target[:, 0].max() >= h_out or target[:, 1].max() >= w_out):
+        raise ValueError(f"build_rulebook: target site outside {h_out}x{w_out} output grid")
 
     offsets = [(i, j) for i in range(kh) for j in range(kw)]
-    pairs = _match_offsets(coords_in, batch_in, coords_out * stride - padding, batch_out, offsets)
-    hits = np.bincount(np.concatenate([pr[:, 1] for pr in pairs]), minlength=coords_out.shape[0])
-    if coords_out.shape[0] and int(hits.min()) == 0:
-        bad = coords_out[int(np.argmin(hits))]
+    pairs = _match_offsets(coords, batch, target * stride - (ph, pw), target_batch, offsets)
+    hits = np.bincount(np.concatenate([pr[:, 1] for pr in pairs]), minlength=target.shape[0])
+    if target.shape[0] and int(hits.min()) == 0:
+        bad = target[int(np.argmin(hits))]
         raise ValueError(
-            f"build_downsample_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
+            f"build_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
             f"receptive field (mask/stride misalignment)"
         )
-    return Rulebook((kh, kw), "strided", pairs, _coords_key(h_in, w_in, coords_in, batch_in),
-                    coords_in.shape[0], coords_out.shape[0])
+    return Rulebook((kh, kw), pairs, _coords_key(height, width, coords, batch),
+                    _coords_key(h_out, w_out, target, target_batch), coords.shape[0], target.shape[0])
 
 
 def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -346,10 +326,8 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
 
 def subm_conv2d(sp: SparseTensor2D, w: DiffTensor, b: DiffTensor | None, rb: Rulebook) -> SparseTensor2D:
     """Submanifold sparse convolution: computes only at (and from) active sites."""
-    if rb.mode != "submanifold":
-        raise ValueError("subm_conv2d: rulebook was not built in submanifold mode")
-    if rb.in_key != sp.active_key():
-        raise ValueError("subm_conv2d: rulebook active set does not match the input's")
+    if rb.in_key != sp.active_key() or rb.out_key != rb.in_key:
+        raise ValueError("subm_conv2d: rulebook does not map the input's active set onto itself")
     return sp.with_features(_apply_rulebook(sp.features, w, b, rb))
 
 
@@ -371,14 +349,13 @@ def sparse_downsample(
     kh, kw = w.shape[2], w.shape[3]
     coords_out = as_coords(target_active) if not isinstance(target_active, np.ndarray) else target_active
     batch_out = _no_batch(coords_out) if target_batch is None else np.asarray(target_batch, dtype=np.int64)
-    if rulebook is None:
-        rulebook = build_downsample_rulebook(
-            sp.coords, (sp.height, sp.width), coords_out, (kh, kw), stride, padding, sp.batch, batch_out
-        )
-    elif rulebook.in_key != sp.active_key() or rulebook.num_out != coords_out.shape[0]:
-        raise ValueError("sparse_downsample: rulebook does not match the input's or the target's active set")
     h_out = (sp.height + 2 * padding - kh) // stride + 1
     w_out = (sp.width + 2 * padding - kw) // stride + 1
+    if rulebook is None:
+        rulebook = build_rulebook(sp, (kh, kw), target=coords_out, target_batch=batch_out, stride=stride,
+                                  padding=padding)
+    elif rulebook.in_key != sp.active_key() or rulebook.out_key != _coords_key(h_out, w_out, coords_out, batch_out):
+        raise ValueError("sparse_downsample: rulebook does not match the input's or the target's active set")
     feats = _apply_rulebook(sp.features, w, b, rulebook)
     return SparseTensor2D(h_out, w_out, coords_out, feats, validate=False, batch=batch_out)
 

@@ -102,28 +102,26 @@ class OptimizerState:
         self.t = 0
 
 
-def _moments(state: OptimizerState, grads, betas):
+def _updates(params, grads, state: OptimizerState, betas, eps, weight_decay, decay_mask):
+    """Advance the moments one step; yield each parameter with its Adam update
+    (bias-corrected, with decoupled weight decay where ``decay_mask`` allows)."""
     b1, b2 = betas
     state.t += 1
-    mhat, vhat = [], []
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    for i, g in enumerate(grads):
+    for i, (p, g) in enumerate(zip(params, grads)):
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        mhat.append(state.m[i] / c1)
-        vhat.append(state.v[i] / c2)
-    return mhat, vhat
+        update = (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + eps)
+        if weight_decay and (decay_mask is None or decay_mask[i]):
+            update = update + weight_decay * p
+        yield p, update
 
 
 def adam_step(params, grads, state: OptimizerState, lr, betas=(0.9, 0.999), eps=1e-8,
               weight_decay=0.0, decay_mask=None):
     """Adam with decoupled weight decay; mutates the parameter arrays in place."""
-    mhat, vhat = _moments(state, grads, betas)
-    for i, p in enumerate(params):
-        update = mhat[i] / (np.sqrt(vhat[i]) + eps)
-        if weight_decay and (decay_mask is None or decay_mask[i]):
-            update = update + weight_decay * p
+    for p, update in _updates(params, grads, state, betas, eps, weight_decay, decay_mask):
         p -= lr * update
 
 
@@ -132,12 +130,8 @@ def lamb_step(params, grads, state: OptimizerState, lr, betas=(0.9, 0.999), eps=
     """Layer-wise adaptive Adam: each tensor's update is rescaled by the trust
     ratio ||w|| / ||update||, clamped to ``trust_clip``; decoupled weight decay
     enters the update before the ratio is taken."""
-    mhat, vhat = _moments(state, grads, betas)
     lo, hi = trust_clip
-    for i, p in enumerate(params):
-        update = mhat[i] / (np.sqrt(vhat[i]) + eps)
-        if weight_decay and (decay_mask is None or decay_mask[i]):
-            update = update + weight_decay * p
+    for p, update in _updates(params, grads, state, betas, eps, weight_decay, decay_mask):
         wn = float(np.linalg.norm(p))
         un = float(np.linalg.norm(update))
         trust = wn / un if (wn > 0.0 and un > 0.0) else 1.0

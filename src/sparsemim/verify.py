@@ -11,7 +11,8 @@ import numpy as np
 
 from . import autograd as ag
 from .masking import PatchMask, erosion_profile, generate_mask, masked_pixel_map
-from .model import EncoderConfig, SparkConfig, SparkModel, encoder_forward, spark_forward, spark_loss
+from .model import (EncoderConfig, SparkConfig, SparkModel, _project_dense, decoder_forward, encoder_forward,
+                    spark_forward, spark_loss, to_dense_encoder)
 from .sparse import SparseTensor2D, as_coords, build_rulebook, sparse_downsample, stack_coords, subm_conv2d
 
 __all__ = ["suite_gradcheck", "suite_oracle", "suite_erosion", "suite_leakage", "run_suites", "SUITES"]
@@ -239,20 +240,16 @@ def suite_leakage():
 
         # zero-out baseline: the dense encoder computes at masked positions,
         # so noise injected there changes the loss
-        model.cfg.masking = "zero_out"
-        recon_z, _, _ = spark_forward(model, images, mask, mode="eval")
-        loss_z = spark_loss(recon_z, targets, maps).item()
-        noisy = images * (~mm)[None, None]
-        noisy[:, :, mm] = rng.random((1, 3, int(mm.sum())))  # dense input differs at masked sites
-        from .model import to_dense_encoder, decoder_forward, _project_dense
+        def zero_out_loss(dense_input):
+            feats = to_dense_encoder(model).forward(dense_input, mode="eval")
+            to_dec = [_project_dense(model, s, feats[s]) for s in reversed(range(enc.stages))]
+            return spark_loss(decoder_forward(model, to_dec, mode="eval"), targets, maps).item()
 
-        dense_feats = to_dense_encoder(model).forward(noisy, mode="eval")
-        to_dec = [None] * cfg.decoder.n_stages
-        for k in range(enc.stages):
-            to_dec[k] = _project_dense(model, enc.stages - 1 - k, dense_feats[enc.stages - 1 - k])
-        recon_zn = decoder_forward(model, to_dec, mode="eval")
-        loss_zn = spark_loss(recon_zn, targets, maps).item()
-        model.cfg.masking = "sparse"
+        zeroed = images * (~mm)[None, None]
+        loss_z = zero_out_loss(zeroed)
+        noisy = zeroed.copy()
+        noisy[:, :, mm] = rng.random((1, 3, int(mm.sum())))  # dense input differs at masked sites
+        loss_zn = zero_out_loss(noisy)
 
     lines = [
         f"  sparse: features bit-identical under masked-pixel noise: {feats_same}",

@@ -51,10 +51,6 @@ class TestGenerateMask:
         freq = counts / 10_000
         assert np.all(np.abs(freq - 0.6) < 0.02)
 
-    def test_bernoulli_mode_runs(self):
-        m = generate_mask(8, 8, 0.5, np.random.default_rng(2), patch_size=16, mode="bernoulli")
-        assert 0 < m.masked_count < 64
-
 
 class TestActiveSetAtScale:
     def test_one_cell_per_patch(self):

@@ -14,6 +14,7 @@ from sparsemim.model import (
     decoder_forward,
     encoder_flops_table,
     encoder_forward,
+    encoder_layers,
     project_and_densify,
     spark_forward,
     spark_loss,
@@ -443,3 +444,23 @@ class TestFlopsTable:
         for r in rows:
             if "block" in r["layer"]:
                 assert r["ratio"] <= frac + 1e-12
+
+
+class TestEncoderLayers:
+    """One layer list names the encoder's weights, its executors' layers and its MAC-table rows."""
+
+    @pytest.mark.parametrize("stages", [1, 2, 3, 4])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("down_kernel", [2, 3])
+    def test_names_agree(self, stages, blocks, down_kernel):
+        enc = EncoderConfig(stages=stages, widths=tuple(4 * 2 ** i for i in range(stages)),
+                            blocks_per_stage=blocks, down_kernel=down_kernel)
+        patch = enc.total_stride
+        cfg = SparkConfig(encoder=enc, image_size=2 * patch, patch_size=patch, dec_fea_dim=32)
+        model = SparkModel(cfg, np.random.default_rng(0))
+        weights = [layer.weight for layer in encoder_layers(enc)]
+        assert weights == [n for n in model.params if n.startswith("encoder.") and n.endswith(".w")]
+        mask = generate_mask(2, 2, 0.5, np.random.default_rng(1), patch_size=patch)
+        assert weights == [f"encoder.{row['layer']}.w" for row in encoder_flops_table(enc, mask)]
+        assert [layer.bn for layer in encoder_layers(enc)] == [n for n in model.bn_states if n.startswith("encoder.")]
+        assert len(weights) == 1 + (stages - 1) + 2 * blocks * stages

@@ -9,7 +9,6 @@ from sparsemim import autograd as ag
 from sparsemim.sparse import (
     SparseTensor2D,
     as_coords,
-    build_downsample_rulebook,
     build_rulebook,
     densify,
     dense_conv_macs,
@@ -170,13 +169,13 @@ class TestRulebookOracle:
             coords_out = coords_out[seen[coords_out[:, 0] * wo + coords_out[:, 1]]]
         want, empty = downsample_reference(coords_in, coords_out, k, stride, pad)
         if empty is not None:
-            msg = (f"build_downsample_rulebook: target site {empty} has an empty receptive field "
+            msg = (f"build_rulebook: target site {empty} has an empty receptive field "
                    f"(mask/stride misalignment)")
             with pytest.raises(ValueError) as exc:
-                build_downsample_rulebook(coords_in, (h, w), coords_out, k, stride, pad)
+                build_rulebook(coords_in, k, height=h, width=w, target=coords_out, stride=stride, padding=pad)
             assert str(exc.value) == msg
             return
-        rb = build_downsample_rulebook(coords_in, (h, w), coords_out, k, stride, pad)
+        rb = build_rulebook(coords_in, k, height=h, width=w, target=coords_out, stride=stride, padding=pad)
         assert_pairs_identical(rb.pairs, want)
         assert (rb.num_in, rb.num_out) == (coords_in.shape[0], coords_out.shape[0])
 
@@ -218,9 +217,10 @@ class TestBatchedRulebook:
             targets.append(np.argwhere(seen))
         tcoords, tbatch = stack_coords(targets)
         toff = np.cumsum([0] + [t.shape[0] for t in targets])[:-1]
-        rb = build_downsample_rulebook(coords, (h, w), tcoords, kd, 2, pad, batch, tbatch)
+        rb = build_rulebook(sp, kd, target=tcoords, target_batch=tbatch, stride=2, padding=pad)
         want = self._per_sample_concat(
-            [build_downsample_rulebook(s, (h, w), t, kd, 2, pad) for s, t in zip(sets, targets)], off, toff)
+            [build_rulebook(s, kd, height=h, width=w, target=t, stride=2, padding=pad) for s, t in zip(sets, targets)],
+            off, toff)
         assert_pairs_identical(rb.pairs, want)
         assert rb.total_pairs * 3 * 5 == sparse_flops(rb, 3, 5)
 
@@ -324,9 +324,14 @@ class TestSubmConv:
         rng = np.random.default_rng(5)
         sp = random_sparse(rng, 5, 5, 1, 0.5)
         other = build_rulebook([(0, 0)], 3, height=5, width=5)
+        # these two read the input's active set but do not write back onto it
+        strided = build_rulebook(sp, 3, target=sp.coords[:1] // 2, stride=2, padding=1)
+        subset = build_rulebook(sp, 3, target=sp.coords[:1])
+        assert strided.in_key == subset.in_key == sp.active_key()
         w = ag.tensor(rng.normal(size=(1, 1, 3, 3)))
-        with pytest.raises(ValueError, match="active set"):
-            subm_conv2d(sp, w, None, other)
+        for rb in (other, strided, subset):
+            with pytest.raises(ValueError, match="active set"):
+                subm_conv2d(sp, w, None, rb)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
@@ -374,9 +379,10 @@ class TestSparseDownsample:
         coords = as_coords([(r, c) for r in range(4) for c in range(4)])
         sp = SparseTensor2D(4, 4, coords, ag.tensor(rng.normal(size=(16, 1))))
         w = ag.tensor(rng.normal(size=(1, 1, 2, 2)))
-        rb = build_downsample_rulebook(coords, (4, 4), as_coords([(0, 0), (1, 1)]), 2, 2)
+        rb = build_rulebook(coords, 2, height=4, width=4, target=as_coords([(0, 0), (1, 1)]), stride=2, padding=0)
         assert sparse_downsample(sp, as_coords([(0, 0), (1, 1)]), w, rulebook=rb).num_active == 2
-        for target in ([(0, 0)], [(0, 0), (0, 1), (1, 1)]):
+        # a target set of another size, or of the same size with other sites
+        for target in ([(0, 0)], [(0, 0), (0, 1), (1, 1)], [(0, 0), (0, 1)]):
             with pytest.raises(ValueError, match="rulebook does not match"):
                 sparse_downsample(sp, as_coords(target), w, rulebook=rb)
         other = SparseTensor2D(4, 4, coords[:4], ag.tensor(rng.normal(size=(4, 1))))
