@@ -17,7 +17,6 @@ __all__ = [
     "Tape",
     "BatchNormState",
     "tensor",
-    "zeros",
     "no_grad",
     "record_op",
     "active_tape",
@@ -74,26 +73,6 @@ class DiffTensor:
 
     def zero_grad(self):
         self.grad = None
-
-    def detach(self) -> "DiffTensor":
-        return DiffTensor(self.data.copy())
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, DiffTensor):
-            return mul(self, other)
-        return mul_scalar(self, float(other))
-
-    def __rmul__(self, other):
-        return mul_scalar(self, float(other))
-
-    def __neg__(self):
-        return mul_scalar(self, -1.0)
 
     def __repr__(self):
         return f"DiffTensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -184,10 +163,6 @@ def accumulate_grad(t: DiffTensor, g: np.ndarray):
 
 def tensor(data, requires_grad: bool = False) -> DiffTensor:
     return DiffTensor(data, requires_grad=requires_grad)
-
-
-def zeros(shape, requires_grad: bool = False) -> DiffTensor:
-    return DiffTensor(np.zeros(shape), requires_grad=requires_grad)
 
 
 def _as_dt(x) -> DiffTensor:
@@ -309,37 +284,24 @@ def relu6(x: DiffTensor) -> DiffTensor:
     return record_op(out, (x,), backward_fn)
 
 
-def sum_over(x: DiffTensor, axes=None) -> DiffTensor:
+def sum_over(x: DiffTensor) -> DiffTensor:
+    """Sum of every entry of ``x``."""
     x = _as_dt(x)
-    if axes is None:
-        out = DiffTensor(x.data.sum())
-
-        def backward_fn(g):
-            accumulate_grad(x, np.broadcast_to(g, x.data.shape))
-
-        return record_op(out, (x,), backward_fn)
-
-    axes = (axes,) if isinstance(axes, int) else tuple(axes)
-    out = DiffTensor(x.data.sum(axis=axes))
+    out = DiffTensor(x.data.sum())
 
     def backward_fn(g):
-        ge = np.expand_dims(g, axes)
-        accumulate_grad(x, np.broadcast_to(ge, x.data.shape))
+        accumulate_grad(x, np.broadcast_to(g, x.data.shape))
 
     return record_op(out, (x,), backward_fn)
 
 
 def mean_over(x: DiffTensor, over=None) -> DiffTensor:
-    """Mean of ``x`` over a boolean mask, a set of axes, or everything.
-
-    ``over`` may be None (global mean), an int/tuple of axes, or a boolean
-    numpy array broadcastable to ``x``'s shape; in the mask form the result
-    is the scalar mean of the selected entries.
-    """
+    """Mean of every entry of ``x``, or (``over`` a boolean array broadcastable
+    to ``x``'s shape) the scalar mean of the selected entries."""
     x = _as_dt(x)
-    if isinstance(over, np.ndarray):
-        if over.dtype != bool:
-            raise ValueError("mean_over: mask must be boolean")
+    if over is not None:
+        if not (isinstance(over, np.ndarray) and over.dtype == bool):
+            raise ValueError(f"mean_over: over must be None or a boolean mask, got {type(over).__name__}")
         mask = np.broadcast_to(over, x.data.shape)
         count = int(mask.sum())
         if count == 0:
@@ -351,22 +313,11 @@ def mean_over(x: DiffTensor, over=None) -> DiffTensor:
 
         return record_op(out, (x,), backward_fn)
 
-    if over is None:
-        n = x.data.size
-        out = DiffTensor(x.data.sum() / n)
-
-        def backward_fn(g):
-            accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
-
-        return record_op(out, (x,), backward_fn)
-
-    axes = (over,) if isinstance(over, int) else tuple(over)
-    n = int(np.prod([x.data.shape[a] for a in axes]))
-    out = DiffTensor(x.data.mean(axis=axes))
+    n = x.data.size
+    out = DiffTensor(x.data.sum() / n)
 
     def backward_fn(g):
-        ge = np.expand_dims(g, axes)
-        accumulate_grad(x, np.broadcast_to(ge / n, x.data.shape))
+        accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
 
     return record_op(out, (x,), backward_fn)
 
@@ -509,12 +460,11 @@ def conv_transpose2d(
     b: DiffTensor | None = None,
     stride: int = 2,
     padding: int = 1,
-    require_doubling: bool = True,
 ) -> DiffTensor:
     """Transposed convolution; weight layout is [Cin, Cout, kh, kw].
 
-    The default (kernel 4, stride 2, padding 1) exactly doubles the spatial
-    size. Other geometries must be requested with ``require_doubling=False``.
+    The geometry must exactly double the spatial size, as the default
+    (kernel 4, stride 2, padding 1) does.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError("conv_transpose2d: input and weight must be 4-d")
@@ -526,12 +476,10 @@ def conv_transpose2d(
         raise ValueError(f"conv_transpose2d: bias shape {tuple(b.shape)} != out-channel dim ({cout},)")
     ho = (h - 1) * stride - 2 * padding + kh
     wo = (wd - 1) * stride - 2 * padding + kw
-    if ho < 1 or wo < 1:
-        raise ValueError("conv_transpose2d: degenerate output size")
-    if require_doubling and (ho != 2 * h or wo != 2 * wd):
+    if ho != 2 * h or wo != 2 * wd:
         raise ValueError(
             f"conv_transpose2d: kernel {kh}, stride {stride}, padding {padding} "
-            f"gives {ho}x{wo} from {h}x{wd}; non-doubling configs need require_doubling=False"
+            f"gives {ho}x{wo} from {h}x{wd}, not the required doubling"
         )
 
     wm = w.data.reshape(cin, cout * kh * kw)
@@ -560,24 +508,21 @@ def conv_transpose2d(
 # ---------------------------------------------------------------------------
 
 
+BN_MOMENTUM = 0.1  # weight of the batch statistics in each running-stat update
+BN_EPS = 1e-5  # added to the variance before its root
+
+
 class BatchNormState:
     """Running statistics for one batch-norm layer (per-channel, float64)."""
 
-    __slots__ = ("running_mean", "running_var", "momentum")
+    __slots__ = ("running_mean", "running_var")
 
-    def __init__(self, channels: int, momentum: float = 0.1):
+    def __init__(self, channels: int):
         self.running_mean = np.zeros(channels)
         self.running_var = np.ones(channels)
-        self.momentum = momentum
-
-    def copy(self) -> "BatchNormState":
-        st = BatchNormState(len(self.running_mean), self.momentum)
-        st.running_mean = self.running_mean.copy()
-        st.running_var = self.running_var.copy()
-        return st
 
 
-def _batchnorm(x, gamma, beta, state, mode, eps, axes):
+def _batchnorm(x, gamma, beta, state, mode, axes):
     """Shared BN core; ``axes`` are the reduction axes (channel axis excluded)."""
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
@@ -594,14 +539,13 @@ def _batchnorm(x, gamma, beta, state, mode, eps, axes):
         mu = x.data.mean(axis=axes, keepdims=True)
         var = x.data.var(axis=axes, keepdims=True)
         unbiased = var * (m / (m - 1)) if m > 1 else var
-        mom = state.momentum
-        state.running_mean = (1 - mom) * state.running_mean + mom * mu.reshape(c)
-        state.running_var = (1 - mom) * state.running_var + mom * unbiased.reshape(c)
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu.reshape(c)
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased.reshape(c)
     else:
         mu = state.running_mean.reshape(bshape)
         var = state.running_var.reshape(bshape)
 
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mu) * inv
     out = DiffTensor(gb * xhat + bb)
 
@@ -637,7 +581,6 @@ def batchnorm2d(
     beta: DiffTensor,
     state: BatchNormState,
     mode: str = "train",
-    eps: float = 1e-5,
 ) -> DiffTensor:
     """Per-channel batch norm over (N, H, W) of a [N,C,H,W] tensor."""
     if x.ndim != 4:
@@ -647,7 +590,7 @@ def batchnorm2d(
             f"batchnorm2d: gamma/beta must have shape ({x.shape[1]},), "
             f"got {tuple(gamma.shape)} and {tuple(beta.shape)}"
         )
-    return _batchnorm(x, gamma, beta, state, mode, eps, axes=(0, 2, 3))
+    return _batchnorm(x, gamma, beta, state, mode, axes=(0, 2, 3))
 
 
 def batchnorm_rows(
@@ -656,7 +599,6 @@ def batchnorm_rows(
     beta: DiffTensor,
     state: BatchNormState,
     mode: str = "train",
-    eps: float = 1e-5,
 ) -> DiffTensor:
     """Column-wise batch norm of a [rows, C] matrix (used by sparse layers)."""
     if x.ndim != 2:
@@ -665,7 +607,7 @@ def batchnorm_rows(
         raise ValueError("batchnorm_rows: no rows to normalize")
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ValueError(f"batchnorm_rows: gamma/beta must have shape ({x.shape[1]},)")
-    return _batchnorm(x, gamma, beta, state, mode, eps, axes=(0,))
+    return _batchnorm(x, gamma, beta, state, mode, axes=(0,))
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,11 @@ from .model import (
     EncoderConfig,
     SparkConfig,
     SparkModel,
-    DenseEncoder,
     encoder_flops_table,
     spark_forward,
     to_dense_encoder,
 )
 from .training import (
-    Checkpoint,
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
@@ -234,25 +232,6 @@ def cmd_convert(args) -> int:
     _echo_config({"command": "convert", "ckpt": args.ckpt, "out": args.out, **cfg})
     print(f"wrote dense encoder ({len(dense.state_arrays())} arrays) to {args.out}")
     return 0
-
-
-def dense_encoder_from_checkpoint(ckpt: Checkpoint) -> DenseEncoder:
-    if ckpt.config.get("kind") != "dense_encoder":
-        raise CheckpointError(f"not a dense-encoder checkpoint (kind={ckpt.config.get('kind')!r})")
-    enc = EncoderConfig(**{**ckpt.config["encoder"], "widths": tuple(ckpt.config["encoder"]["widths"])})
-    params = {}
-    bn_states = {}
-    from .autograd import BatchNormState, DiffTensor
-
-    for name, arr in ckpt.arrays.items():
-        if name.endswith(".running_mean"):
-            bn_states.setdefault(name[: -len(".running_mean")], BatchNormState(arr.size)).running_mean = arr.copy()
-        elif name.endswith(".running_var"):
-            bn_states.setdefault(name[: -len(".running_var")], BatchNormState(arr.size)).running_var = arr.copy()
-        elif name != "ape":
-            params[name] = DiffTensor(arr, requires_grad=True)
-    ape = DiffTensor(ckpt.arrays["ape"], requires_grad=True) if "ape" in ckpt.arrays else None
-    return DenseEncoder(enc, params, bn_states, ape)
 
 
 def cmd_flops(args) -> int:

@@ -13,7 +13,6 @@ __all__ = [
     "SynthDataset",
     "DirectoryDataset",
     "synth_dataset",
-    "hflip",
     "augment",
 ]
 
@@ -175,10 +174,6 @@ class DirectoryDataset:
 # ---------------------------------------------------------------------------
 # augmentation
 # ---------------------------------------------------------------------------
-
-
-def hflip(img: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(img[:, :, ::-1])
 
 
 def augment(img: np.ndarray, out_size: int, rng) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,8 @@ from .sparse import (
 )
 
 __all__ = [
+    "STEM_STRIDE",
+    "from_fields",
     "EncoderConfig",
     "EncoderLayer",
     "encoder_layers",
@@ -57,15 +59,32 @@ __all__ = [
 ]
 
 
+STEM_STRIDE = 4  # the patchify stem's kernel and stride; every later stage halves the resolution
+
+
+def from_fields(cls, d, legacy=None):
+    """Build dataclass ``cls`` from a dict holding exactly its field names; raise
+    ValueError on a missing or unknown key. ``legacy`` maps keys that older files
+    wrote to the one value each may hold; such a key is dropped."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{cls.__name__}: expected an object, got {type(d).__name__}")
+    d = dict(d)
+    for key, value in (legacy or {}).items():
+        if key in d and d.pop(key) != value:
+            raise ValueError(f"{cls.__name__}: {key} must be {value}")
+    names = {f.name for f in fields(cls)}
+    if set(d) != names:
+        raise ValueError(f"{cls.__name__}: missing keys {sorted(names - set(d))}, unknown keys {sorted(set(d) - names)}")
+    return cls(**d)
+
+
 @dataclass
 class EncoderConfig:
-    """Hierarchical encoder geometry; stage i runs at stride stem_stride * 2**i."""
+    """Hierarchical encoder geometry; stage i runs at stride STEM_STRIDE * 2**i."""
 
     stages: int = 4
     widths: tuple = (64, 128, 256, 512)
     blocks_per_stage: int = 1
-    stem_stride: int = 4
-    stage_stride: int = 2
     down_kernel: int = 2  # 2 (stride 2, pad 0) or 3 (stride 2, pad 1)
 
     def __post_init__(self):
@@ -76,17 +95,19 @@ class EncoderConfig:
             raise ValueError(
                 f"EncoderConfig: {len(self.widths)} widths for {self.stages} stages"
             )
-        if self.stage_stride != 2:
-            raise ValueError("EncoderConfig: stage stride must be 2")
         if self.down_kernel not in (2, 3):
             raise ValueError("EncoderConfig: down_kernel must be 2 or 3")
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "EncoderConfig":
+        return from_fields(cls, d, legacy={"stem_stride": STEM_STRIDE, "stage_stride": 2})
+
     @property
     def total_stride(self) -> int:
-        return self.stem_stride * self.stage_stride ** (self.stages - 1)
+        return self.stride_at(self.stages - 1)
 
     def stride_at(self, stage: int) -> int:
-        return self.stem_stride * self.stage_stride ** stage
+        return STEM_STRIDE * 2 ** stage
 
 
 class EncoderLayer(NamedTuple):
@@ -110,19 +131,19 @@ class EncoderLayer(NamedTuple):
 def encoder_layers(enc: EncoderConfig) -> list[EncoderLayer]:
     """Every layer of the encoder in execution order.
 
-    The first layer is the patchify stem (kernel = stride = stem_stride) and
+    The first layer is the patchify stem (kernel = stride = STEM_STRIDE) and
     reads the image. Every later stage opens with a stride-2 downsample.
     Each stage then runs ``blocks_per_stage`` residual blocks, each a pair of
     3x3 stride-1 layers conv0 and conv1; a block's output is conv1's output
     plus conv0's input. A stage's output is its last layer's output.
     """
-    w, s0 = enc.widths, enc.stem_stride
+    w, s0 = enc.widths, STEM_STRIDE
     layers = [EncoderLayer("stem", "encoder.stem.bn", 0, 3, w[0], s0, s0, 0, False)]
     for i in range(enc.stages):
         if i > 0:
             k = enc.down_kernel
             layers.append(EncoderLayer(f"stage{i}.down", f"encoder.stage{i}.down.bn", i, w[i - 1], w[i], k,
-                                       enc.stage_stride, 1 if k == 3 else 0, False))
+                                       2, 1 if k == 3 else 0, False))
         for j in range(enc.blocks_per_stage):
             for cv in (0, 1):
                 layers.append(EncoderLayer(f"stage{i}.block{j}.conv{cv}", f"encoder.stage{i}.block{j}.bn{cv}",
@@ -187,37 +208,13 @@ class SparkConfig:
         return LightDecoderConfig(fea, self.encoder.total_stride)
 
     def to_dict(self) -> dict:
-        return {
-            "encoder": {
-                "stages": self.encoder.stages,
-                "widths": list(self.encoder.widths),
-                "blocks_per_stage": self.encoder.blocks_per_stage,
-                "stem_stride": self.encoder.stem_stride,
-                "stage_stride": self.encoder.stage_stride,
-                "down_kernel": self.encoder.down_kernel,
-            },
-            "image_size": self.image_size,
-            "patch_size": self.patch_size,
-            "dec_fea_dim": self.dec_fea_dim,
-            "masking": self.masking,
-            "hierarchy": self.hierarchy,
-            "ape": self.ape,
-            "loss_on": self.loss_on,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "SparkConfig":
-        enc = EncoderConfig(**{**d["encoder"], "widths": tuple(d["encoder"]["widths"])})
-        return cls(
-            encoder=enc,
-            image_size=d["image_size"],
-            patch_size=d["patch_size"],
-            dec_fea_dim=d.get("dec_fea_dim"),
-            masking=d.get("masking", "sparse"),
-            hierarchy=d.get("hierarchy", True),
-            ape=d.get("ape", False),
-            loss_on=d.get("loss_on", "masked"),
-        )
+        if isinstance(d, dict) and "encoder" in d:
+            d = {**d, "encoder": EncoderConfig.from_dict(d["encoder"])}
+        return from_fields(cls, d)
 
 
 def _state_arrays(params, bn_states) -> "OrderedDict[str, np.ndarray]":
@@ -237,11 +234,7 @@ class SparkModel:
     projection weights only).
     """
 
-    def __init__(self, cfg: SparkConfig, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(0)
-        elif isinstance(rng, int):
-            rng = np.random.default_rng(rng)
+    def __init__(self, cfg: SparkConfig, rng: np.random.Generator):
         self.cfg = cfg
         self.params: "OrderedDict[str, DiffTensor]" = OrderedDict()
         self.bn_states: "OrderedDict[str, BatchNormState]" = OrderedDict()
@@ -257,11 +250,9 @@ class SparkModel:
         self.decay.add(name)
         return t
 
-    def _vec_param(self, name, values, decay=False):
+    def _vec_param(self, name, values):
         t = DiffTensor(values, requires_grad=True)
         self.params[name] = t
-        if decay:
-            self.decay.add(name)
         return t
 
     def _bn_param(self, prefix, channels):
@@ -276,7 +267,7 @@ class SparkModel:
             self._conv_param(layer.weight, layer.cout, layer.cin, layer.kernel, layer.kernel, rng)
             self._bn_param(layer.bn, layer.cout)
             if i == 0 and cfg.ape:  # a learnable embedding per stem output site
-                h4 = cfg.image_size // enc.stem_stride
+                h4 = cfg.image_size // STEM_STRIDE
                 self._vec_param("ape", np.zeros((1, layer.cout, h4, h4)))
 
         chans = cfg.decoder.channels
@@ -319,11 +310,10 @@ class SparkModel:
         return _state_arrays(self.params, self.bn_states)
 
     def load_state_arrays(self, arrays: dict):
+        """Take every array of ``state_arrays``, by name, from ``arrays``; the
+        caller checks their names and shapes."""
         for name, p in self.params.items():
-            arr = arrays[name]
-            if tuple(arr.shape) != tuple(p.shape):
-                raise ValueError(f"load_state_arrays: shape mismatch for {name}")
-            p.data = np.ascontiguousarray(arr, dtype=np.float64)
+            p.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
         for name, st in self.bn_states.items():
             st.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=np.float64).copy()
             st.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=np.float64).copy()
@@ -349,7 +339,7 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
     The whole batch runs as one batched SparseTensor2D per scale, with one
     rulebook per stage. Returns one list per stage (shallow to deep), each
     holding one single-sample SparseTensor2D per batch sample. Stage i has
-    resolution image/(stem_stride * 2**i) and its active set is exactly the
+    resolution image/(STEM_STRIDE * 2**i) and its active set is exactly the
     mask's footprint at that stride.
     """
     cfg = model.cfg

@@ -366,14 +366,13 @@ def sparse_batchnorm(
     beta: DiffTensor,
     state: BatchNormState,
     mode: str = "train",
-    eps: float = 1e-5,
 ) -> SparseTensor2D:
     """Batch norm over active sites only; inactive sites never contribute.
 
     A batched tensor is one feature matrix, so statistics pool over all
     active rows of every sample.
     """
-    return sp.with_features(batchnorm_rows(sp.features, gamma, beta, state, mode=mode, eps=eps))
+    return sp.with_features(batchnorm_rows(sp.features, gamma, beta, state, mode=mode))
 
 
 def densify(sp: SparseTensor2D, fill: DiffTensor) -> DiffTensor:

@@ -7,13 +7,22 @@ import math
 import os
 import struct
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import autograd as ag
 from .masking import generate_mask
-from .model import SparkConfig, SparkModel, spark_forward, spark_loss
+from .model import (
+    STEM_STRIDE,
+    DenseEncoder,
+    EncoderConfig,
+    SparkConfig,
+    SparkModel,
+    encoder_layers,
+    spark_forward,
+    spark_loss,
+)
 
 __all__ = [
     "TrainConfig",
@@ -29,6 +38,7 @@ __all__ = [
     "CheckpointError",
     "model_checkpoint_arrays",
     "model_from_checkpoint",
+    "dense_encoder_from_checkpoint",
 ]
 
 
@@ -36,16 +46,18 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
+BETAS = (0.9, 0.999)  # Adam/LAMB moment decay rates
+EPS = 1e-8  # added to the root of the second moment
+TRUST_CLIP = (0.0, 10.0)  # LAMB trust-ratio bounds
+
+
 @dataclass
 class TrainConfig:
     epochs: int = 1
     batch_size: int = 8
     lr_peak: float | None = None  # None: peak = 0.0002 * batch_size / 256
-    warmup_steps: int | None = None  # None: max(1% of steps, 10)
     weight_decay: float = 0.04
     optimizer: str = "lamb"  # "lamb" | "adam"
-    betas: tuple = (0.9, 0.999)
-    eps: float = 1e-8
     seed: int = 0
     max_steps: int | None = None  # cap on total optimizer steps
     mask_ratio: float = 0.60
@@ -56,26 +68,7 @@ class TrainConfig:
         return 0.0002 * self.batch_size / 256.0
 
     def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_peak": self.lr_peak,
-            "warmup_steps": self.warmup_steps,
-            "weight_decay": self.weight_decay,
-            "optimizer": self.optimizer,
-            "betas": list(self.betas),
-            "eps": self.eps,
-            "seed": self.seed,
-            "max_steps": self.max_steps,
-            "mask_ratio": self.mask_ratio,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        d = dict(d)
-        d.pop("schedule", None)  # written by older versions; the schedule is always cosine
-        d["betas"] = tuple(d.get("betas", (0.9, 0.999)))
-        return cls(**d)
+        return asdict(self)
 
 
 def cosine_lr(step: int, total_steps: int, peak: float, warmup_steps: int = 0) -> float:
@@ -102,36 +95,34 @@ class OptimizerState:
         self.t = 0
 
 
-def _updates(params, grads, state: OptimizerState, betas, eps, weight_decay, decay_mask):
+def _updates(params, grads, state: OptimizerState, weight_decay, decay_mask):
     """Advance the moments one step; yield each parameter with its Adam update
     (bias-corrected, with decoupled weight decay where ``decay_mask`` allows)."""
-    b1, b2 = betas
+    b1, b2 = BETAS
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
         state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
         state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        update = (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + eps)
+        update = (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + EPS)
         if weight_decay and (decay_mask is None or decay_mask[i]):
             update = update + weight_decay * p
         yield p, update
 
 
-def adam_step(params, grads, state: OptimizerState, lr, betas=(0.9, 0.999), eps=1e-8,
-              weight_decay=0.0, decay_mask=None):
+def adam_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_mask=None):
     """Adam with decoupled weight decay; mutates the parameter arrays in place."""
-    for p, update in _updates(params, grads, state, betas, eps, weight_decay, decay_mask):
+    for p, update in _updates(params, grads, state, weight_decay, decay_mask):
         p -= lr * update
 
 
-def lamb_step(params, grads, state: OptimizerState, lr, betas=(0.9, 0.999), eps=1e-8,
-              weight_decay=0.0, decay_mask=None, trust_clip=(0.0, 10.0)):
+def lamb_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_mask=None):
     """Layer-wise adaptive Adam: each tensor's update is rescaled by the trust
-    ratio ||w|| / ||update||, clamped to ``trust_clip``; decoupled weight decay
+    ratio ||w|| / ||update||, clamped to TRUST_CLIP; decoupled weight decay
     enters the update before the ratio is taken."""
-    lo, hi = trust_clip
-    for p, update in _updates(params, grads, state, betas, eps, weight_decay, decay_mask):
+    lo, hi = TRUST_CLIP
+    for p, update in _updates(params, grads, state, weight_decay, decay_mask):
         wn = float(np.linalg.norm(p))
         un = float(np.linalg.norm(update))
         trust = wn / un if (wn > 0.0 and un > 0.0) else 1.0
@@ -159,8 +150,7 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
         total_steps = min(total_steps, cfg.max_steps)
     if total_steps < 1:
         raise ValueError("train: zero training steps; increase epochs or dataset size")
-    warmup = cfg.warmup_steps if cfg.warmup_steps is not None else max(total_steps // 100, 10)
-    warmup = min(warmup, total_steps)
+    warmup = min(max(total_steps // 100, 10), total_steps)
     peak = cfg.peak_lr()
 
     names = [n for n, _ in model.named_parameters()]
@@ -205,8 +195,7 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
                 grads = [model.param(n).grad if model.param(n).grad is not None else np.zeros_like(model.param(n).data)
                          for n in names]
                 lr = cosine_lr(gstep, total_steps, peak, warmup)
-                step_fn(params, grads, opt, lr, betas=cfg.betas, eps=cfg.eps,
-                        weight_decay=cfg.weight_decay, decay_mask=decay_mask)
+                step_fn(params, grads, opt, lr, weight_decay=cfg.weight_decay, decay_mask=decay_mask)
                 row = {"step": gstep, "lr": lr, "loss": loss_val}
                 rows.append(row)
                 if writer:
@@ -236,7 +225,6 @@ class CheckpointError(ValueError):
 
 @dataclass
 class Checkpoint:
-    version: int
     config: dict
     arrays: "OrderedDict[str, np.ndarray]" = field(default_factory=OrderedDict)
 
@@ -332,7 +320,7 @@ def load_checkpoint(path) -> Checkpoint:
                 arrays[entry["name"]] = buf.astype(np.float64).reshape(entry["shape"])
             except ValueError as e:  # an empty array with a dimension numpy cannot represent
                 raise CheckpointError(f"corrupt checkpoint manifest entry {entry['name']!r}: {e}") from e
-    return Checkpoint(version=version, config=header["config"], arrays=arrays)
+    return Checkpoint(config=header["config"], arrays=arrays)
 
 
 def model_checkpoint_arrays(model: SparkModel, opt: OptimizerState | None = None) -> "OrderedDict[str, np.ndarray]":
@@ -344,18 +332,71 @@ def model_checkpoint_arrays(model: SparkModel, opt: OptimizerState | None = None
     return arrays
 
 
+def _check_arrays(ckpt: Checkpoint, shapes: dict):
+    """Raise CheckpointError unless ``ckpt`` holds every named array at its shape."""
+    for name, shape in shapes.items():
+        if name not in ckpt.arrays:
+            raise CheckpointError(f"checkpoint has no array {name!r}")
+        if ckpt.arrays[name].shape != tuple(shape):
+            raise CheckpointError(f"checkpoint array {name!r} has shape {list(ckpt.arrays[name].shape)}, "
+                                  f"expected {list(shape)}")
+
+
+def _decode_config(decode, d, what: str):
+    try:
+        return decode(d)
+    except (ValueError, TypeError) as e:  # a missing, unknown or ill-typed key
+        raise CheckpointError(f"bad {what} config in checkpoint: {e}") from e
+
+
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild a SparkModel (and optimizer state, if stored) from a checkpoint."""
     if ckpt.config.get("kind") != "spark":
         raise CheckpointError(f"not a model checkpoint (kind={ckpt.config.get('kind')!r})")
-    cfg = SparkConfig.from_dict(ckpt.config["model"])
+    cfg = _decode_config(SparkConfig.from_dict, ckpt.config.get("model"), "model")
     model = SparkModel(cfg, np.random.default_rng(0))
+    names = list(model.params.keys())
+    shapes = {name: arr.shape for name, arr in model.state_arrays().items()}
+    has_opt = f"opt.m.{names[0]}" in ckpt.arrays
+    if has_opt:
+        shapes.update({f"opt.{k}.{n}": model.param(n).shape for k in "mv" for n in names})
+    _check_arrays(ckpt, shapes)
     model.load_state_arrays(ckpt.arrays)
     opt = None
-    names = list(model.params.keys())
-    if f"opt.m.{names[0]}" in ckpt.arrays:
+    if has_opt:
         opt = OptimizerState([model.param(n).shape for n in names])
         opt.m = [np.ascontiguousarray(ckpt.arrays[f"opt.m.{n}"]) for n in names]
         opt.v = [np.ascontiguousarray(ckpt.arrays[f"opt.v.{n}"]) for n in names]
         opt.t = ckpt.config.get("opt_t", 0)
     return model, opt
+
+
+def dense_encoder_from_checkpoint(ckpt: Checkpoint) -> DenseEncoder:
+    """Rebuild the DenseEncoder that ``sparsemim convert`` wrote.
+
+    The file must hold exactly the arrays that ``encoder_layers`` names (plus
+    ``ape`` when the header says so), each at its layer's shape.
+    """
+    if ckpt.config.get("kind") != "dense_encoder":
+        raise CheckpointError(f"not a dense-encoder checkpoint (kind={ckpt.config.get('kind')!r})")
+    enc = _decode_config(EncoderConfig.from_dict, ckpt.config.get("encoder"), "encoder")
+    layers = encoder_layers(enc)
+    shapes = {}
+    for layer in layers:
+        shapes[layer.weight] = (layer.cout, layer.cin, layer.kernel, layer.kernel)
+        shapes.update({f"{layer.bn}.{k}": (layer.cout,) for k in ("gamma", "beta", "running_mean", "running_var")})
+    if ckpt.config.get("ape"):
+        size = ckpt.config.get("image_size")
+        if not isinstance(size, int):
+            raise CheckpointError(f"dense-encoder checkpoint with ape has no integer image_size ({size!r})")
+        shapes["ape"] = (1, enc.widths[0], size // STEM_STRIDE, size // STEM_STRIDE)
+    _check_arrays(ckpt, shapes)
+    if len(ckpt.arrays) != len(shapes):
+        raise CheckpointError(f"dense-encoder checkpoint has unexpected arrays {sorted(set(ckpt.arrays) - set(shapes))}")
+    arrays = ckpt.arrays
+    bn_states = {layer.bn: ag.BatchNormState(layer.cout) for layer in layers}
+    for prefix, st in bn_states.items():
+        st.running_mean, st.running_var = arrays[f"{prefix}.running_mean"].copy(), arrays[f"{prefix}.running_var"].copy()
+    params = {n: ag.DiffTensor(arrays[n], requires_grad=True) for n in shapes if not n.endswith(("_mean", "_var"))}
+    ape = params.pop("ape", None)
+    return DenseEncoder(enc, params, bn_states, ape)

@@ -212,8 +212,6 @@ class TestConvTranspose2d:
         w = ag.tensor(np.zeros((1, 1, 3, 3)))
         with pytest.raises(ValueError, match="doubl"):
             ag.conv_transpose2d(x, w, stride=1, padding=1)
-        y = ag.conv_transpose2d(x, w, stride=1, padding=1, require_doubling=False)
-        assert y.data.shape == (1, 1, 4, 4)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(7)
@@ -316,7 +314,7 @@ class TestElementwiseReductions:
 
         def f(t):
             z = ag.sub(ag.add(t[0], t[1]), ag.mul_scalar(ag.mul(t[0], t[1]), 0.5))
-            return ag.mean_over(ag.square(z), over=(0, 1))
+            return ag.mean_over(ag.square(z))
 
         assert ag.grad_check(f, [x, y]) < 1e-6
 

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from sparsemim import autograd as ag
-from sparsemim.cli import dense_encoder_from_checkpoint, main
+from sparsemim.cli import main
 from sparsemim.data import load_ppm, save_ppm
 from sparsemim.masking import generate_mask, masked_pixel_map
 from sparsemim.model import encoder_forward
-from sparsemim.training import load_checkpoint, model_from_checkpoint
+from sparsemim.training import dense_encoder_from_checkpoint, load_checkpoint, model_from_checkpoint
 
 TINY = ["--epochs", "1", "--batch", "4", "--steps", "2", "--image-size", "16",
         "--patch", "8", "--stages", "2", "--widths", "4,8", "--seed", "3"]

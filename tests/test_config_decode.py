@@ -1,0 +1,169 @@
+"""Config decoding from dataclass fields, and typed errors for malformed checkpoints."""
+
+import json
+
+import numpy as np
+import pytest
+
+from sparsemim import autograd as ag
+from sparsemim.cli import VARIANTS, main
+from sparsemim.data import save_ppm
+from sparsemim.model import EncoderConfig, SparkConfig, SparkModel
+from sparsemim.training import (
+    CheckpointError,
+    OptimizerState,
+    TrainConfig,
+    dense_encoder_from_checkpoint,
+    load_checkpoint,
+    model_checkpoint_arrays,
+    model_from_checkpoint,
+    save_checkpoint,
+)
+
+
+def tiny_model(**flags):
+    enc = EncoderConfig(stages=2, widths=(4, 8))
+    return SparkModel(SparkConfig(encoder=enc, image_size=16, patch_size=8, dec_fea_dim=8, **flags),
+                      np.random.default_rng(0))
+
+
+def spark_header(model):
+    return {"kind": "spark", "model": model.cfg.to_dict(), "train": TrainConfig(batch_size=4).to_dict(),
+            "step": 1, "opt_t": 1}
+
+
+def write_spark(path, model, arrays=None, header=None):
+    opt = OptimizerState([p.shape for p in model.params.values()])
+    arrays = model_checkpoint_arrays(model, opt) if arrays is None else arrays
+    save_checkpoint(path, arrays, spark_header(model) if header is None else header)
+    return path
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("variant", sorted(VARIANTS))
+    @pytest.mark.parametrize("down_kernel", [2, 3])
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_asdict_json_from_dict(self, variant, down_kernel, blocks):
+        enc = EncoderConfig(stages=2, widths=(4, 8), blocks_per_stage=blocks, down_kernel=down_kernel)
+        cfg = SparkConfig(encoder=enc, image_size=16, patch_size=8, dec_fea_dim=8, **VARIANTS[variant])
+        assert SparkConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+
+    def test_train_config_serializes_its_fields(self):
+        d = TrainConfig(batch_size=4).to_dict()
+        assert set(d) == {"epochs", "batch_size", "lr_peak", "weight_decay", "optimizer", "seed",
+                          "max_steps", "mask_ratio"}
+
+
+class TestLegacyHeaders:
+    LEGACY = {"stem_stride": 4, "stage_stride": 2}
+
+    def test_model_checkpoint(self, tmp_path):
+        model = tiny_model()
+        header = spark_header(model)
+        header["model"]["encoder"].update(self.LEGACY)
+        loaded, _ = model_from_checkpoint(load_checkpoint(write_spark(tmp_path / "m.ckpt", model, header=header)))
+        assert loaded.cfg == model.cfg
+
+    def test_dense_checkpoint(self, tmp_path):
+        src, out = write_spark(tmp_path / "m.ckpt", tiny_model(ape=True)), tmp_path / "enc.ckpt"
+        assert main(["convert", "--ckpt", str(src), "--out", str(out)]) == 0
+        ck = load_checkpoint(out)
+        ck.config["encoder"].update(self.LEGACY)
+        dense = dense_encoder_from_checkpoint(ck)
+        assert dense.cfg == EncoderConfig(stages=2, widths=(4, 8))
+        assert dense.ape is not None and dense.state_arrays().keys() == ck.arrays.keys()
+
+    @pytest.mark.parametrize("change", [{"stem_stride": 8}, {"stage_stride": 3}, {"pad": 1}, {"down_kernel": None}],
+                             ids=["stem_stride_8", "stage_stride_3", "unknown_key", "missing_key"])
+    def test_bad_encoder_keys_rejected(self, tmp_path, change):
+        model = tiny_model()
+        header = spark_header(model)
+        enc = {k: v for k, v in {**header["model"]["encoder"], **change}.items() if v is not None}
+        header["model"]["encoder"] = enc
+        ck = load_checkpoint(write_spark(tmp_path / "m.ckpt", model, header=header))
+        with pytest.raises(CheckpointError, match="encoder|EncoderConfig"):
+            model_from_checkpoint(ck)
+        dense = {"kind": "dense_encoder", "encoder": enc, "ape": False, "image_size": 16}
+        save_checkpoint(tmp_path / "d.ckpt", {}, dense)
+        with pytest.raises(CheckpointError, match="encoder|EncoderConfig"):
+            dense_encoder_from_checkpoint(load_checkpoint(tmp_path / "d.ckpt"))
+
+    def test_unknown_model_key_rejected(self, tmp_path):
+        model = tiny_model()
+        header = spark_header(model)
+        header["model"]["mask_mode"] = "sparse"
+        with pytest.raises(CheckpointError, match="unknown keys \\['mask_mode'\\]"):
+            model_from_checkpoint(load_checkpoint(write_spark(tmp_path / "m.ckpt", model, header=header)))
+
+
+def test_mean_over_rejects_axes():
+    x = ag.tensor(np.ones((2, 3)))
+    for over in ((0, 1), 0, np.ones((2, 3))):
+        with pytest.raises(ValueError, match="boolean mask"):
+            ag.mean_over(x, over=over)
+
+
+class TestMalformedCheckpointExits2:
+    @pytest.fixture()
+    def image(self, tmp_path):
+        save_ppm(tmp_path / "x.ppm", np.random.default_rng(0).random((3, 16, 16)))
+        return tmp_path / "x.ppm"
+
+    def _exit_codes(self, tmp_path, image, ckpt):
+        rec = main(["reconstruct", "--ckpt", str(ckpt), "--image", str(image), "--out", str(tmp_path / "r")])
+        conv = main(["convert", "--ckpt", str(ckpt), "--out", str(tmp_path / "enc.ckpt")])
+        return rec, conv
+
+    def _without(self, tmp_path, name):
+        model = tiny_model()
+        arrays = model_checkpoint_arrays(model, OptimizerState([p.shape for p in model.params.values()]))
+        del arrays[name]
+        return write_spark(tmp_path / "m.ckpt", model, arrays=arrays)
+
+    @pytest.mark.parametrize("name", ["decoder.proj.b", "encoder.stem.bn.running_var", "opt.v.decoder.proj.w"])
+    def test_missing_array(self, tmp_path, image, capsys, name):
+        ckpt = self._without(tmp_path, name)
+        assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
+        assert f"no array {name!r}" in capsys.readouterr().err
+
+    def test_misshaped_array(self, tmp_path, image, capsys):
+        model = tiny_model()
+        arrays = model_checkpoint_arrays(model)
+        arrays["encoder.stem.w"] = arrays["encoder.stem.w"][:2]
+        ckpt = write_spark(tmp_path / "m.ckpt", model, arrays=arrays)
+        assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
+        assert "'encoder.stem.w' has shape [2, 3, 4, 4], expected [4, 3, 4, 4]" in capsys.readouterr().err
+
+    def test_model_config_without_image_size(self, tmp_path, image, capsys):
+        model = tiny_model()
+        header = spark_header(model)
+        del header["model"]["image_size"]
+        ckpt = write_spark(tmp_path / "m.ckpt", model, header=header)
+        assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
+        assert "missing keys ['image_size']" in capsys.readouterr().err
+
+
+class TestDenseLoader:
+    @pytest.fixture()
+    def converted(self, tmp_path):
+        src, out = write_spark(tmp_path / "m.ckpt", tiny_model()), tmp_path / "enc.ckpt"
+        assert main(["convert", "--ckpt", str(src), "--out", str(out)]) == 0
+        return load_checkpoint(out)
+
+    @pytest.mark.parametrize("name", ["encoder.stem.bn.running_var", "encoder.stage1.down.w",
+                                      "encoder.stage1.block0.bn1.gamma"])
+    def test_missing_array(self, converted, name):
+        del converted.arrays[name]
+        with pytest.raises(CheckpointError, match=f"no array '{name}'"):
+            dense_encoder_from_checkpoint(converted)
+
+    def test_misshaped_and_unexpected_arrays(self, converted):
+        arrays = converted.arrays
+        good = arrays["encoder.stage0.block0.conv0.w"]
+        arrays["encoder.stage0.block0.conv0.w"] = good[:, :, :2]
+        with pytest.raises(CheckpointError, match="has shape"):
+            dense_encoder_from_checkpoint(converted)
+        arrays["encoder.stage0.block0.conv0.w"] = good
+        arrays["ape"] = np.zeros((1, 4, 4, 4))  # the header says ape is off
+        with pytest.raises(CheckpointError, match="unexpected arrays \\['ape'\\]"):
+            dense_encoder_from_checkpoint(converted)

@@ -9,7 +9,6 @@ from sparsemim.data import (
     DirectoryDataset,
     PpmError,
     augment,
-    hflip,
     load_ppm,
     save_ppm,
     synth_dataset,
@@ -125,12 +124,8 @@ class TestAugment:
         rng_flip = np.random.default_rng(1)
         img = np.random.default_rng(0).random((3, 8, 8))
         outs = {augment(img, 8, np.random.default_rng(s)).tobytes() for s in range(20)}
-        assert outs <= {img.tobytes(), hflip(img).tobytes()}
+        assert outs <= {img.tobytes(), img[:, :, ::-1].tobytes()}
         assert len(outs) == 2
-
-    def test_double_flip_identity(self):
-        img = np.random.default_rng(2).random((3, 6, 6))
-        np.testing.assert_array_equal(hflip(hflip(img)), img)
 
     def test_values_stay_in_range_and_in_bounds(self):
         rng = np.random.default_rng(3)

@@ -371,13 +371,3 @@ class TestCheckpointHeader:
             with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
                 load_checkpoint(p)
 
-
-class TestTrainConfigDict:
-    def test_round_trip(self):
-        cfg = TrainConfig(epochs=3, batch_size=4, lr_peak=1e-3, seed=5, max_steps=9)
-        assert TrainConfig.from_dict(cfg.to_dict()) == cfg
-        assert "schedule" not in cfg.to_dict()
-
-    def test_old_config_with_schedule_loads(self):
-        old = {**TrainConfig(batch_size=4).to_dict(), "schedule": "cosine"}
-        assert TrainConfig.from_dict(old) == TrainConfig(batch_size=4)
