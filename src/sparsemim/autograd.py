@@ -6,6 +6,16 @@ differentiable operation records a node on the ambient :class:`Tape`;
 topological order, since parents are always created before children) and
 accumulates gradients into ``.grad``. The reference path is single threaded
 and bit-reproducible for a fixed seed and configuration.
+
+Convolutions are lowered to GEMMs two ways. A stride-1 correlation uses the
+row-shift lowering of MEC (Cho & Brand, arXiv:1706.06873): ``kw``
+column-shifted copies of the padded input, from which each kernel row reads
+one contiguous window, so the lowered matrix holds ``kw`` copies of the input
+rather than im2col's ``kh*kw``. Its forward, weight gradient and input
+gradient all run on that one kernel. Strided convolutions (the patchify stem
+and the dense encoder's downsamples) use im2col and its adjoint col2im. The
+x2 transposed convolution runs as a stride-1 2x2 correlation with four
+output phases (the sub-pixel form of Shi et al., arXiv:1609.05158).
 """
 
 from __future__ import annotations
@@ -359,16 +369,95 @@ def slice_rows(x: DiffTensor, start: int, stop: int) -> DiffTensor:
 # ---------------------------------------------------------------------------
 
 
-def _pad2d(x: np.ndarray, ph: int, pw: int) -> np.ndarray:
-    """Zero-pad both spatial axes of [N,C,H,W] by (ph, pw); a negative amount crops."""
-    if ph == 0 and pw == 0:
-        return x
+# Output columns per GEMM block of the stride-1 correlation. The kh row
+# windows that one block sums overlap, so a block of this width keeps them in
+# cache. On the paper decoder's 56-224 px layers (batch 4, one BLAS thread),
+# 4096 beat 1024, 2048 and 8192.
+_CORR_BLOCK = 4096
+
+
+def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
+    """[N,C,H,W] -> M = [N, C*kw, Hp*Wo], the row-shift lowering of a stride-1 correlation.
+
+    ``M[n, c*kw + j, r*Wo + q] = xp[n, c, r, q + j]``, where ``xp`` is ``x``
+    zero-padded by (ph, pw) (a negative amount crops), ``Hp = H + 2*ph`` and
+    ``Wo = W + 2*pw - kw + 1``. Kernel row ``i`` of a correlation then reads the
+    contiguous window ``M[:, :, i*Wo:(i+Ho)*Wo]``: kw copies of ``x`` instead of
+    im2col's kh*kw.
+    """
     n, c, h, w = x.shape
-    out = np.zeros((n, c, h + 2 * ph, w + 2 * pw), dtype=x.dtype)
-    r, s = max(ph, 0), max(pw, 0)  # where the kept part of x lands
-    cr, cs = max(-ph, 0), max(-pw, 0)  # how much of x is cropped per side
-    out[:, :, r : r + h - 2 * cr, s : s + w - 2 * cs] = x[:, :, cr : h - cr, cs : w - cs]
+    hp, wo = h + 2 * ph, w + 2 * pw - kw + 1
+    m = np.zeros((n, c, kw, hp, wo))
+    r0, r1 = max(ph, 0), min(hp, h + ph)
+    for j in range(kw):
+        q0, q1 = max(pw - j, 0), min(wo, w + pw - j)
+        m[:, :, j, r0:r1, q0:q1] = x[:, :, r0 - ph : r1 - ph, q0 + j - pw : q1 + j - pw]
+    return m.reshape(n, c * kw, hp * wo)
+
+
+def _kernel_rows(w: np.ndarray) -> np.ndarray:
+    """[Cout,C,kh,kw] -> [kh, Cout, C*kw]: one GEMM operand per kernel row, columns in M's row order."""
+    cout, c, kh, kw = w.shape
+    return np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(kh, cout, c * kw)
+
+
+def _corr_rows(m: np.ndarray, wr: np.ndarray, ho: int, wo: int) -> np.ndarray:
+    """Stride-1 correlation from row shifts: ``sum_i wr[i] @ M[:, :, i*Wo:(i+Ho)*Wo]`` -> [N, Cout, Ho*Wo].
+
+    Summed one block of ``_CORR_BLOCK`` output columns at a time, kernel rows
+    in ascending order.
+    """
+    kh, cout, _ = wr.shape
+    cols = ho * wo
+    out = np.empty((m.shape[0], cout, cols))
+    for s in range(0, cols, _CORR_BLOCK):
+        e = min(s + _CORR_BLOCK, cols)
+        blk = out[:, :, s:e]
+        np.matmul(wr[0], m[:, :, s:e], out=blk)
+        for i in range(1, kh):
+            blk += np.matmul(wr[i], m[:, :, i * wo + s : i * wo + e])
     return out
+
+
+def _corr(x: np.ndarray, w: np.ndarray, padding: int):
+    """Stride-1 correlation of [N,C,H,W] with [Cout,C,kh,kw], zero padding ``padding``.
+
+    Returns the output [N, Cout, Ho, Wo] and the row shifts ``M`` that
+    :func:`_corr_grads` needs.
+    """
+    n = x.shape[0]
+    cout, _, kh, kw = w.shape
+    ho, wo = x.shape[2] + 2 * padding - kh + 1, x.shape[3] + 2 * padding - kw + 1
+    m = _row_shifts(x, kw, padding, padding)
+    return _corr_rows(m, _kernel_rows(w), ho, wo).reshape(n, cout, ho, wo), m
+
+
+def _corr_grads(g: np.ndarray, m: np.ndarray, w: np.ndarray, padding: int, need_x: bool, need_w: bool):
+    """Input and weight gradients of :func:`_corr` for output gradient ``g`` (None where not needed).
+
+    The weight gradient sums ``g @ window_i.T`` over the same column blocks
+    as the forward. The input gradient is the flipped-kernel identity run
+    through the forward routine: the correlation of ``g`` padded by
+    (kh-1-p, kw-1-p) with the kernel flipped in both spatial axes and its
+    channel axes swapped.
+    """
+    n, cout, ho, wo = g.shape
+    _, c, kh, kw = w.shape
+    gx = gw = None
+    if need_w:
+        gf = g.reshape(n, cout, ho * wo)
+        gr = np.zeros((kh, cout, c * kw))
+        for s in range(0, ho * wo, _CORR_BLOCK):
+            e = min(s + _CORR_BLOCK, ho * wo)
+            for i in range(kh):
+                gr[i] += np.matmul(gf[:, :, s:e], m[:, :, i * wo + s : i * wo + e].transpose(0, 2, 1)).sum(axis=0)
+        gw = gr.reshape(kh, cout, c, kw).transpose(1, 2, 0, 3)
+    if need_x:
+        h, wd = ho - 2 * padding + kh - 1, wo - 2 * padding + kw - 1
+        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        gm = _row_shifts(g, kw, kh - 1 - padding, kw - 1 - padding)
+        gx = _corr_rows(gm, _kernel_rows(flipped), h, wd).reshape(n, c, h, wd)
+    return gx, gw
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
@@ -376,7 +465,10 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.nd
     n, c, h, w = x.shape
     ho = (h + 2 * padding - kh) // stride + 1
     wo = (w + 2 * padding - kw) // stride + 1
-    xp = _pad2d(x, padding, padding)
+    xp = x
+    if padding:
+        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
+        xp[:, :, padding : padding + h, padding : padding + w] = x
     s0, s1, s2, s3 = xp.strides
     win = np.lib.stride_tricks.as_strided(
         xp,
@@ -403,7 +495,18 @@ def _col2im(cols: np.ndarray, xshape, kh: int, kw: int, stride: int, padding: in
 
 
 def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: int = 1, padding: int = 0) -> DiffTensor:
-    """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw] weights."""
+    """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw] weights.
+
+    At stride 1 (odd kernels only) the forward pass and both gradients run on
+    the row-shift kernel: the forward sums ``kh`` GEMMs, one per kernel row,
+    over contiguous windows of the row shifts ``M`` of the padded input, and
+    ``M`` is what the backward keeps. The weight gradient multiplies the
+    output gradient by the same windows; the input gradient is the stride-1
+    correlation of the output gradient, padded by (kh-1-p, kw-1-p), with the
+    kernel flipped spatially and its channel axes swapped. A strided
+    convolution is one GEMM over the im2col patch matrix, with col2im for
+    the input gradient.
+    """
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-d [N,C,H,W], got {x.ndim}-d")
     if w.ndim != 4:
@@ -423,35 +526,43 @@ def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: in
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: kernel {kh}x{kw} too large for input {h}x{wd} with padding {padding}")
 
-    cols = _im2col(x.data, kh, kw, stride, padding)
-    wm = w.data.reshape(cout, cin * kh * kw)
-    flat = np.matmul(wm, cols)  # [N, Cout, Ho*Wo]
+    if stride == 1:
+        y, m = _corr(x.data, w.data, padding)
+    else:
+        cols = _im2col(x.data, kh, kw, stride, padding)
+        wm = w.data.reshape(cout, cin * kh * kw)
+        y = np.matmul(wm, cols).reshape(n, cout, ho, wo)
     if b is not None:
-        flat = flat + b.data[:, None]
-    out = DiffTensor(flat.reshape(n, cout, ho, wo))
+        y += b.data[:, None, None]
+    out = DiffTensor(y)
 
     def backward_fn(g):
-        gf = g.reshape(n, cout, ho * wo)
-        if w.requires_grad:
-            gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0)  # [Cout, Cin*kh*kw]
-            accumulate_grad(w, gw.reshape(w.shape))
-        if x.requires_grad:
-            if stride == 1:
-                # Flipped-kernel identity: at stride 1 the input gradient is
-                # the stride-1 correlation of g, padded by (kh-1-p, kw-1-p),
-                # with the kernel flipped in both spatial axes and its
-                # channel axes swapped:
-                #   dx[n,ci,y,x] = sum_{co,i,j} gp[n,co,y+i,x+j] * w[co,ci,kh-1-i,kw-1-j]
-                wflip = w.data[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(cin, cout * kh * kw)
-                gcols = _im2col(_pad2d(g, kh - 1 - padding, kw - 1 - padding), kh, kw, 1, 0)
-                gx = np.matmul(wflip, gcols).reshape(x.shape)
-            else:
-                gx = _col2im(np.matmul(wm.T, gf), x.shape, kh, kw, stride, padding)
+        if stride == 1:
+            gx, gw = _corr_grads(g, m, w.data, padding, x.requires_grad, w.requires_grad)
+        else:
+            gf = g.reshape(n, cout, ho * wo)
+            gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if w.requires_grad else None
+            gx = _col2im(np.matmul(wm.T, gf), x.shape, kh, kw, stride, padding) if x.requires_grad else None
+        if gw is not None:
+            accumulate_grad(w, gw)
+        if gx is not None:
             accumulate_grad(x, gx)
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=(0, 2, 3)))
 
     return record_op(out, (x, w, b), backward_fn)
+
+
+def _subpixel_kernel(w: np.ndarray) -> np.ndarray:
+    """[Cin,Cout,4,4] transposed-conv weight -> [4*Cout, Cin, 2, 2] correlation weight.
+
+    ``V[(r,s,co), ci, t, u] = w[ci, co, 3-r-2t, 3-s-2u]``: output phase (r, s)
+    of the stride-2 transposed conv is a 2x2 correlation of ``x`` padded by 1.
+    In the spatially flipped weight, tap 3-r-2t sits at index 2t+r.
+    """
+    cin, cout = w.shape[:2]
+    v = w[:, :, ::-1, ::-1].reshape(cin, cout, 2, 2, 2, 2)  # [ci, co, t, r, u, s]
+    return np.ascontiguousarray(v.transpose(3, 5, 1, 0, 2, 4)).reshape(4 * cout, cin, 2, 2)
 
 
 def conv_transpose2d(
@@ -463,8 +574,14 @@ def conv_transpose2d(
 ) -> DiffTensor:
     """Transposed convolution; weight layout is [Cin, Cout, kh, kw].
 
-    The geometry must exactly double the spatial size, as the default
-    (kernel 4, stride 2, padding 1) does.
+    Only the exact doubling of kernel 4, stride 2, padding 1 is supported.
+    It runs in sub-pixel form: output pixel (2y+r, 2x+s) depends on a 2x2
+    neighbourhood of the input, so the four output phases (r, s) are one
+    stride-1 2x2 correlation of ``x`` padded by 1, with 4*Cout output
+    channels and weight ``V[(r,s,co), ci, t, u] = w[ci, co, 3-r-2t, 3-s-2u]``.
+    Phase (r, s) is that correlation's window ``[r:r+H, s:s+W]``, interleaved
+    into ``y[:, :, r::2, s::2]``. Forward and backward use the same private
+    row-shift kernel as stride-1 :func:`conv2d`, not ``conv2d`` itself.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError("conv_transpose2d: input and weight must be 4-d")
@@ -474,29 +591,35 @@ def conv_transpose2d(
         raise ValueError(f"conv_transpose2d: input channel dim {cin} != weight in-channel dim {cin_w}")
     if b is not None and b.shape != (cout,):
         raise ValueError(f"conv_transpose2d: bias shape {tuple(b.shape)} != out-channel dim ({cout},)")
-    ho = (h - 1) * stride - 2 * padding + kh
-    wo = (wd - 1) * stride - 2 * padding + kw
-    if ho != 2 * h or wo != 2 * wd:
+    if (kh, kw, stride, padding) != (4, 4, 2, 1):
         raise ValueError(
-            f"conv_transpose2d: kernel {kh}, stride {stride}, padding {padding} "
-            f"gives {ho}x{wo} from {h}x{wd}, not the required doubling"
+            f"conv_transpose2d: kernel {kh}x{kw}, stride {stride}, padding {padding}; "
+            "only kernel 4, stride 2, padding 1 (an exact doubling) is supported"
         )
 
-    wm = w.data.reshape(cin, cout * kh * kw)
-    xf = x.data.reshape(n, cin, h * wd)
-    cols = np.matmul(wm.T, xf)  # [N, Cout*kh*kw, H*W]
-    y = _col2im(cols, (n, cout, ho, wo), kh, kw, stride, padding)
+    v = _subpixel_kernel(w.data)
+    z, m = _corr(x.data, v, 1)
+    z = z.reshape(n, 2, 2, cout, h + 1, wd + 1)
+    y = np.empty((n, cout, 2 * h, 2 * wd))
+    for r in range(2):
+        for s in range(2):
+            y[:, :, r::2, s::2] = z[:, r, s, :, r : r + h, s : s + wd]
     if b is not None:
-        y = y + b.data[None, :, None, None]
+        y += b.data[:, None, None]
     out = DiffTensor(y)
 
     def backward_fn(g):
-        gcols = _im2col(g, kh, kw, stride, padding)  # [N, Cout*kh*kw, H*W]
-        if x.requires_grad:
-            accumulate_grad(x, np.matmul(wm, gcols).reshape(x.shape))
-        if w.requires_grad:
-            gw = np.matmul(xf, gcols.transpose(0, 2, 1)).sum(axis=0)  # [Cin, Cout*kh*kw]
-            accumulate_grad(w, gw.reshape(w.shape))
+        gz = np.zeros((n, 2, 2, cout, h + 1, wd + 1))
+        for r in range(2):
+            for s in range(2):
+                gz[:, r, s, :, r : r + h, s : s + wd] = g[:, :, r::2, s::2]
+        gz = gz.reshape(n, 4 * cout, h + 1, wd + 1)
+        gx, gv = _corr_grads(gz, m, v, 1, x.requires_grad, w.requires_grad)
+        if gv is not None:
+            gw = gv.reshape(2, 2, cout, cin, 2, 2).transpose(3, 2, 4, 0, 5, 1).reshape(w.shape)
+            accumulate_grad(w, gw[:, :, ::-1, ::-1])
+        if gx is not None:
+            accumulate_grad(x, gx)
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=(0, 2, 3)))
 

@@ -94,6 +94,8 @@ def _build_parser() -> _Parser:
     fl.add_argument("--mask-ratio", type=float, default=0.6)
     fl.add_argument("--stages", type=int, default=4)
     fl.add_argument("--widths", default=None)
+    fl.add_argument("--blocks", type=int, default=DEFAULTS["blocks"])
+    fl.add_argument("--down-kernel", type=int, choices=[2, 3], default=DEFAULTS["down_kernel"])
     fl.add_argument("--seed", type=int, default=0)
     fl.add_argument("--out", default=None, help="optional directory for flops.csv")
 
@@ -187,11 +189,22 @@ def _center_crop(img: np.ndarray, size: int) -> np.ndarray:
     return np.ascontiguousarray(img[:, oy : oy + size, ox : ox + size])
 
 
+def _trained_mask_ratio(config: dict) -> float:
+    """The mask ratio a checkpoint's ``train`` section records; 0.6 if it has none."""
+    train = config.get("train", {})
+    if not isinstance(train, dict):
+        raise CheckpointError(f"checkpoint 'train' must be an object, got {type(train).__name__}")
+    ratio = train.get("mask_ratio", DEFAULTS["mask_ratio"])
+    if isinstance(ratio, bool) or not isinstance(ratio, (int, float)) or not 0.0 <= ratio < 1.0:
+        raise CheckpointError(f"checkpoint train.mask_ratio must be a number in [0, 1), got {ratio!r}")
+    return float(ratio)
+
+
 def cmd_reconstruct(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
     model, _ = model_from_checkpoint(ckpt)
     cfg = model.cfg
-    ratio = args.mask_ratio if args.mask_ratio is not None else ckpt.config.get("train", {}).get("mask_ratio", 0.6)
+    ratio = args.mask_ratio if args.mask_ratio is not None else _trained_mask_ratio(ckpt.config)
     if not (0.0 <= ratio < 1.0):
         raise UsageError(f"--mask-ratio must be in [0, 1), got {ratio}")
 
@@ -239,13 +252,15 @@ def cmd_flops(args) -> int:
         str(16 * 2 ** i) for i in range(args.stages))
     widths = _parse_widths(widths_text, args.stages)
     try:
-        enc = EncoderConfig(stages=args.stages, widths=widths)
+        enc = EncoderConfig(stages=args.stages, widths=widths, blocks_per_stage=args.blocks,
+                            down_kernel=args.down_kernel)
         cfg = SparkConfig(encoder=enc, image_size=args.image_size, patch_size=args.patch)
     except ValueError as e:
         raise UsageError(str(e)) from e
     print(json.dumps({"command": "flops", "image_size": args.image_size, "patch": args.patch,
                       "mask_ratio": args.mask_ratio, "stages": args.stages,
-                      "widths": list(widths), "seed": args.seed}, sort_keys=True), file=sys.stderr)
+                      "widths": list(widths), "blocks": args.blocks, "down_kernel": args.down_kernel,
+                      "seed": args.seed}, sort_keys=True), file=sys.stderr)
     grid = args.image_size // args.patch
     mask = generate_mask(grid, grid, args.mask_ratio, np.random.default_rng(args.seed), patch_size=args.patch)
     rows = encoder_flops_table(enc, mask)

@@ -144,16 +144,24 @@ class TestConvGradientForms:
         rng = np.random.default_rng(20 + k)
         # "wide" pads past k - 1, so the gradient's full correlation crops g
         pad = {"zero": 0, "half": k // 2, "wide": k}[pad_kind]
-        n, cin, cout, h, wd = 2, 3, 4, 7, 6
-        x, w = rng.normal(size=(n, cin, h, wd)), rng.normal(size=(cout, cin, k, k))
-        ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
-        g = rng.normal(size=(n, cout, ho, wo))
-        gx, gw = self._grads(ag.conv2d, x, w, g, stride=1, padding=pad)
-        gf = g.reshape(n, cout, ho * wo)
-        ref_x = ag._col2im(np.matmul(w.reshape(cout, -1).T, gf), x.shape, k, k, 1, pad)
-        ref_w = np.einsum("nol,nkl->ok", gf, ag._im2col(x, k, k, 1, pad)).reshape(w.shape)
-        assert np.abs(gx - ref_x).max() < 1e-12
-        assert np.abs(gw - ref_w).max() < 1e-12
+        n, cin, cout = 2, 3, 4
+        # at 70x67 every Ho*Wo is above the row-shift kernel's column block
+        # and no multiple of it, so the last block is partial
+        for h, wd in [(7, 6), (70, 67)]:
+            x, w = rng.normal(size=(n, cin, h, wd)), rng.normal(size=(cout, cin, k, k))
+            ho, wo = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
+            g = rng.normal(size=(n, cout, ho, wo))
+            y = ag.conv2d(ag.tensor(x), ag.tensor(w), stride=1, padding=pad).data
+            gx, gw = self._grads(ag.conv2d, x, w, g, stride=1, padding=pad)
+            gf = g.reshape(n, cout, ho * wo)
+            cols = ag._im2col(x, k, k, 1, pad)
+            ref_y = np.einsum("ok,nkl->nol", w.reshape(cout, -1), cols).reshape(y.shape)
+            ref_x = ag._col2im(np.einsum("ok,nol->nkl", w.reshape(cout, -1), gf), x.shape, k, k, 1, pad)
+            ref_w = np.einsum("nol,nkl->ok", gf, cols).reshape(w.shape)
+            assert np.abs(y - ref_y).max() < 1e-12
+            assert np.abs(gx - ref_x).max() < 1e-12
+            assert np.abs(gw - ref_w).max() < 1e-12
+        assert ho * wo > ag._CORR_BLOCK and ho * wo % ag._CORR_BLOCK
 
     def test_conv2d_strided_weight_grad_matches_einsum(self):
         rng = np.random.default_rng(30)
@@ -163,13 +171,25 @@ class TestConvGradientForms:
         ref = np.einsum("nol,nkl->ok", g.reshape(2, 4, 16), ag._im2col(x, 2, 2, 2, 0)).reshape(w.shape)
         assert np.abs(gw - ref).max() < 1e-12
 
-    def test_conv_transpose2d_weight_grad_matches_einsum(self):
+    def test_conv_transpose2d_matches_einsum(self):
         rng = np.random.default_rng(31)
-        x, w = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(3, 2, 4, 4))
-        g = rng.normal(size=(2, 2, 8, 10))
-        _, gw = self._grads(ag.conv_transpose2d, x, w, g)
-        ref = np.einsum("ncl,nkl->ck", x.reshape(2, 3, 20), ag._im2col(g, 4, 4, 2, 1)).reshape(w.shape)
-        assert np.abs(gw - ref).max() < 1e-12
+        n, cin, cout = 2, 3, 2
+        # at 70x67 the sub-pixel correlation's (H+1)*(W+1) columns are above
+        # the column block and no multiple of it
+        for h, wd in [(4, 5), (70, 67)]:
+            x, w = rng.normal(size=(n, cin, h, wd)), rng.normal(size=(cin, cout, 4, 4))
+            g = rng.normal(size=(n, cout, 2 * h, 2 * wd))
+            y = ag.conv_transpose2d(ag.tensor(x), ag.tensor(w)).data
+            gx, gw = self._grads(ag.conv_transpose2d, x, w, g)
+            xf, wm = x.reshape(n, cin, h * wd), w.reshape(cin, -1)
+            gcols = ag._im2col(g, 4, 4, 2, 1)
+            ref_y = ag._col2im(np.einsum("ck,ncl->nkl", wm, xf), y.shape, 4, 4, 2, 1)
+            ref_x = np.einsum("ck,nkl->ncl", wm, gcols).reshape(x.shape)
+            ref_w = np.einsum("ncl,nkl->ck", xf, gcols).reshape(w.shape)
+            assert np.abs(y - ref_y).max() < 1e-12
+            assert np.abs(gx - ref_x).max() < 1e-12
+            assert np.abs(gw - ref_w).max() < 1e-12
+        assert (h + 1) * (wd + 1) > ag._CORR_BLOCK and (h + 1) * (wd + 1) % ag._CORR_BLOCK
 
     def test_gradcheck_padding0_3x3(self):
         rng = np.random.default_rng(32)
@@ -223,6 +243,51 @@ class TestConvTranspose2d:
             return ag.mean_over(ag.square(ag.conv_transpose2d(t[0], t[1], t[2])))
 
         assert ag.grad_check(f, [x, w, b]) < 1e-6
+
+
+class TestConvLowering:
+    """Which private helpers each convolution runs on, and what it records."""
+
+    @staticmethod
+    def _forbid(monkeypatch, *names):
+        def called(*args, **kwargs):
+            raise AssertionError("forbidden helper called")
+
+        for name in names:
+            monkeypatch.setattr(ag, name, called)
+
+    def test_conv_transpose2d_calls_no_conv2d_im2col_or_col2im(self, monkeypatch):
+        # perfbench/spans.py rebinds ag.conv2d; time spent in a transposed
+        # conv must not be attributed to it
+        self._forbid(monkeypatch, "conv2d", "_im2col", "_col2im")
+        rng = np.random.default_rng(40)
+        x = ag.tensor(rng.normal(size=(2, 3, 4, 5)), requires_grad=True)
+        w = ag.tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
+        b = ag.tensor(rng.normal(size=2), requires_grad=True)
+        ag.backward(ag.sum_over(ag.conv_transpose2d(x, w, b)))
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape and b.grad.shape == b.shape
+
+    def test_stride1_conv2d_calls_no_im2col_or_col2im(self, monkeypatch):
+        self._forbid(monkeypatch, "_im2col", "_col2im")
+        rng = np.random.default_rng(41)
+        x = ag.tensor(rng.normal(size=(2, 3, 6, 5)), requires_grad=True)
+        w = ag.tensor(rng.normal(size=(4, 3, 3, 3)), requires_grad=True)
+        ag.backward(ag.sum_over(ag.conv2d(x, w, stride=1, padding=1)))
+        assert x.grad.shape == x.shape and w.grad.shape == w.shape
+
+    def test_each_conv_records_one_tape_node(self):
+        rng = np.random.default_rng(42)
+        x = ag.tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
+        tape = ag.active_tape()
+        before = len(tape)
+        y = ag.conv2d(x, ag.tensor(rng.normal(size=(3, 3, 3, 3)), requires_grad=True), stride=1, padding=1)
+        assert len(tape) == before + 1
+        y = ag.conv2d(y, ag.tensor(rng.normal(size=(3, 3, 2, 2)), requires_grad=True), stride=2)
+        assert len(tape) == before + 2
+        y = ag.conv_transpose2d(y, ag.tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True),
+                                ag.tensor(np.zeros(2), requires_grad=True))
+        assert len(tape) == before + 3
+        ag.backward(ag.sum_over(y))
 
 
 class TestBatchNorm:

@@ -11,8 +11,8 @@ from sparsemim import autograd as ag
 from sparsemim.cli import main
 from sparsemim.data import load_ppm, save_ppm
 from sparsemim.masking import generate_mask, masked_pixel_map
-from sparsemim.model import encoder_forward
-from sparsemim.training import dense_encoder_from_checkpoint, load_checkpoint, model_from_checkpoint
+from sparsemim.model import EncoderConfig, encoder_forward, encoder_layers
+from sparsemim.training import dense_encoder_from_checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 
 TINY = ["--epochs", "1", "--batch", "4", "--steps", "2", "--image-size", "16",
         "--patch", "8", "--stages", "2", "--widths", "4,8", "--seed", "3"]
@@ -155,6 +155,29 @@ def test_malformed_checkpoint_header_exits_2(tmp_path, capsys):
     assert "no 'manifest'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("train", [[], {"mask_ratio": "0.5"}, {"mask_ratio": None}, {"mask_ratio": 1.0},
+                                   {"mask_ratio": True}])
+def test_reconstruct_malformed_train_section_exits_2(trained, tmp_path, capsys, train):
+    ck = load_checkpoint(trained / "final.ckpt")
+    bad = tmp_path / "bad.ckpt"
+    save_checkpoint(bad, ck.arrays, {**ck.config, "train": train})
+    img = tmp_path / "x.ppm"
+    save_ppm(img, np.zeros((3, 16, 16)))
+    assert main(["reconstruct", "--ckpt", str(bad), "--image", str(img), "--out", str(tmp_path / "o")]) == 2
+    assert "train" in capsys.readouterr().err
+
+
+def test_reconstruct_without_train_section_uses_0_6(trained, tmp_path, capsys):
+    ck = load_checkpoint(trained / "final.ckpt")
+    path = tmp_path / "no_train.ckpt"
+    save_checkpoint(path, ck.arrays, {k: v for k, v in ck.config.items() if k != "train"})
+    img = tmp_path / "x.ppm"
+    save_ppm(img, np.zeros((3, 16, 16)))
+    assert main(["reconstruct", "--ckpt", str(path), "--image", str(img), "--out", str(tmp_path / "o")]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[: out.rindex("}") + 1])["mask_ratio"] == 0.6
+
+
 class TestConvert:
     def test_round_trip_matches_sparse_ratio0(self, trained, tmp_path):
         enc_path = tmp_path / "enc.ckpt"
@@ -180,8 +203,6 @@ class TestConvert:
         p1, p2 = tmp_path / "e1.ckpt", tmp_path / "e2.ckpt"
         assert main(["convert", "--ckpt", str(trained / "final.ckpt"), "--out", str(p1)]) == 0
         ck = load_checkpoint(p1)
-        from sparsemim.training import save_checkpoint
-
         save_checkpoint(p2, ck.arrays, ck.config)
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -209,6 +230,16 @@ class TestFlops:
                      "--widths", "4,8", "--out", str(tmp_path)]) == 0
         text = (tmp_path / "flops.csv").read_text()
         assert text.startswith("layer,scale,sparse_macs,dense_macs,ratio")
+
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    @pytest.mark.parametrize("down_kernel", [2, 3])
+    def test_layers_follow_blocks_and_down_kernel(self, capsys, blocks, down_kernel):
+        assert main(["flops", "--image-size", "64", "--patch", "16", "--stages", "3", "--widths", "4,8,16",
+                     "--blocks", str(blocks), "--down-kernel", str(down_kernel)]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        enc = EncoderConfig(stages=3, widths=(4, 8, 16), blocks_per_stage=blocks, down_kernel=down_kernel)
+        assert [line.split(",")[0] for line in lines[1:]] == [layer.name for layer in encoder_layers(enc)]
 
 
 class TestVerify:
