@@ -9,6 +9,7 @@ echoes its fully resolved configuration to stdout, and commands taking an
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -58,6 +59,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call of main
 def _build_parser() -> _Parser:
     p = _Parser(prog="sparsemim", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -201,7 +203,7 @@ def _trained_mask_ratio(config: dict) -> float:
 
 
 def cmd_reconstruct(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, model_only=True)
     model, _ = model_from_checkpoint(ckpt)
     cfg = model.cfg
     ratio = args.mask_ratio if args.mask_ratio is not None else _trained_mask_ratio(ckpt.config)
@@ -222,19 +224,18 @@ def cmd_reconstruct(args) -> int:
     mean, denom = patch_stats(img, cfg.patch_size)
     pred = np.clip(denormalize_patches(recon.data, mean, denom, cfg.patch_size), 0.0, 1.0)
     mm = masked_pixel_map(mask)
-    composite = img[0].copy()
-    composite[:, mm] = pred[0][:, mm]
+    composite = np.where(mm, pred[0], img[0])
 
     save_ppm(os.path.join(args.out, "masked_input.ppm"), zero_out_image(img[0][None], mask).data[0])
     save_ppm(os.path.join(args.out, "reconstruction.ppm"), pred[0])
     save_ppm(os.path.join(args.out, "composite.ppm"), composite)
-    mse = float(((pred[0][:, mm] - img[0][:, mm]) ** 2).mean())
+    mse = float(((pred[0] - img[0]) ** 2)[:, mm].mean())
     print(f"masked-region mse {mse:.6f}; wrote 3 images to {args.out}")
     return 0
 
 
 def cmd_convert(args) -> int:
-    ckpt = load_checkpoint(args.ckpt)
+    ckpt = load_checkpoint(args.ckpt, model_only=True)
     model, _ = model_from_checkpoint(ckpt)
     dense = to_dense_encoder(model)
     cfg = {"kind": "dense_encoder", "encoder": model.cfg.to_dict()["encoder"],

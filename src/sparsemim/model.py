@@ -225,6 +225,10 @@ def _state_arrays(params, bn_states) -> "OrderedDict[str, np.ndarray]":
     return out
 
 
+def _normal(rng, std, shape) -> np.ndarray:
+    return np.zeros(shape) if rng is None else rng.normal(0.0, std, size=shape)
+
+
 class SparkModel:
     """Parameter store plus the wiring between encoder, embeddings, and decoder.
 
@@ -234,7 +238,10 @@ class SparkModel:
     projection weights only).
     """
 
-    def __init__(self, cfg: SparkConfig, rng: np.random.Generator):
+    def __init__(self, cfg: SparkConfig, rng: np.random.Generator | None):
+        """Draw the initial parameters from ``rng``. With ``rng`` None nothing is
+        drawn: the would-be random parameters are zeros, for a caller that loads
+        every array (``model_from_checkpoint``)."""
         self.cfg = cfg
         self.params: "OrderedDict[str, DiffTensor]" = OrderedDict()
         self.bn_states: "OrderedDict[str, BatchNormState]" = OrderedDict()
@@ -244,8 +251,7 @@ class SparkModel:
     # -- construction -------------------------------------------------------
 
     def _conv_param(self, name, cout, cin, kh, kw, rng):
-        std = math.sqrt(2.0 / (cin * kh * kw))
-        t = DiffTensor(rng.normal(0.0, std, size=(cout, cin, kh, kw)), requires_grad=True)
+        t = DiffTensor(_normal(rng, math.sqrt(2.0 / (cin * kh * kw)), (cout, cin, kh, kw)), requires_grad=True)
         self.params[name] = t
         self.decay.add(name)
         return t
@@ -273,7 +279,7 @@ class SparkModel:
         chans = cfg.decoder.channels
         for i in range(enc.stages):
             # mask-fill embedding and width-matching projection for scale i
-            self._vec_param(f"embed.scale{i}", rng.normal(0.0, 0.02, size=enc.widths[i]))
+            self._vec_param(f"embed.scale{i}", _normal(rng, 0.02, enc.widths[i]))
             dec_w = chans[enc.stages - 1 - i]
             self._conv_param(f"proj.scale{i}.w", dec_w, enc.widths[i], 1, 1, rng)
             self._vec_param(f"proj.scale{i}.b", np.zeros(dec_w))

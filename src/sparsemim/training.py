@@ -227,10 +227,16 @@ class CheckpointError(ValueError):
 class Checkpoint:
     config: dict
     arrays: "OrderedDict[str, np.ndarray]" = field(default_factory=OrderedDict)
+    skipped: dict = field(default_factory=dict)  # name -> manifest shape of each array left undecoded
 
     @property
     def step(self) -> int:
         return self.config.get("step", 0)
+
+    @property
+    def shapes(self) -> dict:
+        """The shape of every array the file holds, decoded or not."""
+        return {**{name: arr.shape for name, arr in self.arrays.items()}, **self.skipped}
 
 
 def save_checkpoint(path, arrays: "OrderedDict[str, np.ndarray]", config: dict):
@@ -281,11 +287,17 @@ def _check_header(header):
             )
 
 
-def load_checkpoint(path) -> Checkpoint:
+OPT_PREFIXES = ("opt.m.", "opt.v.")  # the optimizer moments' names, as model_checkpoint_arrays writes them
+
+
+def load_checkpoint(path, model_only: bool = False) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint; raise CheckpointError if it is malformed.
 
     Each array is read from the file straight into its own buffer, so loading
-    never holds a copy of the whole file.
+    never holds a copy of the whole file. With ``model_only`` the optimizer
+    moments are neither read nor converted: only their manifest shapes are
+    kept, in ``skipped``. Every entry is checked either way, so a file loads
+    with ``model_only`` exactly when it loads without.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -306,21 +318,26 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"corrupt checkpoint header: {e}") from e
         _check_header(header)
         base = 16 + hlen
-        arrays = OrderedDict()
+        ckpt = Checkpoint(config=header["config"])
         for entry in header["manifest"]:
-            count = math.prod(entry["shape"])  # exact: a huge shape cannot wrap around
+            name, shape = entry["name"], tuple(entry["shape"])
+            count = math.prod(shape)  # exact: a huge shape cannot wrap around
             start = entry["offset"]
             if base + start + 4 * count > size:
-                raise CheckpointError(f"truncated checkpoint: array {entry['name']!r} ends past end of file")
+                raise CheckpointError(f"truncated checkpoint: array {name!r} ends past end of file")
+            try:
+                np.broadcast_to(np.float32(0), shape)  # a view: checks the shape, allocates nothing
+            except ValueError as e:  # an empty array with a dimension numpy cannot represent
+                raise CheckpointError(f"corrupt checkpoint manifest entry {name!r}: {e}") from e
+            if model_only and name.startswith(OPT_PREFIXES):
+                ckpt.skipped[name] = shape
+                continue
             buf = np.empty(count, dtype="<f4")
             f.seek(base + start)
             if f.readinto(buf) != buf.nbytes:
-                raise CheckpointError(f"truncated checkpoint: array {entry['name']!r} ends past end of file")
-            try:
-                arrays[entry["name"]] = buf.astype(np.float64).reshape(entry["shape"])
-            except ValueError as e:  # an empty array with a dimension numpy cannot represent
-                raise CheckpointError(f"corrupt checkpoint manifest entry {entry['name']!r}: {e}") from e
-    return Checkpoint(config=header["config"], arrays=arrays)
+                raise CheckpointError(f"truncated checkpoint: array {name!r} ends past end of file")
+            ckpt.arrays[name] = buf.astype(np.float64).reshape(shape)
+    return ckpt
 
 
 def model_checkpoint_arrays(model: SparkModel, opt: OptimizerState | None = None) -> "OrderedDict[str, np.ndarray]":
@@ -333,12 +350,14 @@ def model_checkpoint_arrays(model: SparkModel, opt: OptimizerState | None = None
 
 
 def _check_arrays(ckpt: Checkpoint, shapes: dict):
-    """Raise CheckpointError unless ``ckpt`` holds every named array at its shape."""
+    """Raise CheckpointError unless ``ckpt`` holds every named array at its shape,
+    decoded or not."""
+    held = ckpt.shapes
     for name, shape in shapes.items():
-        if name not in ckpt.arrays:
+        if name not in held:
             raise CheckpointError(f"checkpoint has no array {name!r}")
-        if ckpt.arrays[name].shape != tuple(shape):
-            raise CheckpointError(f"checkpoint array {name!r} has shape {list(ckpt.arrays[name].shape)}, "
+        if held[name] != tuple(shape):
+            raise CheckpointError(f"checkpoint array {name!r} has shape {list(held[name])}, "
                                   f"expected {list(shape)}")
 
 
@@ -350,20 +369,21 @@ def _decode_config(decode, d, what: str):
 
 
 def model_from_checkpoint(ckpt: Checkpoint):
-    """Rebuild a SparkModel (and optimizer state, if stored) from a checkpoint."""
+    """Rebuild a SparkModel from a checkpoint, and its optimizer state if the
+    file stores one and it was decoded (not ``load_checkpoint(model_only=True)``).
+    Stored optimizer moments are checked for presence and shape either way."""
     if ckpt.config.get("kind") != "spark":
         raise CheckpointError(f"not a model checkpoint (kind={ckpt.config.get('kind')!r})")
     cfg = _decode_config(SparkConfig.from_dict, ckpt.config.get("model"), "model")
-    model = SparkModel(cfg, np.random.default_rng(0))
+    model = SparkModel(cfg, None)  # no init draws: load_state_arrays replaces every array
     names = list(model.params.keys())
     shapes = {name: arr.shape for name, arr in model.state_arrays().items()}
-    has_opt = f"opt.m.{names[0]}" in ckpt.arrays
-    if has_opt:
+    if f"opt.m.{names[0]}" in ckpt.shapes:
         shapes.update({f"opt.{k}.{n}": model.param(n).shape for k in "mv" for n in names})
     _check_arrays(ckpt, shapes)
     model.load_state_arrays(ckpt.arrays)
     opt = None
-    if has_opt:
+    if f"opt.m.{names[0]}" in ckpt.arrays:  # stored and decoded
         opt = OptimizerState([model.param(n).shape for n in names])
         opt.m = [np.ascontiguousarray(ckpt.arrays[f"opt.m.{n}"]) for n in names]
         opt.v = [np.ascontiguousarray(ckpt.arrays[f"opt.v.{n}"]) for n in names]
@@ -391,8 +411,8 @@ def dense_encoder_from_checkpoint(ckpt: Checkpoint) -> DenseEncoder:
             raise CheckpointError(f"dense-encoder checkpoint with ape has no integer image_size ({size!r})")
         shapes["ape"] = (1, enc.widths[0], size // STEM_STRIDE, size // STEM_STRIDE)
     _check_arrays(ckpt, shapes)
-    if len(ckpt.arrays) != len(shapes):
-        raise CheckpointError(f"dense-encoder checkpoint has unexpected arrays {sorted(set(ckpt.arrays) - set(shapes))}")
+    if len(ckpt.shapes) != len(shapes):
+        raise CheckpointError(f"dense-encoder checkpoint has unexpected arrays {sorted(set(ckpt.shapes) - set(shapes))}")
     arrays = ckpt.arrays
     bn_states = {layer.bn: ag.BatchNormState(layer.cout) for layer in layers}
     for prefix, st in bn_states.items():

@@ -102,6 +102,7 @@ class TestReconstruct:
         original = load_ppm(img_path)
         composite = load_ppm(out / "composite.ppm")
         np.testing.assert_array_equal(composite[:, ~mm], original[:, ~mm])
+        np.testing.assert_array_equal(composite[:, mm], load_ppm(out / "reconstruction.ppm")[:, mm])
         masked_in = load_ppm(out / "masked_input.ppm")
         assert np.all(masked_in[:, mm] == 0.0)
 

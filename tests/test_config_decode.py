@@ -128,11 +128,24 @@ class TestMalformedCheckpointExits2:
 
     def test_misshaped_array(self, tmp_path, image, capsys):
         model = tiny_model()
-        arrays = model_checkpoint_arrays(model)
-        arrays["encoder.stem.w"] = arrays["encoder.stem.w"][:2]
-        ckpt = write_spark(tmp_path / "m.ckpt", model, arrays=arrays)
+        # a model array, and an optimizer moment that reconstruct and convert do not decode
+        for opt, name in [(None, "encoder.stem.w"),
+                          (OptimizerState([p.shape for p in model.params.values()]), "opt.m.encoder.stem.w")]:
+            arrays = model_checkpoint_arrays(model, opt)
+            arrays[name] = arrays[name][:2]
+            ckpt = write_spark(tmp_path / "m.ckpt", model, arrays=arrays)
+            assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
+            assert f"{name!r} has shape [2, 3, 4, 4], expected [4, 3, 4, 4]" in capsys.readouterr().err
+
+    def test_truncated_in_optimizer_region(self, tmp_path, image, capsys):
+        model = tiny_model()
+        arrays = model_checkpoint_arrays(model, OptimizerState([p.shape for p in model.params.values()]))
+        opt_bytes = 4 * sum(a.size for n, a in arrays.items() if n.startswith("opt."))  # the last arrays written
+        raw = write_spark(tmp_path / "m.ckpt", model, arrays=arrays).read_bytes()
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(raw[: len(raw) - opt_bytes // 2])
         assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
-        assert "'encoder.stem.w' has shape [2, 3, 4, 4], expected [4, 3, 4, 4]" in capsys.readouterr().err
+        assert "truncated checkpoint: array 'opt." in capsys.readouterr().err
 
     def test_model_config_without_image_size(self, tmp_path, image, capsys):
         model = tiny_model()

@@ -1,6 +1,8 @@
 """Model tests: decoder conformance, encoder geometry, dense conversion,
 projection/densify gradients, loss selection, leak guard, ablation wiring."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -464,3 +466,27 @@ class TestEncoderLayers:
         assert weights == [f"encoder.{row['layer']}.w" for row in encoder_flops_table(enc, mask)]
         assert [layer.bn for layer in encoder_layers(enc)] == [n for n in model.bn_states if n.startswith("encoder.")]
         assert len(weights) == 1 + (stages - 1) + 2 * blocks * stages
+
+
+class TestInit:
+    """Training init is pinned; a model built without an RNG draws nothing and has the same layout."""
+
+    C09 = SparkConfig(encoder=EncoderConfig(stages=3, widths=(16, 32, 64), blocks_per_stage=1),
+                      image_size=64, patch_size=16, dec_fea_dim=64)
+
+    def test_c09_init_pinned(self):
+        digest = hashlib.sha256()
+        for name, arr in SparkModel(self.C09, np.random.default_rng(0)).state_arrays().items():
+            digest.update(name.encode())
+            digest.update(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+        assert digest.hexdigest() == "1b2d795bb894f927182818023b972620858512cb740b31afce3528c3903aa5c8"
+
+    def test_no_rng_same_layout_no_draws(self):
+        drawn, bare = SparkModel(self.C09, np.random.default_rng(0)), SparkModel(self.C09, None)
+        assert [(n, a.shape) for n, a in bare.state_arrays().items()] == \
+               [(n, a.shape) for n, a in drawn.state_arrays().items()]
+        assert bare.decay == drawn.decay
+        want = drawn.state_arrays()
+        for name, arr in bare.state_arrays().items():  # drawn arrays are zeros, the rest as drawn
+            random = name in drawn.decay or name.startswith("embed.")
+            np.testing.assert_array_equal(arr, np.zeros_like(arr) if random else want[name])

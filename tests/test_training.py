@@ -287,6 +287,12 @@ class TestCheckpoint:
         assert opt2 is not None and opt2.t == 2
         for a, b in zip(opt.m, opt2.m):
             np.testing.assert_array_equal(b, a.astype(np.float32).astype(np.float64))
+        ck = load_checkpoint(p, model_only=True)  # the moments stay undecoded; the model loads the same
+        assert not any(n.startswith("opt.") for n in ck.arrays) and len(ck.skipped) == 2 * len(opt.m)
+        m3, opt3 = model_from_checkpoint(ck)
+        assert opt3 is None
+        for (n2, a2), (n3, a3) in zip(m2.state_arrays().items(), m3.state_arrays().items()):
+            assert n2 == n3 and a2.tobytes() == a3.tobytes()
 
 
 def write_raw_checkpoint(path, header, payload=b""):
