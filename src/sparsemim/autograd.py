@@ -4,18 +4,17 @@ Values are float64 numpy arrays wrapped in :class:`DiffTensor`. Every
 differentiable operation records a node on the ambient :class:`Tape`;
 ``backward`` replays the tape in reverse creation order (a valid reverse
 topological order, since parents are always created before children) and
-accumulates gradients into ``.grad``. The reference path is single threaded
-and bit-reproducible for a fixed seed and configuration.
+accumulates gradients into ``.grad``. A rerun is bit-reproducible for a
+fixed seed, configuration and BLAS thread count.
 
-Convolutions are lowered to GEMMs two ways. A stride-1 correlation uses the
-row-shift lowering of MEC (Cho & Brand, arXiv:1706.06873): ``kw``
+Every convolution is lowered to GEMMs one way, the row-shift lowering of MEC
+(Cho & Brand, arXiv:1706.06873) of a stride-1 correlation: ``kw``
 column-shifted copies of the padded input, from which each kernel row reads
 one contiguous window, so the lowered matrix holds ``kw`` copies of the input
 rather than im2col's ``kh*kw``. Its forward, weight gradient and input
-gradient all run on that one kernel. Strided convolutions (the patchify stem
-and the dense encoder's downsamples) use im2col and its adjoint col2im. The
-x2 transposed convolution runs as a stride-1 2x2 correlation with four
-output phases (the sub-pixel form of Shi et al., arXiv:1609.05158).
+gradient all run on that one kernel. A strided convolution is the stride-1
+correlation of the input's space-to-depth with the weight's, and the x2
+transposed convolution is the input adjoint of a stride-2 convolution.
 """
 
 from __future__ import annotations
@@ -383,9 +382,12 @@ def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
     zero-padded by (ph, pw) (a negative amount crops), ``Hp = H + 2*ph`` and
     ``Wo = W + 2*pw - kw + 1``. Kernel row ``i`` of a correlation then reads the
     contiguous window ``M[:, :, i*Wo:(i+Ho)*Wo]``: kw copies of ``x`` instead of
-    im2col's kh*kw.
+    im2col's kh*kw. An unpadded one-column kernel needs no shifts, so ``M`` is
+    then a view of ``x``; that is safe because no op writes its inputs in place.
     """
     n, c, h, w = x.shape
+    if kw == 1 and ph == pw == 0:
+        return x.reshape(n, c, h * w)
     hp, wo = h + 2 * ph, w + 2 * pw - kw + 1
     m = np.zeros((n, c, kw, hp, wo))
     r0, r1 = max(ph, 0), min(hp, h + ph)
@@ -460,52 +462,61 @@ def _corr_grads(g: np.ndarray, m: np.ndarray, w: np.ndarray, padding: int, need_
     return gx, gw
 
 
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """[N,C,H,W] -> [N, C*kh*kw, Ho*Wo] patch matrix (copies)."""
+def _phases(s: int, p: int, size, blocks):
+    """Per phase (a, b) of an s x s space-to-depth on a ``blocks`` grid, the blocks inside an
+    image of ``size`` and the strided pixel slice they hold: block (u, v) holds pixel
+    (u*s + a - p, v*s + b - p)."""
+
+    def axis(a, n, nb):
+        u0, u1 = max(0, -((a - p) // s)), min(nb, -((a - p - n) // s))
+        return slice(u0, u1), slice(u0 * s + a - p, (u1 - 1) * s + a - p + 1, s)
+
+    for a in range(s):
+        for b in range(s):
+            (bu, pu), (bv, pv) = axis(a, size[0], blocks[0]), axis(b, size[1], blocks[1])
+            if bu.start < bu.stop and bv.start < bv.stop:
+                yield a, b, (bu, bv), (pu, pv)
+
+
+def _s2d(x: np.ndarray, s: int, p: int, hb: int, wb: int) -> np.ndarray:
+    """[N,C,H,W] -> [N, C*s*s, hb, wb], the space-to-depth of ``x`` zero-padded by ``p``.
+
+    Channel ``c*s*s + a*s + b`` of block (u, v) is ``x[:, c, u*s + a - p, v*s + b - p]``,
+    zero outside ``x``; pixels beyond the grid are dropped.
+    """
     n, c, h, w = x.shape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    xp = x
-    if padding:
-        xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-        xp[:, :, padding : padding + h, padding : padding + w] = x
-    s0, s1, s2, s3 = xp.strides
-    win = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, c, kh, kw, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-        writeable=False,
-    )
-    return np.ascontiguousarray(win).reshape(n, c * kh * kw, ho * wo)
+    if p == 0 and (h, w) == (hb * s, wb * s):  # the grid tiles x: one transposed copy, a view at s = 1
+        out = np.ascontiguousarray(x.reshape(n, c, hb, s, wb, s).transpose(0, 1, 3, 5, 2, 4))
+        return out.reshape(n, c * s * s, hb, wb)
+    out = np.zeros((n, c, s, s, hb, wb))
+    for a, b, blk, pix in _phases(s, p, (h, w), (hb, wb)):
+        out[:, :, a, b, blk[0], blk[1]] = x[:, :, pix[0], pix[1]]
+    return out.reshape(n, c * s * s, hb, wb)
 
 
-def _col2im(cols: np.ndarray, xshape, kh: int, kw: int, stride: int, padding: int) -> np.ndarray:
-    """Adjoint of :func:`_im2col`: scatter-add patches back to [N,C,H,W]."""
-    n, c, h, w = xshape
-    ho = (h + 2 * padding - kh) // stride + 1
-    wo = (w + 2 * padding - kw) // stride + 1
-    cols6 = cols.reshape(n, c, kh, kw, ho, wo)
-    xp = np.zeros((n, c, h + 2 * padding, w + 2 * padding))
-    for i in range(kh):
-        for j in range(kw):
-            xp[:, :, i : i + stride * ho : stride, j : j + stride * wo : stride] += cols6[:, :, i, j]
-    if padding:
-        return np.ascontiguousarray(xp[:, :, padding : padding + h, padding : padding + w])
-    return xp
+def _d2s(y: np.ndarray, s: int, p: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of :func:`_s2d`, [N, C*s*s, hb, wb] -> [N, C, h, w]: a gather, since each pixel
+    sits in at most one block; pixels beyond the grid get zero."""
+    n, cs, hb, wb = y.shape
+    c = cs // (s * s)
+    y = y.reshape(n, c, s, s, hb, wb)
+    if p == 0 and (h, w) == (hb * s, wb * s):
+        return np.ascontiguousarray(y.transpose(0, 1, 4, 2, 5, 3)).reshape(n, c, h, w)
+    out = np.zeros((n, c, h, w))
+    for a, b, blk, pix in _phases(s, p, (h, w), (hb, wb)):
+        out[:, :, pix[0], pix[1]] = y[:, :, a, b, blk[0], blk[1]]
+    return out
 
 
 def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: int = 1, padding: int = 0) -> DiffTensor:
     """Cross-correlation of [N,Cin,H,W] with [Cout,Cin,kh,kw] weights.
 
-    At stride 1 (odd kernels only) the forward pass and both gradients run on
-    the row-shift kernel: the forward sums ``kh`` GEMMs, one per kernel row,
-    over contiguous windows of the row shifts ``M`` of the padded input, and
-    ``M`` is what the backward keeps. The weight gradient multiplies the
-    output gradient by the same windows; the input gradient is the stride-1
-    correlation of the output gradient, padded by (kh-1-p, kw-1-p), with the
-    kernel flipped spatially and its channel axes swapped. A strided
-    convolution is one GEMM over the im2col patch matrix, with col2im for
-    the input gradient.
+    A stride-s convolution is the stride-1 correlation of the padded input's
+    space-to-depth [N, Cin*s*s, Ho+kh'-1, Wo+kw'-1] with the weight's
+    [Cout, Cin*s*s, kh', kw'], kh' = ceil(kh/s), the weight zero-filled up to
+    a multiple of s. At stride 1 both are views and the row shifts pad. The
+    correlation and its gradients run on the row-shift kernel; depth-to-space,
+    the exact adjoint, maps the gradients back.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-d [N,C,H,W], got {x.ndim}-d")
@@ -526,43 +537,24 @@ def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: in
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: kernel {kh}x{kw} too large for input {h}x{wd} with padding {padding}")
 
-    if stride == 1:
-        y, m = _corr(x.data, w.data, padding)
-    else:
-        cols = _im2col(x.data, kh, kw, stride, padding)
-        wm = w.data.reshape(cout, cin * kh * kw)
-        y = np.matmul(wm, cols).reshape(n, cout, ho, wo)
+    s, khs, kws = stride, -(-kh // stride), -(-kw // stride)
+    pc, ps = (padding, 0) if s == 1 else (0, padding)  # padding of the correlation, of the space-to-depth
+    ws = _s2d(w.data, s, 0, khs, kws)
+    y, m = _corr(_s2d(x.data, s, ps, ho + khs - 1 - 2 * pc, wo + kws - 1 - 2 * pc), ws, pc)
     if b is not None:
         y += b.data[:, None, None]
     out = DiffTensor(y)
 
     def backward_fn(g):
-        if stride == 1:
-            gx, gw = _corr_grads(g, m, w.data, padding, x.requires_grad, w.requires_grad)
-        else:
-            gf = g.reshape(n, cout, ho * wo)
-            gw = np.matmul(gf, cols.transpose(0, 2, 1)).sum(axis=0).reshape(w.shape) if w.requires_grad else None
-            gx = _col2im(np.matmul(wm.T, gf), x.shape, kh, kw, stride, padding) if x.requires_grad else None
+        gx, gw = _corr_grads(g, m, ws, pc, x.requires_grad, w.requires_grad)
         if gw is not None:
-            accumulate_grad(w, gw)
+            accumulate_grad(w, _d2s(gw, s, 0, kh, kw))
         if gx is not None:
-            accumulate_grad(x, gx)
+            accumulate_grad(x, _d2s(gx, s, ps, h, wd))
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=(0, 2, 3)))
 
     return record_op(out, (x, w, b), backward_fn)
-
-
-def _subpixel_kernel(w: np.ndarray) -> np.ndarray:
-    """[Cin,Cout,4,4] transposed-conv weight -> [4*Cout, Cin, 2, 2] correlation weight.
-
-    ``V[(r,s,co), ci, t, u] = w[ci, co, 3-r-2t, 3-s-2u]``: output phase (r, s)
-    of the stride-2 transposed conv is a 2x2 correlation of ``x`` padded by 1.
-    In the spatially flipped weight, tap 3-r-2t sits at index 2t+r.
-    """
-    cin, cout = w.shape[:2]
-    v = w[:, :, ::-1, ::-1].reshape(cin, cout, 2, 2, 2, 2)  # [ci, co, t, r, u, s]
-    return np.ascontiguousarray(v.transpose(3, 5, 1, 0, 2, 4)).reshape(4 * cout, cin, 2, 2)
 
 
 def conv_transpose2d(
@@ -574,14 +566,11 @@ def conv_transpose2d(
 ) -> DiffTensor:
     """Transposed convolution; weight layout is [Cin, Cout, kh, kw].
 
-    Only the exact doubling of kernel 4, stride 2, padding 1 is supported.
-    It runs in sub-pixel form: output pixel (2y+r, 2x+s) depends on a 2x2
-    neighbourhood of the input, so the four output phases (r, s) are one
-    stride-1 2x2 correlation of ``x`` padded by 1, with 4*Cout output
-    channels and weight ``V[(r,s,co), ci, t, u] = w[ci, co, 3-r-2t, 3-s-2u]``.
-    Phase (r, s) is that correlation's window ``[r:r+H, s:s+W]``, interleaved
-    into ``y[:, :, r::2, s::2]``. Forward and backward use the same private
-    row-shift kernel as stride-1 :func:`conv2d`, not ``conv2d`` itself.
+    Only the exact doubling of kernel 4, stride 2, padding 1 is supported. It
+    is the input adjoint of the stride-2 :func:`conv2d` from [N,Cout,2H,2W] to
+    [N,Cin,H,W] with the same weight array: the forward is that convolution's
+    input gradient for ``x``, the backward its forward on ``g`` plus its weight
+    gradient. Both run on the private row-shift kernel, not on ``conv2d``.
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError("conv_transpose2d: input and weight must be 4-d")
@@ -597,29 +586,20 @@ def conv_transpose2d(
             "only kernel 4, stride 2, padding 1 (an exact doubling) is supported"
         )
 
-    v = _subpixel_kernel(w.data)
-    z, m = _corr(x.data, v, 1)
-    z = z.reshape(n, 2, 2, cout, h + 1, wd + 1)
-    y = np.empty((n, cout, 2 * h, 2 * wd))
-    for r in range(2):
-        for s in range(2):
-            y[:, :, r::2, s::2] = z[:, r, s, :, r : r + h, s : s + wd]
+    ws = _s2d(w.data, 2, 0, 2, 2)
+    z, _ = _corr_grads(x.data, None, ws, 0, True, False)
+    y = _d2s(z, 2, 1, 2 * h, 2 * wd)
     if b is not None:
         y += b.data[:, None, None]
     out = DiffTensor(y)
 
     def backward_fn(g):
-        gz = np.zeros((n, 2, 2, cout, h + 1, wd + 1))
-        for r in range(2):
-            for s in range(2):
-                gz[:, r, s, :, r : r + h, s : s + wd] = g[:, :, r::2, s::2]
-        gz = gz.reshape(n, 4 * cout, h + 1, wd + 1)
-        gx, gv = _corr_grads(gz, m, v, 1, x.requires_grad, w.requires_grad)
-        if gv is not None:
-            gw = gv.reshape(2, 2, cout, cin, 2, 2).transpose(3, 2, 4, 0, 5, 1).reshape(w.shape)
-            accumulate_grad(w, gw[:, :, ::-1, ::-1])
-        if gx is not None:
+        gx, m = _corr(_s2d(g, 2, 1, h + 1, wd + 1), ws, 0)
+        if x.requires_grad:
             accumulate_grad(x, gx)
+        if w.requires_grad:
+            _, gws = _corr_grads(x.data, m, ws, 0, False, True)
+            accumulate_grad(w, _d2s(gws, 2, 0, kh, kw))
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=(0, 2, 3)))
 

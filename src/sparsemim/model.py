@@ -95,6 +95,9 @@ class EncoderConfig:
             raise ValueError(
                 f"EncoderConfig: {len(self.widths)} widths for {self.stages} stages"
             )
+        if min(self.widths) < 1 or self.blocks_per_stage < 1:
+            raise ValueError(f"EncoderConfig: widths {list(self.widths)} and blocks_per_stage "
+                             f"{self.blocks_per_stage} must be positive")
         if self.down_kernel not in (2, 3):
             raise ValueError("EncoderConfig: down_kernel must be 2 or 3")
 
@@ -188,6 +191,9 @@ class SparkConfig:
     loss_on: str = "masked"  # "masked" | "all"
 
     def __post_init__(self):
+        if self.image_size < 1 or self.patch_size < 1:
+            raise ValueError(f"SparkConfig: image size {self.image_size} and patch size {self.patch_size} "
+                             "must be positive")
         if self.patch_size % self.encoder.total_stride != 0:
             raise ValueError(
                 f"SparkConfig: patch size {self.patch_size} not divisible by "

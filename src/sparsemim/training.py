@@ -142,6 +142,8 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
     from .data import augment  # local import to keep module load cheap
 
     n_data = len(dataset)
+    if cfg.batch_size < 1:
+        raise ValueError(f"train: batch size {cfg.batch_size} must be positive")
     if n_data < cfg.batch_size:
         raise ValueError(f"train: dataset of {n_data} images smaller than batch size {cfg.batch_size}")
     steps_per_epoch = n_data // cfg.batch_size

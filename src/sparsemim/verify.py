@@ -38,6 +38,11 @@ def suite_gradcheck():
     w = ag.tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
     b = ag.tensor(rng.normal(size=3), requires_grad=True)
     ok &= check("conv2d", lambda t: ag.mean_over(ag.square(ag.conv2d(t[0], t[1], t[2], 1, 1))), [x, w, b], 1e-6)
+    xs = ag.tensor(rng.normal(size=(1, 2, 7, 5)), requires_grad=True)
+    ok &= check("conv2d k3/s2/p1", lambda t: ag.mean_over(ag.square(ag.conv2d(t[0], t[1], t[2], 2, 1))), [xs, w, b], 1e-6)
+    x4 = ag.tensor(rng.normal(size=(1, 2, 9, 10)), requires_grad=True)
+    w4 = ag.tensor(rng.normal(size=(3, 2, 4, 4)), requires_grad=True)
+    ok &= check("conv2d k4/s4", lambda t: ag.mean_over(ag.square(ag.conv2d(t[0], t[1], None, 4, 0))), [x4, w4], 1e-6)
 
     xt = ag.tensor(rng.normal(size=(1, 2, 3, 3)), requires_grad=True)
     wt = ag.tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)

@@ -261,7 +261,13 @@ class TestUsage:
         assert main(["pretrain", "--synth", "4"]) == 1
 
     def test_widths_stage_mismatch(self, tmp_path, capsys):
-        code = main(["pretrain", "--synth", "8", "--out", str(tmp_path / "x"),
-                     "--stages", "3", "--widths", "4,8", "--image-size", "16", "--patch", "8"])
-        assert code == 1
-        assert "widths" in capsys.readouterr().err
+        # non-positive sizes are usage errors too, not a division by zero or a silent run
+        for argv, word in [(["--stages", "3", "--widths", "4,8", "--image-size", "16", "--patch", "8"], "widths"),
+                           (["--patch", "0"], "patch size"), (["--widths", "0,16,32"], "widths"),
+                           (["--batch", "0"], "batch size"), (["--blocks", "-1"], "blocks_per_stage"),
+                           (["--image-size", "0"], "image size")]:
+            assert main(["pretrain", "--synth", "8", "--out", str(tmp_path / "x"), *argv]) == 1, argv
+            assert word in capsys.readouterr().err, argv
+        for argv, word in [(["--patch", "0"], "patch size"), (["--widths", "0,16,32"], "widths")]:
+            assert main(["flops", *argv]) == 1, argv
+            assert word in capsys.readouterr().err, argv
