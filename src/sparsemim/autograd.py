@@ -4,15 +4,21 @@ Values are float64 numpy arrays wrapped in :class:`DiffTensor`. Every
 differentiable operation records a node on the ambient :class:`Tape`;
 ``backward`` replays the tape in reverse creation order (a valid reverse
 topological order, since parents are always created before children) and
-accumulates gradients into ``.grad``. A rerun is bit-reproducible for a
-fixed seed, configuration and BLAS thread count.
+accumulates gradients into ``.grad``. It takes each node's output gradient
+and closure off the node before running it, so an op output's gradient and
+everything its backward saved are freed as soon as that op has run: after
+``backward`` only leaves (tensors that no op produced, such as parameters)
+keep ``.grad``. A rerun is bit-reproducible for a fixed seed, configuration
+and BLAS thread count.
 
 Every convolution is lowered to GEMMs one way, the row-shift lowering of MEC
 (Cho & Brand, arXiv:1706.06873) of a stride-1 correlation: ``kw``
 column-shifted copies of the padded input, from which each kernel row reads
 one contiguous window, so the lowered matrix holds ``kw`` copies of the input
 rather than im2col's ``kh*kw``. Its forward, weight gradient and input
-gradient all run on that one kernel. A strided convolution is the stride-1
+gradient all run on that one kernel; both gradients read the row shifts of
+the output gradient, so a convolution saves only its input and weight for the
+backward, not the lowered matrix. A strided convolution is the stride-1
 correlation of the input's space-to-depth with the weight's, and the x2
 transposed convolution is the input adjoint of a stride-2 convolution.
 """
@@ -421,43 +427,43 @@ def _corr_rows(m: np.ndarray, wr: np.ndarray, ho: int, wo: int) -> np.ndarray:
     return out
 
 
-def _corr(x: np.ndarray, w: np.ndarray, padding: int):
-    """Stride-1 correlation of [N,C,H,W] with [Cout,C,kh,kw], zero padding ``padding``.
-
-    Returns the output [N, Cout, Ho, Wo] and the row shifts ``M`` that
-    :func:`_corr_grads` needs.
-    """
+def _corr(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
+    """Stride-1 correlation of [N,C,H,W] with [Cout,C,kh,kw], zero padding ``padding`` -> [N, Cout, Ho, Wo]."""
     n = x.shape[0]
     cout, _, kh, kw = w.shape
     ho, wo = x.shape[2] + 2 * padding - kh + 1, x.shape[3] + 2 * padding - kw + 1
-    m = _row_shifts(x, kw, padding, padding)
-    return _corr_rows(m, _kernel_rows(w), ho, wo).reshape(n, cout, ho, wo), m
+    return _corr_rows(_row_shifts(x, kw, padding, padding), _kernel_rows(w), ho, wo).reshape(n, cout, ho, wo)
 
 
-def _corr_grads(g: np.ndarray, m: np.ndarray, w: np.ndarray, padding: int, need_x: bool, need_w: bool):
-    """Input and weight gradients of :func:`_corr` for output gradient ``g`` (None where not needed).
+def _corr_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int, need_x: bool, need_w: bool):
+    """Input and weight gradients of :func:`_corr` of ``x`` for output gradient ``g`` (None where not needed).
 
-    The weight gradient sums ``g @ window_i.T`` over the same column blocks
-    as the forward. The input gradient is the flipped-kernel identity run
-    through the forward routine: the correlation of ``g`` padded by
-    (kh-1-p, kw-1-p) with the kernel flipped in both spatial axes and its
-    channel axes swapped.
+    Both run on the row shifts ``gm`` of ``g`` padded by (kh-1-p, kw-1-p), so
+    the forward's own lowering need not be kept. The input gradient is the
+    correlation of that padded ``g``, ``gp``, with the kernel flipped in both
+    spatial axes and its channel axes swapped. The weight gradient is
+
+        gw[co, c, a, b] = sum_{n,y,q} x[n, c, y, q] * gp[n, co, y+kh-1-a, q+kw-1-b],
+
+    so ``x_flat @ gm_window_i.T``, with ``gm_window_i = gm[:, :, i*W:(i+H)*W]``,
+    is its kernel row ``a = kh-1-i`` with the columns reversed (``b = kw-1-j``),
+    summed one block of ``_CORR_BLOCK`` input columns at a time.
     """
     n, cout, ho, wo = g.shape
     _, c, kh, kw = w.shape
+    h, wd = ho - 2 * padding + kh - 1, wo - 2 * padding + kw - 1
+    gm = _row_shifts(g, kw, kh - 1 - padding, kw - 1 - padding)
     gx = gw = None
     if need_w:
-        gf = g.reshape(n, cout, ho * wo)
-        gr = np.zeros((kh, cout, c * kw))
-        for s in range(0, ho * wo, _CORR_BLOCK):
-            e = min(s + _CORR_BLOCK, ho * wo)
+        xf = x.reshape(n, c, h * wd)
+        gr = np.zeros((kh, c, cout * kw))
+        for s in range(0, h * wd, _CORR_BLOCK):
+            e = min(s + _CORR_BLOCK, h * wd)
             for i in range(kh):
-                gr[i] += np.matmul(gf[:, :, s:e], m[:, :, i * wo + s : i * wo + e].transpose(0, 2, 1)).sum(axis=0)
-        gw = gr.reshape(kh, cout, c, kw).transpose(1, 2, 0, 3)
+                gr[i] += np.matmul(xf[:, :, s:e], gm[:, :, i * wd + s : i * wd + e].transpose(0, 2, 1)).sum(axis=0)
+        gw = gr.reshape(kh, c, cout, kw)[::-1, :, :, ::-1].transpose(2, 1, 0, 3)
     if need_x:
-        h, wd = ho - 2 * padding + kh - 1, wo - 2 * padding + kw - 1
         flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        gm = _row_shifts(g, kw, kh - 1 - padding, kw - 1 - padding)
         gx = _corr_rows(gm, _kernel_rows(flipped), h, wd).reshape(n, c, h, wd)
     return gx, gw
 
@@ -540,13 +546,14 @@ def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: in
     s, khs, kws = stride, -(-kh // stride), -(-kw // stride)
     pc, ps = (padding, 0) if s == 1 else (0, padding)  # padding of the correlation, of the space-to-depth
     ws = _s2d(w.data, s, 0, khs, kws)
-    y, m = _corr(_s2d(x.data, s, ps, ho + khs - 1 - 2 * pc, wo + kws - 1 - 2 * pc), ws, pc)
+    xs = _s2d(x.data, s, ps, ho + khs - 1 - 2 * pc, wo + kws - 1 - 2 * pc)
+    y = _corr(xs, ws, pc)
     if b is not None:
         y += b.data[:, None, None]
     out = DiffTensor(y)
 
     def backward_fn(g):
-        gx, gw = _corr_grads(g, m, ws, pc, x.requires_grad, w.requires_grad)
+        gx, gw = _corr_grads(g, xs, ws, pc, x.requires_grad, w.requires_grad)
         if gw is not None:
             accumulate_grad(w, _d2s(gw, s, 0, kh, kw))
         if gx is not None:
@@ -594,11 +601,11 @@ def conv_transpose2d(
     out = DiffTensor(y)
 
     def backward_fn(g):
-        gx, m = _corr(_s2d(g, 2, 1, h + 1, wd + 1), ws, 0)
+        gs = _s2d(g, 2, 1, h + 1, wd + 1)
         if x.requires_grad:
-            accumulate_grad(x, gx)
+            accumulate_grad(x, _corr(gs, ws, 0))
         if w.requires_grad:
-            _, gws = _corr_grads(x.data, m, ws, 0, False, True)
+            _, gws = _corr_grads(x.data, gs, ws, 0, False, True)
             accumulate_grad(w, _d2s(gws, 2, 0, kh, kw))
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=(0, 2, 3)))
@@ -722,7 +729,8 @@ def backward(loss: DiffTensor):
     """Populate gradients of everything the scalar ``loss`` depends on.
 
     Walks the ambient tape once in reverse creation order and then clears
-    it; each recorded node is visited exactly once.
+    it; each recorded node is visited exactly once, and its output gradient
+    and closure are dropped as it runs, so only leaves keep ``.grad``.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {tuple(loss.shape)}")
@@ -732,9 +740,12 @@ def backward(loss: DiffTensor):
         return
     loss.grad = np.ones_like(loss.data)
     for n in reversed(_TAPE.nodes[: node.index + 1]):
-        if n.out.grad is None:
-            continue
-        n.backward_fn(n.out.grad)
+        # take the output gradient and the closure off the node, so both are
+        # freed as soon as this node has run
+        g, fn = n.out.grad, n.backward_fn
+        n.out.grad = n.backward_fn = None
+        if g is not None:
+            fn(g)
     _TAPE.clear()
 
 

@@ -96,25 +96,41 @@ class OptimizerState:
 
 
 def _updates(params, grads, state: OptimizerState, weight_decay, decay_mask):
-    """Advance the moments one step; yield each parameter with its Adam update
-    (bias-corrected, with decoupled weight decay where ``decay_mask`` allows)."""
+    """Advance the moments one step, in place; yield each parameter with its Adam
+    update (bias-corrected, with decoupled weight decay where ``decay_mask``
+    allows) in a fresh array the caller may scale in place.
+
+    Every element goes through the same operations in the same order as the
+    out-of-place ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
+    ``(m/c1) / (sqrt(v/c2) + eps) + wd*p``. The update's two arrays take the
+    moments' layout, not the gradient's (a sparse conv's weight gradient is not
+    C-contiguous), so the trust ratio's norm sums in the same order too.
+    """
     b1, b2 = BETAS
     state.t += 1
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = b1 * state.m[i] + (1.0 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1.0 - b2) * (g * g)
-        update = (state.m[i] / c1) / (np.sqrt(state.v[i] / c2) + EPS)
+        m, v = state.m[i], state.v[i]
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * (g * g)
+        update, denom = m / c1, v / c2
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        update /= denom
         if weight_decay and (decay_mask is None or decay_mask[i]):
-            update = update + weight_decay * p
+            np.multiply(weight_decay, p, out=denom)
+            update += denom
         yield p, update
 
 
 def adam_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_mask=None):
     """Adam with decoupled weight decay; mutates the parameter arrays in place."""
     for p, update in _updates(params, grads, state, weight_decay, decay_mask):
-        p -= lr * update
+        update *= lr
+        p -= update
 
 
 def lamb_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_mask=None):
@@ -127,7 +143,8 @@ def lamb_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_
         un = float(np.linalg.norm(update))
         trust = wn / un if (wn > 0.0 and un > 0.0) else 1.0
         trust = min(max(trust, lo), hi)
-        p -= lr * trust * update
+        update *= lr * trust
+        p -= update
 
 
 def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=None):

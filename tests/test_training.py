@@ -11,9 +11,13 @@ import numpy as np
 import pytest
 
 from sparsemim.data import synth_dataset
-from sparsemim.model import EncoderConfig, SparkConfig, SparkModel, spark_forward
+from sparsemim.masking import generate_mask
+from sparsemim.model import EncoderConfig, SparkConfig, SparkModel, spark_forward, spark_loss
 from sparsemim import autograd as ag
 from sparsemim.training import (
+    BETAS,
+    EPS,
+    TRUST_CLIP,
     CheckpointError,
     OptimizerState,
     TrainConfig,
@@ -147,6 +151,81 @@ class TestLamb:
                   decay_mask=[False, True])
         assert p[0][0] == 1.0
         assert p[1][0] != 1.0
+
+
+def out_of_place_step(kind, params, grads, m, v, t, lr, weight_decay, decay_mask):
+    """The optimizer step in its plain out-of-place form: new moment and update
+    arrays each step. Returns the advanced step counter."""
+    b1, b2 = BETAS
+    t += 1
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    for i, (p, g) in enumerate(zip(params, grads)):
+        m[i] = b1 * m[i] + (1.0 - b1) * g
+        v[i] = b2 * v[i] + (1.0 - b2) * (g * g)
+        update = (m[i] / c1) / (np.sqrt(v[i] / c2) + EPS)
+        if weight_decay and (decay_mask is None or decay_mask[i]):
+            update = update + weight_decay * p
+        if kind == "adam":
+            p -= lr * update
+        else:
+            wn, un = float(np.linalg.norm(p)), float(np.linalg.norm(update))
+            trust = wn / un if (wn > 0.0 and un > 0.0) else 1.0
+            p -= lr * min(max(trust, TRUST_CLIP[0]), TRUST_CLIP[1]) * update
+    return t
+
+
+def backward_grads(model, seed):
+    """Parameter gradients of one masked-reconstruction loss, in the layouts that
+    backward leaves them in (a sparse conv's weight gradient is not C-contiguous)."""
+    rng = np.random.default_rng(seed)
+    masks = [generate_mask(2, 2, 0.5, rng, patch_size=8) for _ in range(2)]
+    model.zero_grad()
+    recon, targets, mm = spark_forward(model, rng.random((2, 3, 16, 16)), masks, mode="train")
+    ag.backward(spark_loss(recon, targets, mm))
+    return [p.grad if p.grad is not None else np.zeros_like(p.data) for _, p in model.named_parameters()]
+
+
+class TestInPlaceOptimizer:
+    """adam_step and lamb_step update the moments and parameters in place, bit for bit
+    as the out-of-place formula does."""
+
+    @staticmethod
+    def _check(kind, model, opt, weight_decay, steps=3, seed=0):
+        step = {"adam": adam_step, "lamb": lamb_step}[kind]
+        names = [n for n, _ in model.named_parameters()]
+        params, decay_mask = [model.param(n).data for n in names], [n in model.decay for n in names]
+        base = backward_grads(model, seed)
+        assert not all(g.flags.c_contiguous for g in base)
+        ref_p = [p.copy() for p in params]
+        ref_m, ref_v, ref_t = [a.copy() for a in opt.m], [a.copy() for a in opt.v], opt.t
+        rng = np.random.default_rng(seed)
+        for k in range(steps):
+            grads = [g * rng.uniform(0.5, 1.5) for g in base]  # keeps each gradient's layout
+            lr = 1e-2 / (k + 1)
+            step(params, grads, opt, lr, weight_decay=weight_decay, decay_mask=decay_mask)
+            ref_t = out_of_place_step(kind, ref_p, grads, ref_m, ref_v, ref_t, lr, weight_decay, decay_mask)
+        assert opt.t == ref_t
+        for a, b in zip(params + opt.m + opt.v, ref_p + ref_m + ref_v):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["adam", "lamb"])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_matches_out_of_place_formula(self, kind, weight_decay):
+        model = desk_model(seed=3)
+        self._check(kind, model, OptimizerState([p.shape for _, p in model.named_parameters()]), weight_decay)
+
+    @pytest.mark.parametrize("kind", ["adam", "lamb"])
+    def test_state_decoded_from_checkpoint(self, kind, tmp_path):
+        model = desk_model(seed=2)
+        _, opt = train(model, synth_dataset(8, 16, seed=1),
+                       TrainConfig(epochs=1, batch_size=4, lr_peak=1e-3, max_steps=2, optimizer=kind))
+        p = tmp_path / "m.ckpt"
+        cfg = {"kind": "spark", "model": model.cfg.to_dict(), "train": TrainConfig().to_dict(),
+               "step": 2, "opt_t": opt.t, "rng_state": np.random.default_rng(0).bit_generator.state}
+        save_checkpoint(p, model_checkpoint_arrays(model, opt), cfg)
+        m2, opt2 = model_from_checkpoint(load_checkpoint(p))
+        assert all(a.flags.writeable for a in opt2.m + opt2.v)
+        self._check(kind, m2, opt2, 0.05)
 
 
 class TestTrainLoop:
