@@ -12,8 +12,6 @@ from .autograd import (
     conv_transpose2d,
     grad_check,
     no_grad,
-    relu,
-    relu6,
     tensor,
 )
 from .data import DirectoryDataset, augment, load_ppm, save_ppm, synth_dataset

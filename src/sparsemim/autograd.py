@@ -11,6 +11,10 @@ everything its backward saved are freed as soon as that op has run: after
 keep ``.grad``. A rerun is bit-reproducible for a fixed seed, configuration
 and BLAS thread count.
 
+Gradients are stored without copies: the array a backward passes to
+:func:`accumulate_grad` becomes the parent's ``.grad`` as it is, so no backward
+writes into an array it received or passed on, and no op into its inputs.
+
 Every convolution is lowered to GEMMs one way, the row-shift lowering of MEC
 (Cho & Brand, arXiv:1706.06873) of a stride-1 correlation: ``kw``
 column-shifted copies of the padded input, from which each kernel row reads
@@ -21,6 +25,8 @@ the output gradient, so a convolution saves only its input and weight for the
 backward, not the lowered matrix. A strided convolution is the stride-1
 correlation of the input's space-to-depth with the weight's, and the x2
 transposed convolution is the input adjoint of a stride-2 convolution.
+Batch norm carries its activation (``clamp``: None, ``np.inf`` for ReLU,
+``6.0`` for ReLU6), so a normalise-and-activate layer is one tape node.
 """
 
 from __future__ import annotations
@@ -41,8 +47,6 @@ __all__ = [
     "mul",
     "mul_scalar",
     "square",
-    "relu",
-    "relu6",
     "sum_over",
     "mean_over",
     "concat0",
@@ -167,13 +171,17 @@ def record_op(out: DiffTensor, parents, backward_fn):
 
 
 def accumulate_grad(t: DiffTensor, g: np.ndarray):
-    """Add ``g`` into ``t.grad``; tensors not requiring grad never accumulate."""
+    """Add ``g`` into ``t.grad``; tensors not requiring grad never accumulate.
+
+    The first gradient is stored as given (it may be a view, or shared with
+    other tensors); later ones are summed out of place.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.array(g, dtype=np.float64, copy=True)
+        t.grad = np.asarray(g, dtype=np.float64)
     else:
-        t.grad += g
+        t.grad = t.grad + g
 
 
 def tensor(data, requires_grad: bool = False) -> DiffTensor:
@@ -273,28 +281,6 @@ def square(x: DiffTensor) -> DiffTensor:
 
     def backward_fn(g):
         accumulate_grad(x, 2.0 * x.data * g)
-
-    return record_op(out, (x,), backward_fn)
-
-
-def relu(x: DiffTensor) -> DiffTensor:
-    x = _as_dt(x)
-    out = DiffTensor(np.maximum(x.data, 0.0))
-    mask = x.data > 0.0  # subgradient 0 at the kink
-
-    def backward_fn(g):
-        accumulate_grad(x, g * mask)
-
-    return record_op(out, (x,), backward_fn)
-
-
-def relu6(x: DiffTensor) -> DiffTensor:
-    x = _as_dt(x)
-    out = DiffTensor(np.clip(x.data, 0.0, 6.0))
-    mask = (x.data > 0.0) & (x.data < 6.0)  # subgradient 0 at both kinks
-
-    def backward_fn(g):
-        accumulate_grad(x, g * mask)
 
     return record_op(out, (x,), backward_fn)
 
@@ -632,55 +618,68 @@ class BatchNormState:
         self.running_var = np.ones(channels)
 
 
-def _batchnorm(x, gamma, beta, state, mode, axes):
-    """Shared BN core; ``axes`` are the reduction axes (channel axis excluded)."""
+def _batchnorm(x, gamma, beta, state, mode, clamp):
+    """Per-channel batch norm of ``x`` (channels on axis 1), clipped to [0, clamp]
+    unless ``clamp`` is None; one tape node.
+
+    The clamp is folded in as in In-Place Activated BatchNorm (Rota Bulo et al.,
+    arXiv:1712.02616): the output is clipped in place and the subgradient mask
+    ``0 < y < clamp`` read back from it (zero at a kink). With ``g`` so masked,
+    the train-mode backward is the closed form (Ioffe & Szegedy,
+    arXiv:1502.03167) ``gx = gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m)``.
+    """
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
+    if clamp is not None and not clamp > 0:
+        raise ValueError(f"batchnorm: clamp must be None or positive, got {clamp!r}")
     c = gamma.data.size
-    bshape = [1] * x.ndim
-    caxis = [i for i in range(x.ndim) if i not in axes]
-    assert len(caxis) == 1
-    bshape[caxis[0]] = c
+    idx = "nchw" if x.ndim == 4 else "nc"
+    csum, cdot = f"{idx}->c", f"{idx},{idx}->c"  # per-channel sums, by einsum: faster than ndarray.sum here
+    bshape = (1, c) + (1,) * (x.ndim - 2)
     gb = gamma.data.reshape(bshape)
     bb = beta.data.reshape(bshape)
 
     m = x.data.size // c
     if mode == "train":
-        mu = x.data.mean(axis=axes, keepdims=True)
-        var = x.data.var(axis=axes, keepdims=True)
+        mu = np.einsum(csum, x.data) / m
+        xhat = x.data - mu.reshape(bshape)
+        var = np.einsum(cdot, xhat, xhat) / m
         unbiased = var * (m / (m - 1)) if m > 1 else var
-        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu.reshape(c)
-        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased.reshape(c)
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
+        state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased
+        inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
+        xhat *= inv
+        y = xhat * gb
+        y += bb
     else:
-        mu = state.running_mean.reshape(bshape)
-        var = state.running_var.reshape(bshape)
+        inv = 1.0 / np.sqrt(state.running_var.reshape(bshape) + BN_EPS)
+        xhat = (x.data - state.running_mean.reshape(bshape)) * inv
+        y = gb * xhat + bb
+    if clamp == np.inf:
+        np.maximum(y, 0.0, out=y)
+    elif clamp is not None:
+        np.clip(y, 0.0, clamp, out=y)
+    out = DiffTensor(y)
 
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mu) * inv
-    out = DiffTensor(gb * xhat + bb)
-
-    if mode == "train":
-
-        def backward_fn(g):
-            dxhat = g * gb
-            if x.requires_grad:
-                s1 = dxhat.sum(axis=axes, keepdims=True)
-                s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
-                accumulate_grad(x, (inv / m) * (m * dxhat - s1 - xhat * s2))
-            if gamma.requires_grad:
-                accumulate_grad(gamma, (g * xhat).sum(axis=axes).reshape(c))
-            if beta.requires_grad:
-                accumulate_grad(beta, g.sum(axis=axes).reshape(c))
-
-    else:
-
-        def backward_fn(g):
-            if x.requires_grad:
-                accumulate_grad(x, g * gb * inv)
-            if gamma.requires_grad:
-                accumulate_grad(gamma, (g * xhat).sum(axis=axes).reshape(c))
-            if beta.requires_grad:
-                accumulate_grad(beta, g.sum(axis=axes).reshape(c))
+    def backward_fn(g):
+        if clamp is not None:
+            mask = y > 0.0
+            if clamp < np.inf:
+                mask &= y < clamp
+            g = g * mask
+        gbeta = np.einsum(csum, g)
+        ggamma = np.einsum(cdot, g, xhat)
+        if x.requires_grad:
+            if mode == "train":
+                gx = xhat * (ggamma / m).reshape(bshape)
+                gx += (gbeta / m).reshape(bshape)
+                np.subtract(g, gx, out=gx)
+                gx *= gb * inv
+            else:
+                gx = g * (gb * inv)
+            accumulate_grad(x, gx)
+        accumulate_grad(gamma, ggamma)
+        accumulate_grad(beta, gbeta)
 
     return record_op(out, (x, gamma, beta), backward_fn)
 
@@ -691,8 +690,10 @@ def batchnorm2d(
     beta: DiffTensor,
     state: BatchNormState,
     mode: str = "train",
+    clamp: float | None = None,
 ) -> DiffTensor:
-    """Per-channel batch norm over (N, H, W) of a [N,C,H,W] tensor."""
+    """Per-channel batch norm over (N, H, W) of a [N,C,H,W] tensor, clipped to
+    [0, clamp] unless ``clamp`` is None (``np.inf``: ReLU, ``6.0``: ReLU6)."""
     if x.ndim != 4:
         raise ValueError(f"batchnorm2d: input must be 4-d, got {x.ndim}-d")
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
@@ -700,7 +701,7 @@ def batchnorm2d(
             f"batchnorm2d: gamma/beta must have shape ({x.shape[1]},), "
             f"got {tuple(gamma.shape)} and {tuple(beta.shape)}"
         )
-    return _batchnorm(x, gamma, beta, state, mode, axes=(0, 2, 3))
+    return _batchnorm(x, gamma, beta, state, mode, clamp)
 
 
 def batchnorm_rows(
@@ -709,15 +710,17 @@ def batchnorm_rows(
     beta: DiffTensor,
     state: BatchNormState,
     mode: str = "train",
+    clamp: float | None = None,
 ) -> DiffTensor:
-    """Column-wise batch norm of a [rows, C] matrix (used by sparse layers)."""
+    """Column-wise batch norm of a [rows, C] matrix (used by sparse layers),
+    clipped to [0, clamp] unless ``clamp`` is None."""
     if x.ndim != 2:
         raise ValueError(f"batchnorm_rows: input must be 2-d, got {x.ndim}-d")
     if x.shape[0] == 0:
         raise ValueError("batchnorm_rows: no rows to normalize")
     if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
         raise ValueError(f"batchnorm_rows: gamma/beta must have shape ({x.shape[1]},)")
-    return _batchnorm(x, gamma, beta, state, mode, axes=(0,))
+    return _batchnorm(x, gamma, beta, state, mode, clamp)
 
 
 # ---------------------------------------------------------------------------

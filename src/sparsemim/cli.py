@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -154,6 +155,10 @@ def cmd_pretrain(args) -> int:
         raise UsageError(str(e)) from e
     if not (0.0 <= resolved["mask_ratio"] < 1.0):
         raise UsageError(f"--mask-ratio must be in [0, 1), got {resolved['mask_ratio']}")
+    if resolved["lr"] is not None and not (0.0 < resolved["lr"] < math.inf):
+        raise UsageError(f"--lr must be finite and positive, got {resolved['lr']}")
+    if not (0.0 <= resolved["weight_decay"] < math.inf):
+        raise UsageError(f"--weight-decay must be finite and non-negative, got {resolved['weight_decay']}")
 
     train_cfg = TrainConfig(
         epochs=resolved["epochs"], batch_size=resolved["batch"], lr_peak=resolved["lr"],

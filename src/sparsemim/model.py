@@ -394,8 +394,7 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
                 rb = build_rulebook(sp, layer.kernel)
             sp = subm_conv2d(sp, w, None, rb)
         sp = sparse_batchnorm(sp, model.param(f"{layer.bn}.gamma"), model.param(f"{layer.bn}.beta"),
-                              model.bn(layer.bn), mode=mode)
-        sp = sp.with_features(ag.relu(sp.features))
+                              model.bn(layer.bn), mode=mode, clamp=np.inf)
         if layer.residual:
             sp = sp.with_features(ag.add(sp.features, block_in.features))
         block_in = x_in
@@ -433,8 +432,8 @@ class DenseEncoder:
                 if self.ape.shape[2:] != x.shape[2:]:
                     raise ValueError("DenseEncoder: positional embedding size does not match input")
                 x = ag.add_broadcast(x, self.ape)
-            x = ag.relu(ag.batchnorm2d(x, self.params[f"{layer.bn}.gamma"], self.params[f"{layer.bn}.beta"],
-                                       self.bn_states[layer.bn], mode=mode))
+            x = ag.batchnorm2d(x, self.params[f"{layer.bn}.gamma"], self.params[f"{layer.bn}.beta"],
+                               self.bn_states[layer.bn], mode=mode, clamp=np.inf)
             if layer.residual:
                 x = ag.add(x, block_in)
             block_in = x_in
@@ -487,9 +486,9 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
     if not to_dec or to_dec[0] is None:
         raise ValueError("decoder_forward: the deepest input to_dec[0] is required")
 
-    def bn(x, prefix):
+    def bn(x, prefix, clamp):
         return ag.batchnorm2d(x, model.param(f"{prefix}.gamma"), model.param(f"{prefix}.beta"),
-                              model.bn(prefix), mode=mode)
+                              model.bn(prefix), mode=mode, clamp=clamp)
 
     x = None
     for k in range(n_stages):
@@ -506,8 +505,8 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
             x = skip if x is None else ag.add(x, skip)
         pre = f"decoder.stage{k}"
         x = ag.conv_transpose2d(x, model.param(f"{pre}.up.w"), model.param(f"{pre}.up.b"), stride=2, padding=1)
-        x = ag.relu6(bn(ag.conv2d(x, model.param(f"{pre}.conv0.w"), stride=1, padding=1), f"{pre}.bn0"))
-        x = bn(ag.conv2d(x, model.param(f"{pre}.conv1.w"), stride=1, padding=1), f"{pre}.bn1")
+        x = bn(ag.conv2d(x, model.param(f"{pre}.conv0.w"), stride=1, padding=1), f"{pre}.bn0", 6.0)
+        x = bn(ag.conv2d(x, model.param(f"{pre}.conv1.w"), stride=1, padding=1), f"{pre}.bn1", None)
     return ag.conv2d(x, model.param("decoder.proj.w"), model.param("decoder.proj.b"))
 
 

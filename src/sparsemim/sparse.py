@@ -317,7 +317,7 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
             accumulate_grad(x, _gather_rows(g, inv) @ w_in)
         if w.requires_grad:
             gw = g.T @ _gather_rows(x.data, fwd)  # [cout, (o, ci)]
-            accumulate_grad(w, gw.reshape(cout, k, cin).transpose(0, 2, 1).reshape(w.shape))
+            accumulate_grad(w, np.ascontiguousarray(gw.reshape(cout, k, cin).transpose(0, 2, 1)).reshape(w.shape))
         if b is not None and b.requires_grad:
             accumulate_grad(b, g.sum(axis=0))
 
@@ -366,13 +366,15 @@ def sparse_batchnorm(
     beta: DiffTensor,
     state: BatchNormState,
     mode: str = "train",
+    clamp: float | None = None,
 ) -> SparseTensor2D:
-    """Batch norm over active sites only; inactive sites never contribute.
+    """Batch norm over active sites only, clipped to [0, clamp] unless ``clamp``
+    is None; inactive sites never contribute.
 
     A batched tensor is one feature matrix, so statistics pool over all
     active rows of every sample.
     """
-    return sp.with_features(batchnorm_rows(sp.features, gamma, beta, state, mode=mode))
+    return sp.with_features(batchnorm_rows(sp.features, gamma, beta, state, mode=mode, clamp=clamp))
 
 
 def densify(sp: SparseTensor2D, fill: DiffTensor) -> DiffTensor:

@@ -103,8 +103,8 @@ def _updates(params, grads, state: OptimizerState, weight_decay, decay_mask):
     Every element goes through the same operations in the same order as the
     out-of-place ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*(g*g)``,
     ``(m/c1) / (sqrt(v/c2) + eps) + wd*p``. The update's two arrays take the
-    moments' layout, not the gradient's (a sparse conv's weight gradient is not
-    C-contiguous), so the trust ratio's norm sums in the same order too.
+    moments' layout, not the gradient's, so the trust ratio's norm sums in the
+    same order whatever layout a gradient comes in.
     """
     b1, b2 = BETAS
     state.t += 1

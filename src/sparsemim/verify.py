@@ -59,10 +59,19 @@ def suite_gradcheck():
     st_eval.running_var = rng.uniform(0.5, 2.0, 3)
     ok &= check("batchnorm2d/eval", lambda t: ag.mean_over(ag.square(ag.batchnorm2d(t[0], t[1], t[2], st_eval, "eval"))), [xb, gm, bb])
 
-    # keep activations away from their kinks: |x| and |x - 6| >> fd step
-    xr = ag.tensor(rng.normal(size=(4, 4)) * 3.0 + 0.5, requires_grad=True)
-    ok &= check("relu", lambda t: ag.mean_over(ag.square(ag.relu(t[0]))), [xr], 1e-6)
-    ok &= check("relu6", lambda t: ag.mean_over(ag.square(ag.relu6(t[0]))), [xr], 1e-6)
+    # batchnorm_rows and the fused clamps draw from their own generator, so no other check's inputs move
+    frng = np.random.default_rng(43)
+    xn, gn, bn = (ag.tensor(a, requires_grad=True) for a in (frng.normal(size=(4, 4)), frng.uniform(0.5, 1.5, 4), frng.normal(size=4)))
+    st_rows, st_rows_eval = ag.BatchNormState(4), ag.BatchNormState(4)
+    st_rows_eval.running_mean, st_rows_eval.running_var = frng.normal(size=4), frng.uniform(0.5, 2.0, 4)
+    for st_r, mode in ((st_rows, "train"), (st_rows_eval, "eval")):
+        ok &= check(f"batchnorm_rows/{mode}", lambda t, st_r=st_r, mode=mode: ag.mean_over(ag.square(ag.batchnorm_rows(t[0], t[1], t[2], st_r, mode))), [xn, gn, bn])
+    # eval-mode input whose pre-activation is 2 * xr: it spans both kinks with |2xr| and |2xr - 6| >> fd step
+    xr = rng.normal(size=(4, 4)) * 3.0 + 0.5
+    xf = ag.tensor((2.0 * xr - bn.data) * np.sqrt(st_rows_eval.running_var + ag.BN_EPS) / gn.data + st_rows_eval.running_mean, requires_grad=True)
+    for name, clamp in (("relu", np.inf), ("relu6", 6.0)):
+        ok &= check(f"batchnorm_rows/eval+{name}", lambda t, clamp=clamp: ag.mean_over(
+            ag.square(ag.batchnorm_rows(t[0], t[1], t[2], st_rows_eval, "eval", clamp))), [xf, gn, bn], 1e-6)
 
     xa = ag.tensor(rng.normal(size=(3, 3)), requires_grad=True)
     ya = ag.tensor(rng.normal(size=(3, 3)), requires_grad=True)
@@ -71,7 +80,7 @@ def suite_gradcheck():
     msel = rng.random((3, 3)) < 0.5
     ok &= check("mean_over(mask)", lambda t: ag.mean_over(ag.square(t[0]), msel), [xa], 1e-6)
 
-    # composite: conv -> bn -> relu6 -> mse against a fixed target
+    # composite: conv -> bn with relu6 -> mse against a fixed target
     st2 = ag.BatchNormState(3)
     tgt = rng.normal(size=(2, 3, 5, 5))
     xc = ag.tensor(rng.normal(size=(2, 2, 5, 5)), requires_grad=True)
@@ -80,12 +89,12 @@ def suite_gradcheck():
     bc = ag.tensor(rng.normal(size=3) * 0.1, requires_grad=True)
 
     def composite(t):
-        y = ag.relu6(ag.batchnorm2d(ag.conv2d(t[0], t[1], None, 1, 1), t[2], t[3], st2, "train"))
+        y = ag.batchnorm2d(ag.conv2d(t[0], t[1], None, 1, 1), t[2], t[3], st2, "train", clamp=6.0)
         return ag.mean_over(ag.square(ag.sub(y, ag.tensor(tgt))))
 
     err = ag.grad_check(composite, [xc, wc, gc, bc])
     worst_overall = max(worst_overall, err)
-    lines.append(f"  composite conv->bn->relu6->mse: max rel err {err:.3e} (tol 1e-5)")
+    lines.append(f"  composite conv->bn+relu6->mse: max rel err {err:.3e} (tol 1e-5)")
     ok &= err < 1e-5
 
     ok &= end_to_end_gradcheck(lines)

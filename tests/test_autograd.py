@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from sparsemim import autograd as ag
+from sparsemim import sparse
 from sparsemim.masking import generate_mask
 from sparsemim.model import EncoderConfig, SparkConfig, SparkModel, spark_forward, spark_loss
 
@@ -435,21 +436,116 @@ class TestBatchNorm:
         assert ag.grad_check(f_eval, [x, g, b]) < 1e-6
 
 
+def bn_reference(x, gamma, beta, state, mode, clamp, g):
+    """Batch norm by per-element passes plus a separate clamp: the unfused
+    composition that the fused op must equal. Returns the output, the gradients of
+    ``sum(output * g)`` for x, gamma and beta, the updated running statistics, and the
+    size of the terms that the x gradient sums: in train mode they nearly cancel when a
+    channel holds few values (at m = 2 the gradient is O(eps)), so its rounding error is
+    measured against them."""
+    axes = (0,) + tuple(range(2, x.ndim))
+    c = gamma.size
+    m = x.size // c
+    bshape = (1, c) + (1,) * (x.ndim - 2)
+    gb = gamma.reshape(bshape)
+    if mode == "train":
+        mu = x.mean(axis=axes, keepdims=True)
+        var = x.var(axis=axes, keepdims=True)
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        rm = (1 - ag.BN_MOMENTUM) * state.running_mean + ag.BN_MOMENTUM * mu.reshape(c)
+        rv = (1 - ag.BN_MOMENTUM) * state.running_var + ag.BN_MOMENTUM * unbiased.reshape(c)
+    else:
+        mu, var = state.running_mean.reshape(bshape), state.running_var.reshape(bshape)
+        rm, rv = state.running_mean, state.running_var
+    inv = 1.0 / np.sqrt(var + ag.BN_EPS)
+    xhat = (x - mu) * inv
+    z = gb * xhat + beta.reshape(bshape)
+    if clamp is None:
+        y, gz = z, g
+    else:
+        y, gz = np.clip(z, 0.0, clamp), g * ((z > 0.0) & (z < clamp))
+    dxhat = gz * gb
+    if mode == "train":
+        s1 = dxhat.sum(axis=axes, keepdims=True)
+        s2 = (dxhat * xhat).sum(axis=axes, keepdims=True)
+        gx = (inv / m) * (m * dxhat - s1 - xhat * s2)
+    else:
+        gx = dxhat * inv
+    return y, (gx, (gz * xhat).sum(axis=axes), gz.sum(axis=axes)), (rm, rv), np.abs(dxhat * inv).max()
+
+
+def identity_bn(x, clamp):
+    """The fused op reduced to its clamp on a [rows, 1] tensor: eval-mode batch norm
+    whose statistics and affine map are the identity ((1 - eps) + eps == 1.0 exactly)."""
+    st = ag.BatchNormState(1)
+    st.running_var[:] = 1.0 - ag.BN_EPS
+    return ag.batchnorm_rows(x, ag.tensor(np.ones(1)), ag.tensor(np.zeros(1)), st, "eval", clamp)
+
+
+class TestFusedBatchNorm:
+    """batchnorm2d / batchnorm_rows with the clamp folded in: one tape node in closed form,
+    equal to the multi-pass batch norm plus a separate clamp."""
+
+    @pytest.mark.parametrize("shape", [(3, 4, 5, 6), (40, 4), (2, 4, 1, 1), (2, 4)])  # the last two: m = 2
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("clamp", [None, np.inf, 6.0])
+    def test_matches_unfused_reference(self, shape, mode, clamp):
+        rng = np.random.default_rng(60)
+        x = rng.normal(1.0, 2.0, size=shape)
+        gamma = np.array([2.5, 0.0, 4.0, -1.5])  # a zero entry; large enough that ReLU6 clips
+        beta = np.array([3.0, 1.0, -0.5, 2.0])
+        g = rng.normal(size=shape)
+        st, st_ref = ag.BatchNormState(4), ag.BatchNormState(4)
+        if mode == "eval":
+            st.running_mean, st.running_var = rng.normal(size=4), rng.uniform(0.5, 2.0, 4)
+            st_ref.running_mean, st_ref.running_var = st.running_mean.copy(), st.running_var.copy()
+        y_ref, grads_ref, stats_ref, gx_terms = bn_reference(x, gamma, beta, st_ref, mode, clamp, g)
+        tensors = [ag.tensor(a, requires_grad=True) for a in (x, gamma, beta)]
+        op = ag.batchnorm2d if len(shape) == 4 else ag.batchnorm_rows
+        tape = ag.active_tape()
+        before = len(tape)
+        y = op(*tensors, st, mode, clamp)
+        assert len(tape) == before + 1
+        ag.backward(ag.sum_over(ag.mul(y, ag.tensor(g))))
+
+        def rel(a, b, scale=0.0):
+            return np.abs(a - b).max() / max(np.abs(b).max(), scale)
+
+        assert rel(y.data, y_ref) < 1e-12
+        assert rel(tensors[0].grad, grads_ref[0], gx_terms) < 1e-12
+        for t, ref in zip(tensors[1:], grads_ref[1:]):
+            assert rel(t.grad, ref) < 1e-12
+        assert rel(st.running_mean, stats_ref[0]) < 1e-12 and rel(st.running_var, stats_ref[1]) < 1e-12
+        if clamp == 6.0 and x.size > 8:  # beyond m = 2 the outputs reach both sides of both kinks
+            assert (y.data == 0.0).any() and (y.data == 6.0).any()
+
+    def test_bad_clamp_rejected(self):
+        x = ag.tensor(np.ones((2, 1)))
+        with pytest.raises(ValueError, match="clamp"):
+            identity_bn(x, 0.0)
+
+
 class TestActivations:
+    """ReLU and ReLU6 as the fused op's clamp."""
+
     def test_values(self):
-        x = ag.tensor(np.array([-1.0, 0.0, 3.0, 6.0, 7.5]))
-        np.testing.assert_array_equal(ag.relu(x).data, [0.0, 0.0, 3.0, 6.0, 7.5])
-        np.testing.assert_array_equal(ag.relu6(x).data, [0.0, 0.0, 3.0, 6.0, 6.0])
+        x = ag.tensor(np.array([-1.0, 0.0, 3.0, 6.0, 7.5])[:, None])
+        np.testing.assert_array_equal(identity_bn(x, None).data[:, 0], [-1.0, 0.0, 3.0, 6.0, 7.5])
+        np.testing.assert_array_equal(identity_bn(x, np.inf).data[:, 0], [0.0, 0.0, 3.0, 6.0, 7.5])
+        np.testing.assert_array_equal(identity_bn(x, 6.0).data[:, 0], [0.0, 0.0, 3.0, 6.0, 6.0])
 
     def test_gradcheck_away_from_kinks(self):
-        x = ag.tensor(np.array([-2.0, -0.5, 0.5, 2.0, 5.5, 6.5, 8.0]), requires_grad=True)
-        assert ag.grad_check(lambda t: ag.mean_over(ag.square(ag.relu(t[0]))), [x]) < 1e-6
-        assert ag.grad_check(lambda t: ag.mean_over(ag.square(ag.relu6(t[0]))), [x]) < 1e-6
+        x = ag.tensor(np.array([-2.0, -0.5, 0.5, 2.0, 5.5, 6.5, 8.0])[:, None], requires_grad=True)
+        assert ag.grad_check(lambda t: ag.mean_over(ag.square(identity_bn(t[0], np.inf))), [x]) < 1e-6
+        assert ag.grad_check(lambda t: ag.mean_over(ag.square(identity_bn(t[0], 6.0))), [x]) < 1e-6
 
     def test_kink_subgradient_zero(self):
-        x = ag.tensor(np.array([0.0, 6.0]), requires_grad=True)
-        ag.backward(ag.sum_over(ag.relu6(x)))
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        x = ag.tensor(np.array([0.0, 6.0])[:, None], requires_grad=True)
+        ag.backward(ag.sum_over(identity_bn(x, 6.0)))
+        np.testing.assert_array_equal(x.grad[:, 0], [0.0, 0.0])
+        x.zero_grad()
+        ag.backward(ag.sum_over(identity_bn(x, np.inf)))
+        np.testing.assert_array_equal(x.grad[:, 0], [0.0, 1.0])
 
 
 class TestElementwiseReductions:
@@ -505,7 +601,7 @@ class TestBackward:
         b = ag.tensor(rng.normal(size=3) * 0.1, requires_grad=True)
 
         def f(t):
-            y = ag.relu6(ag.batchnorm2d(ag.conv2d(t[0], t[1], None, 1, 1), t[2], t[3], st, "train"))
+            y = ag.batchnorm2d(ag.conv2d(t[0], t[1], None, 1, 1), t[2], t[3], st, "train", clamp=6.0)
             return ag.mean_over(ag.square(ag.sub(y, ag.tensor(tgt))))
 
         assert ag.grad_check(f, [x, w, g, b]) < 1e-5
@@ -559,30 +655,76 @@ class TestBackward:
         np.testing.assert_array_equal(x.grad, [12.0])  # d/dx 2x^2
 
 
+class TestGradientOwnership:
+    """Gradients are stored without copies, so no backward may write into an array
+    it received or passed on."""
+
+    @staticmethod
+    def _leaf_grads(cfg, batch, grid, seed):
+        model = SparkModel(cfg, np.random.default_rng(seed))
+        rng = np.random.default_rng(seed + 1)
+        images = rng.random((batch, 3, cfg.image_size, cfg.image_size))
+        masks = [generate_mask(grid, grid, 0.6, rng, patch_size=cfg.patch_size) for _ in range(batch)]
+        recon, targets, mm = spark_forward(model, images, masks, mode="train")
+        ag.backward(spark_loss(recon, targets, mm))
+        return [p.grad.tobytes() for _, p in model.named_parameters()]
+
+    @pytest.mark.parametrize("geometry", ["desk", "paper"])
+    def test_step_runs_with_read_only_gradients(self, monkeypatch, geometry):
+        if geometry == "desk":  # the c09 recipe's model, batch 8
+            enc, size, patch, batch = EncoderConfig(stages=3, widths=(16, 32, 64)), 64, 16, 8
+        else:  # the paper geometry at batch 2
+            enc, size, patch, batch = EncoderConfig(stages=4, widths=(32, 64, 128, 256), blocks_per_stage=2), 224, 32, 2
+        cfg = SparkConfig(encoder=enc, image_size=size, patch_size=patch, dec_fea_dim=64)
+        plain = self._leaf_grads(cfg, batch, size // patch, 70)
+
+        def read_only(t, g, accumulate=ag.accumulate_grad):
+            g = np.asarray(g)
+            g.flags.writeable = False
+            accumulate(t, g)
+
+        monkeypatch.setattr(ag, "accumulate_grad", read_only)
+        monkeypatch.setattr(sparse, "accumulate_grad", read_only)
+        assert self._leaf_grads(cfg, batch, size // patch, 70) == plain
+
+    def test_later_accumulation_leaves_a_shared_gradient_alone(self):
+        a = ag.tensor(np.array([1.0, -2.0]), requires_grad=True)
+        b = ag.tensor(np.array([0.5, 3.0]), requires_grad=True)
+        k = np.array([2.0, 5.0])
+        sq = ag.square(a)
+        s = ag.add(a, b)  # its backward hands one array to both a and b
+        loss = ag.add(ag.sum_over(ag.mul(s, ag.tensor(k))), ag.sum_over(sq))
+        ag.backward(loss)  # a's square term accumulates into a after add's backward
+        np.testing.assert_array_equal(b.grad, k)
+        np.testing.assert_array_equal(a.grad, k + 2.0 * a.data)
+
+
 class TestBackwardReleases:
     """backward() frees each op output's gradient and closure once that op has run."""
 
     def test_downstream_state_freed_before_upstream_runs(self):
         seen = {}
-        x = ag.tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        x = ag.tensor(np.array([[1.0], [-2.0], [3.0]]), requires_grad=True)
         y = ag.square(x)
         probe = ag.tensor(y.data.copy())
 
         def probe_backward(g):
             seen["grads released"] = z.grad is None and loss.grad is None
             seen["closures released"] = z.tape_node.backward_fn is None and loss.tape_node.backward_fn is None
-            seen["mask freed"] = mask_ref() is None
+            seen["saved arrays freed"] = all(r() is None for r in saved_refs)
             ag.accumulate_grad(y, g)
 
         ag.record_op(probe, (y,), probe_backward)
-        z = ag.relu(probe)
-        (mask,) = [c.cell_contents for c in z.tape_node.backward_fn.__closure__
-                   if isinstance(c.cell_contents, np.ndarray)]
-        mask_ref = weakref.ref(mask)
-        del mask
+        z = identity_bn(probe, np.inf)
+        # every array the op saved but its own output, which z still holds
+        saved = [c.cell_contents for c in z.tape_node.backward_fn.__closure__
+                 if isinstance(c.cell_contents, np.ndarray) and c.cell_contents is not z.data]
+        saved_refs = [weakref.ref(a) for a in saved]
+        assert saved_refs
+        del saved
         loss = ag.sum_over(z)
         ag.backward(loss)
-        assert seen == {"grads released": True, "closures released": True, "mask freed": True}
+        assert seen == {"grads released": True, "closures released": True, "saved arrays freed": True}
         assert y.grad is None and probe.grad is None and z.grad is None and loss.grad is None
         np.testing.assert_array_equal(x.grad, 2.0 * x.data)  # leaves keep their gradients
         assert len(ag.active_tape()) == 0
@@ -590,8 +732,10 @@ class TestBackwardReleases:
     def test_backward_peak_over_forward_held_memory(self):
         # One training step at the paper geometry (224 px, 32 px patches, 4
         # stages 32..256, 2 blocks, decoder 64), batch 2, numpy allocations
-        # above the model traced: the forward holds 88.8 MB and backward peaks
-        # at 108.9 MB (1.23x). Keeping every gradient and closure to the end of
+        # above the model traced: the forward holds 75.5 MB and backward peaks
+        # at 96.8 MB (1.28x). With each batch norm and its clamp as two tape
+        # nodes and every first gradient copied, it held 88.8 MB and peaked at
+        # 108.9 MB (1.23x). Keeping every gradient and closure to the end of
         # backward, with each conv saving its row-shift lowering, held 125.2 MB
         # and peaked at 221.7 MB (1.77x).
         cfg = SparkConfig(encoder=EncoderConfig(stages=4, widths=(32, 64, 128, 256), blocks_per_stage=2),

@@ -38,6 +38,28 @@ class TestPretrain:
         assert code == 1
         assert "mask-ratio" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,flag", [(["--lr", "nan"], "--lr"), (["--lr", "inf"], "--lr"),
+                                           (["--lr", "0"], "--lr"), (["--lr", "-0.01"], "--lr"),
+                                           (["--weight-decay", "nan"], "--weight-decay"),
+                                           (["--weight-decay", "inf"], "--weight-decay"),
+                                           (["--weight-decay", "-0.1"], "--weight-decay")])
+    def test_bad_lr_or_weight_decay_rejected_before_any_write(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "bad"
+        assert run_pretrain(out, extra=argv) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_cfg,flag", [({"lr": float("nan")}, "--lr"), ({"lr": 0.0}, "--lr"),
+                                               ({"weight_decay": float("nan")}, "--weight-decay"),
+                                               ({"weight_decay": -1.0}, "--weight-decay")])
+    def test_bad_lr_or_weight_decay_in_config_file_rejected(self, tmp_path, capsys, file_cfg, flag):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_cfg))  # json writes a nan as NaN and reads it back
+        out = tmp_path / "bad"
+        assert run_pretrain(out, extra=["--config", str(cfg_file)]) == 1
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
     def test_variant_logged_in_config(self, tmp_path, capsys):
         assert run_pretrain(tmp_path / "zo", extra=["--variant", "zero-out"]) == 0
         out = capsys.readouterr().out

@@ -175,8 +175,7 @@ def out_of_place_step(kind, params, grads, m, v, t, lr, weight_decay, decay_mask
 
 
 def backward_grads(model, seed):
-    """Parameter gradients of one masked-reconstruction loss, in the layouts that
-    backward leaves them in (a sparse conv's weight gradient is not C-contiguous)."""
+    """Parameter gradients of one masked-reconstruction loss, as backward leaves them."""
     rng = np.random.default_rng(seed)
     masks = [generate_mask(2, 2, 0.5, rng, patch_size=8) for _ in range(2)]
     model.zero_grad()
@@ -194,7 +193,9 @@ class TestInPlaceOptimizer:
         step = {"adam": adam_step, "lamb": lamb_step}[kind]
         names = [n for n, _ in model.named_parameters()]
         params, decay_mask = [model.param(n).data for n in names], [n in model.decay for n in names]
-        base = backward_grads(model, seed)
+        # backward leaves every gradient C-contiguous; the optimizer must not depend on
+        # that, so the conv weights' gradients come in Fortran order
+        base = [np.asfortranarray(g) if g.ndim == 4 else g for g in backward_grads(model, seed)]
         assert not all(g.flags.c_contiguous for g in base)
         ref_p = [p.copy() for p in params]
         ref_m, ref_v, ref_t = [a.copy() for a in opt.m], [a.copy() for a in opt.v], opt.t
@@ -226,6 +227,12 @@ class TestInPlaceOptimizer:
         m2, opt2 = model_from_checkpoint(load_checkpoint(p))
         assert all(a.flags.writeable for a in opt2.m + opt2.v)
         self._check(kind, m2, opt2, 0.05)
+
+
+def test_backward_leaves_c_contiguous_gradients():
+    # a sparse conv's weight gradient is a transpose of its GEMM result; stored as
+    # that view, it made every optimizer op that mixes it with the moments strided
+    assert all(g.flags.c_contiguous for g in backward_grads(desk_model(seed=4), 0))
 
 
 class TestTrainLoop:
