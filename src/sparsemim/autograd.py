@@ -4,12 +4,16 @@ Values are float64 numpy arrays wrapped in :class:`DiffTensor`. Every
 differentiable operation records a node on the ambient :class:`Tape`;
 ``backward`` replays the tape in reverse creation order (a valid reverse
 topological order, since parents are always created before children) and
-accumulates gradients into ``.grad``. It takes each node's output gradient
-and closure off the node before running it, so an op output's gradient and
-everything its backward saved are freed as soon as that op has run: after
-``backward`` only leaves (tensors that no op produced, such as parameters)
-keep ``.grad``. A rerun is bit-reproducible for a fixed seed, configuration
-and BLAS thread count.
+accumulates gradients into ``.grad``. It takes each node's output, output
+gradient and closure off the node before running it, so an op output's
+gradient and everything its backward saved are freed as soon as that op has
+run, and the output's array once the last backward that reads it (its
+consumers' and its own) has run: a node keeps no reference to its inputs.
+After ``backward`` only leaves (tensors that no op produced, such as
+parameters) keep ``.grad``; ``training.train`` drops those too right after
+each optimizer update, so parameters carry no ``.grad`` between steps or after
+``train`` returns. A rerun is bit-reproducible for a fixed seed,
+configuration and BLAS thread count.
 
 Gradients are stored without copies: the array a backward passes to
 :func:`accumulate_grad` becomes the parent's ``.grad`` as it is, so no backward
@@ -98,11 +102,10 @@ class DiffTensor:
 
 
 class _TapeNode:
-    __slots__ = ("out", "parents", "backward_fn", "index")
+    __slots__ = ("out", "backward_fn", "index")
 
-    def __init__(self, out, parents, backward_fn, index):
+    def __init__(self, out, backward_fn, index):
         self.out = out
-        self.parents = parents
         self.backward_fn = backward_fn
         self.index = index
 
@@ -118,15 +121,16 @@ class Tape:
     def __init__(self):
         self.nodes: list[_TapeNode] = []
 
-    def record(self, out, parents, backward_fn) -> _TapeNode:
-        node = _TapeNode(out, parents, backward_fn, len(self.nodes))
+    def record(self, out, backward_fn) -> _TapeNode:
+        node = _TapeNode(out, backward_fn, len(self.nodes))
         self.nodes.append(node)
         out.tape_node = node
         return node
 
     def clear(self):
         for node in self.nodes:
-            node.out.tape_node = None
+            if node.out is not None:  # backward has not taken it off
+                node.out.tape_node = None
         self.nodes.clear()
 
     def __len__(self):
@@ -161,12 +165,13 @@ def record_op(out: DiffTensor, parents, backward_fn):
 
     ``backward_fn(grad_out)`` must accumulate into each parent via
     :func:`accumulate_grad`. Recording happens only if grads are enabled and
-    some parent requires grad; otherwise the output stays constant.
+    some parent requires grad; otherwise the output stays constant. The tape
+    keeps ``out`` and the closure, not ``parents``: the closure holds what its
+    backward reads.
     """
-    parents = tuple(p for p in parents if p is not None)
-    if _GRAD_ENABLED and any(p.requires_grad for p in parents):
+    if _GRAD_ENABLED and any(p is not None and p.requires_grad for p in parents):
         out.requires_grad = True
-        _TAPE.record(out, parents, backward_fn)
+        _TAPE.record(out, backward_fn)
     return out
 
 
@@ -732,21 +737,25 @@ def backward(loss: DiffTensor):
     """Populate gradients of everything the scalar ``loss`` depends on.
 
     Walks the ambient tape once in reverse creation order and then clears
-    it; each recorded node is visited exactly once, and its output gradient
-    and closure are dropped as it runs, so only leaves keep ``.grad``.
+    it; each recorded node is visited exactly once, and its output, output
+    gradient and closure are taken off it as it runs, so only leaves keep
+    ``.grad``. A node that has run keeps no output, so a second ``backward``
+    of the same loss finds nothing to do.
     """
     if loss.size != 1:
         raise ValueError(f"backward: loss must be scalar, got shape {tuple(loss.shape)}")
     node = loss.tape_node
-    if node is None:
+    if node is None or node.out is None:
         _TAPE.clear()
         return
     loss.grad = np.ones_like(loss.data)
     for n in reversed(_TAPE.nodes[: node.index + 1]):
-        # take the output gradient and the closure off the node, so both are
-        # freed as soon as this node has run
-        g, fn = n.out.grad, n.backward_fn
-        n.out.grad = n.backward_fn = None
+        # the tape no longer holds the output, so its array is freed once no
+        # closure reads it: its consumers' have run, and this node's goes next
+        out, fn = n.out, n.backward_fn
+        n.out = n.backward_fn = None
+        g, out.grad = out.grad, None
+        del out
         if g is not None:
             fn(g)
     _TAPE.clear()

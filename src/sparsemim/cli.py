@@ -53,6 +53,16 @@ class UsageError(ValueError):
     pass
 
 
+# pretrain's numeric flags and their types (every other flag takes a string);
+# _check_file_value holds --config values to the same types and choices
+PRETRAIN_NUMBERS = {
+    "epochs": int, "batch": int, "mask_ratio": float, "patch": int, "stages": int, "seed": int,
+    "image_size": int, "dec_width": int, "blocks": int, "lr": float, "steps": int,
+    "weight_decay": float, "down_kernel": int,
+}
+PRETRAIN_CHOICES = {"optimizer": ["lamb", "adam"], "down_kernel": [2, 3], "variant": sorted(VARIANTS)}
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse default exits 2; the contract says 1
         self.print_usage(sys.stderr)
@@ -71,14 +81,11 @@ def _build_parser() -> _Parser:
     src.add_argument("--synth", type=int, help="number of synthetic images to train on")
     tr.add_argument("--out", required=True, help="run directory for artifacts")
     tr.add_argument("--config", help="JSON config file; explicit flags override its values")
-    for name, typ in [("epochs", int), ("batch", int), ("mask-ratio", float), ("patch", int),
-                      ("stages", int), ("seed", int), ("image-size", int), ("dec-width", int),
-                      ("blocks", int), ("lr", float), ("steps", int), ("weight-decay", float)]:
-        tr.add_argument(f"--{name}", type=typ, default=None)
+    for key, typ in PRETRAIN_NUMBERS.items():
+        tr.add_argument("--" + key.replace("_", "-"), type=typ, choices=PRETRAIN_CHOICES.get(key), default=None)
     tr.add_argument("--widths", default=None, help="comma-separated stage widths, e.g. 16,32,64")
-    tr.add_argument("--optimizer", choices=["lamb", "adam"], default=None)
-    tr.add_argument("--down-kernel", type=int, choices=[2, 3], default=None)
-    tr.add_argument("--variant", choices=sorted(VARIANTS), default=None)
+    tr.add_argument("--optimizer", choices=PRETRAIN_CHOICES["optimizer"], default=None)
+    tr.add_argument("--variant", choices=PRETRAIN_CHOICES["variant"], default=None)
 
     rc = sub.add_parser("reconstruct", help="reconstruct one image with a checkpoint")
     rc.add_argument("--ckpt", required=True)
@@ -130,14 +137,38 @@ DEFAULTS = {
 }
 
 
+def _check_file_value(key, value):
+    """Reject a --config value that its flag would not take: null only where the
+    default is null, an int (not a bool) for an int flag, an int or a float (not a
+    bool) for a float flag, a string otherwise, and one of the flag's choices."""
+    want = PRETRAIN_NUMBERS.get(key, str)
+    if value is None:
+        ok = DEFAULTS[key] is None
+    elif want is str:
+        ok = isinstance(value, str)
+    else:
+        ok = not isinstance(value, bool) and isinstance(value, (int, float) if want is float else int)
+    choices = PRETRAIN_CHOICES.get(key)
+    if not ok or (value is not None and choices and value not in choices):
+        takes = {int: "an integer", float: "a number", str: "a string"}[want]
+        takes += f" in {choices}" if choices else ""
+        takes += " or null" if DEFAULTS[key] is None else ""
+        raise UsageError(f"--config value {key}={json.dumps(value)} does not fit "
+                         f"--{key.replace('_', '-')}, which takes {takes}")
+
+
 def cmd_pretrain(args) -> int:
     resolved = dict(DEFAULTS)
     if args.config:
         with open(args.config) as f:
             file_cfg = json.load(f)
+        if not isinstance(file_cfg, dict):
+            raise UsageError("--config file must hold a JSON object")
         unknown = set(file_cfg) - set(DEFAULTS)
         if unknown:
             raise UsageError(f"unknown keys in --config file: {sorted(unknown)}")
+        for key, value in file_cfg.items():
+            _check_file_value(key, value)
         resolved.update(file_cfg)
     for key in DEFAULTS:
         flag_val = getattr(args, key, None)

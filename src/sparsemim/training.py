@@ -173,7 +173,8 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
     peak = cfg.peak_lr()
 
     names = [n for n, _ in model.named_parameters()]
-    params = [model.param(n).data for n in names]
+    tensors = [model.param(n) for n in names]
+    params = [p.data for p in tensors]
     decay_mask = [n in model.decay for n in names]
     opt = OptimizerState([p.shape for p in params])
     step_fn = {"adam": adam_step, "lamb": lamb_step}.get(cfg.optimizer)
@@ -186,6 +187,7 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
     writer = open(metrics_path, "w", newline="") if metrics_path else None
     if writer:
         writer.write("step,lr,loss\n")
+    model.zero_grad()  # a gradient the model brings in is not summed into step 0
     try:
         gstep = 0
         for epoch in range(cfg.epochs):
@@ -209,12 +211,11 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
                         f"non-finite loss {loss_val} at step {gstep} (epoch {epoch}); "
                         f"lr={cosine_lr(gstep, total_steps, peak, warmup):.3e}"
                     )
-                model.zero_grad()
                 ag.backward(loss)
-                grads = [model.param(n).grad if model.param(n).grad is not None else np.zeros_like(model.param(n).data)
-                         for n in names]
                 lr = cosine_lr(gstep, total_steps, peak, warmup)
-                step_fn(params, grads, opt, lr, weight_decay=cfg.weight_decay, decay_mask=decay_mask)
+                step_fn(params, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in tensors],
+                        opt, lr, weight_decay=cfg.weight_decay, decay_mask=decay_mask)
+                model.zero_grad()  # the step's gradients are dead once the update is taken
                 row = {"step": gstep, "lr": lr, "loss": loss_val}
                 rows.append(row)
                 if writer:

@@ -729,15 +729,39 @@ class TestBackwardReleases:
         np.testing.assert_array_equal(x.grad, 2.0 * x.data)  # leaves keep their gradients
         assert len(ag.active_tape()) == 0
 
+    def test_op_output_freed_before_upstream_runs(self):
+        # z's array is held only by its tape node and by the closure of its one
+        # consumer, square(z); both are done with it before probe's node runs
+        seen = {}
+        x = ag.tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+        y = ag.square(x)
+        probe = ag.tensor(y.data.copy())
+
+        def probe_backward(g):
+            seen["output freed"] = z_ref() is None
+            ag.accumulate_grad(y, g)
+
+        ag.record_op(probe, (y,), probe_backward)
+        z = ag.mul_scalar(probe, 3.0)
+        z_ref = weakref.ref(z.data)
+        loss = ag.sum_over(ag.square(z))
+        del z
+        ag.backward(loss)
+        assert seen == {"output freed": True}
+        np.testing.assert_allclose(x.grad, 36.0 * x.data ** 3)  # d/dx (3x^2)^2
+        ag.backward(loss)  # the loss's node has run: a second backward finds nothing to do
+        np.testing.assert_allclose(x.grad, 36.0 * x.data ** 3)
+
     def test_backward_peak_over_forward_held_memory(self):
         # One training step at the paper geometry (224 px, 32 px patches, 4
         # stages 32..256, 2 blocks, decoder 64), batch 2, numpy allocations
         # above the model traced: the forward holds 75.5 MB and backward peaks
-        # at 96.8 MB (1.28x). With each batch norm and its clamp as two tape
-        # nodes and every first gradient copied, it held 88.8 MB and peaked at
-        # 108.9 MB (1.23x). Keeping every gradient and closure to the end of
-        # backward, with each conv saving its row-shift lowering, held 125.2 MB
-        # and peaked at 221.7 MB (1.77x).
+        # at 77.9 MB (1.03x). With the tape holding every op output until
+        # backward returned, it peaked at 96.8 MB (1.28x). With each batch norm
+        # and its clamp as two tape nodes and every first gradient copied, it
+        # held 88.8 MB and peaked at 108.9 MB (1.23x). Keeping every gradient
+        # and closure to the end of backward, with each conv saving its
+        # row-shift lowering, held 125.2 MB and peaked at 221.7 MB (1.77x).
         cfg = SparkConfig(encoder=EncoderConfig(stages=4, widths=(32, 64, 128, 256), blocks_per_stage=2),
                           image_size=224, patch_size=32, dec_fea_dim=64)
         model = SparkModel(cfg, np.random.default_rng(0))

@@ -60,6 +60,29 @@ class TestPretrain:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("file_cfg", [
+        {"lr": "0.1"}, {"lr": True}, {"mask_ratio": "0.5"}, {"weight_decay": False},
+        {"batch": 8.5}, {"batch": "8"}, {"batch": True}, {"steps": 1.0}, {"seed": None},
+        {"widths": [4, 8]}, {"optimizer": 1}, {"variant": None}, {"variant": "foo"},
+        {"down_kernel": 5}, {"down_kernel": 2.0}, [["lr", 0.1]],
+    ], ids=repr)
+    def test_config_value_of_wrong_type_rejected_before_any_write(self, tmp_path, capsys, file_cfg):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        out = tmp_path / "bad"
+        assert run_pretrain(out, extra=["--config", str(cfg_file)]) == 1
+        err = capsys.readouterr().err
+        assert "--config" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_config_accepts_int_for_float_and_null_where_default_is_null(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"lr": 1, "weight_decay": 0, "dec_width": None, "steps": None}))
+        assert run_pretrain(tmp_path / "ok", extra=["--config", str(cfg_file)]) == 0
+        out = capsys.readouterr().out
+        cfg = json.loads(out[: out.rindex("}") + 1])
+        assert cfg["lr"] == 1 and cfg["dec_width"] is None and cfg["steps"] == 2  # --steps 2 overrides
+
     def test_variant_logged_in_config(self, tmp_path, capsys):
         assert run_pretrain(tmp_path / "zo", extra=["--variant", "zero-out"]) == 0
         out = capsys.readouterr().out

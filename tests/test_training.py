@@ -6,6 +6,7 @@ import math
 import os
 import struct
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sparsemim.data import synth_dataset
 from sparsemim.masking import generate_mask
 from sparsemim.model import EncoderConfig, SparkConfig, SparkModel, spark_forward, spark_loss
 from sparsemim import autograd as ag
+from sparsemim import training
 from sparsemim.training import (
     BETAS,
     EPS,
@@ -263,6 +265,34 @@ class TestTrainLoop:
         assert len(lines) == 4
         step, lr, loss = lines[1].split(",")
         assert step == "0" and float(lr) > 0 and float(loss) > 0
+
+    def test_step_gradients_freed_before_next_forward(self, monkeypatch):
+        refs, alive = [], []
+
+        def lamb(params, grads, *args, **kwargs):
+            if not refs:  # step 0
+                refs.extend(weakref.ref(g) for g in grads)
+            return lamb_step(params, grads, *args, **kwargs)
+
+        def forward(*args, **kwargs):
+            if refs and not alive:  # step 1 enters the forward
+                alive.append(sum(r() is not None for r in refs))
+            return spark_forward(*args, **kwargs)
+
+        monkeypatch.setattr(training, "lamb_step", lamb)
+        monkeypatch.setattr(training, "spark_forward", forward)
+        train(desk_model(seed=0), synth_dataset(16, 16, seed=1), self._cfg(max_steps=2))
+        assert refs and alive == [0]
+
+    def test_parameters_carry_no_gradient_after_train(self):
+        clean = desk_model(seed=0)
+        rows, _ = train(clean, synth_dataset(16, 16, seed=1), self._cfg(max_steps=3))
+        assert all(p.grad is None for _, p in clean.named_parameters())
+        stale = desk_model(seed=0)
+        for _, p in stale.named_parameters():  # a gradient left from before train() is not summed in
+            p.grad = np.ones_like(p.data)
+        assert train(stale, synth_dataset(16, 16, seed=1), self._cfg(max_steps=3))[0] == rows
+        assert all(p.grad is None for _, p in stale.named_parameters())
 
     def test_divergence_aborts_with_diagnostic(self):
         class PoisonedDataset:
