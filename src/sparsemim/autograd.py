@@ -53,8 +53,6 @@ __all__ = [
     "square",
     "sum_over",
     "mean_over",
-    "concat0",
-    "slice_rows",
     "conv2d",
     "conv_transpose2d",
     "batchnorm2d",
@@ -324,38 +322,6 @@ def mean_over(x: DiffTensor, over=None) -> DiffTensor:
 
     def backward_fn(g):
         accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
-
-    return record_op(out, (x,), backward_fn)
-
-
-def concat0(parts) -> DiffTensor:
-    """Concatenate along axis 0; backward slices the gradient back apart."""
-    parts = [_as_dt(p) for p in parts]
-    if not parts:
-        raise ValueError("concat0: empty input list")
-    out = DiffTensor(np.concatenate([p.data for p in parts], axis=0))
-    sizes = [p.data.shape[0] for p in parts]
-
-    def backward_fn(g):
-        off = 0
-        for p, n in zip(parts, sizes):
-            accumulate_grad(p, g[off : off + n])
-            off += n
-
-    return record_op(out, tuple(parts), backward_fn)
-
-
-def slice_rows(x: DiffTensor, start: int, stop: int) -> DiffTensor:
-    x = _as_dt(x)
-    if not (0 <= start <= stop <= x.data.shape[0]):
-        raise ValueError(f"slice_rows: [{start}:{stop}] out of range for {x.data.shape[0]} rows")
-    out = DiffTensor(x.data[start:stop].copy())
-
-    def backward_fn(g):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            gx[start:stop] = g
-            accumulate_grad(x, gx)
 
     return record_op(out, (x,), backward_fn)
 

@@ -152,14 +152,22 @@ def denormalize_patches(pred: np.ndarray, mean: np.ndarray, denom: np.ndarray, p
     return out.reshape(pred.shape)
 
 
-def zero_out_image(img: DiffTensor, mask: PatchMask) -> DiffTensor:
-    """Set all masked pixels to zero (the dense baseline's input)."""
+def zero_out_image(img: DiffTensor, masks) -> DiffTensor:
+    """Set all masked pixels to zero (the dense baseline's input).
+
+    ``masks`` is one PatchMask for every sample, or a sequence holding one
+    PatchMask per sample of an [N,C,H,W] image batch.
+    """
     data = img.data if isinstance(img, DiffTensor) else np.asarray(img, dtype=np.float64)
-    h, w = mask.image_hw
-    if data.shape[-2:] != (h, w):
-        raise ValueError(f"zero_out_image: image {data.shape[-2:]} != mask geometry {(h, w)}")
-    keep = visible_pixel_map(mask).astype(np.float64)
-    keep = np.broadcast_to(keep, data.shape)
+    single = isinstance(masks, PatchMask)
+    masks = [masks] if single else list(masks)
+    if not single and (data.ndim != 4 or len(masks) != data.shape[0]):
+        raise ValueError(f"zero_out_image: {len(masks)} masks for an image batch of shape {data.shape}")
+    for m in masks:
+        if data.shape[-2:] != m.image_hw:
+            raise ValueError(f"zero_out_image: image {data.shape[-2:]} != mask geometry {m.image_hw}")
+    keep = np.stack([visible_pixel_map(m) for m in masks]).astype(np.float64)
+    keep = np.broadcast_to(keep[0] if single else keep[:, None], data.shape)
     if isinstance(img, DiffTensor):
         return mul(img, DiffTensor(keep.copy()))
     return DiffTensor(data * keep)

@@ -25,7 +25,7 @@ from .masking import (
     active_set_at_scale,
     masked_pixel_map,
     per_patch_normalize,
-    visible_pixel_map,
+    zero_out_image,
 )
 from .sparse import (
     build_rulebook,
@@ -349,8 +349,8 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
     """Sparse hierarchical encoding of a batch.
 
     The whole batch runs as one batched SparseTensor2D per scale, with one
-    rulebook per stage. Returns one list per stage (shallow to deep), each
-    holding one single-sample SparseTensor2D per batch sample. Stage i has
+    rulebook per stage. Returns one batched SparseTensor2D per stage (shallow
+    to deep); sample b's rows are those with ``batch == b``. Stage i has
     resolution image/(STEM_STRIDE * 2**i) and its active set is exactly the
     mask's footprint at that stride.
     """
@@ -399,7 +399,7 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
             sp = sp.with_features(ag.add(sp.features, block_in.features))
         block_in = x_in
         outputs[layer.stage] = sp
-    return [o.split(n) for o in outputs]
+    return outputs
 
 
 class DenseEncoder:
@@ -457,14 +457,14 @@ def to_dense_encoder(model: SparkModel) -> DenseEncoder:
 # ---------------------------------------------------------------------------
 
 
-def project_and_densify(model: SparkModel, scale: int, sparse_list) -> DiffTensor:
+def project_and_densify(model: SparkModel, scale: int, sp, n: int) -> DiffTensor:
     """Fill scale ``scale``'s inactive sites with its embedding, then 1x1-project.
 
-    Accepts the per-sample list produced by ``encoder_forward``; returns a
-    dense [N, dec_width, h, w] tensor ready to enter the decoder.
+    Takes the batched tensor of ``n`` samples that ``encoder_forward`` returns
+    for that scale; returns a dense [n, dec_width, h, w] tensor ready to enter
+    the decoder.
     """
-    fill = model.param(f"embed.scale{scale}")
-    return _project_dense(model, scale, ag.concat0([densify(sp, fill) for sp in sparse_list]))
+    return _project_dense(model, scale, densify(sp, model.param(f"embed.scale{scale}"), n))
 
 
 def _project_dense(model: SparkModel, scale: int, x: DiffTensor) -> DiffTensor:
@@ -526,16 +526,18 @@ def spark_forward(model: SparkModel, images, masks, mode: str = "train"):
 
     if cfg.masking == "sparse":
         feats = encoder_forward(model, images, masks, mode=mode)
-        project = project_and_densify
+
+        def project(s):
+            return project_and_densify(model, s, feats[s], n)
     else:
-        keep = np.stack([visible_pixel_map(m) for m in masks])[:, None, :, :].astype(np.float64)
-        zeroed = ag.mul(images, DiffTensor(np.ascontiguousarray(np.broadcast_to(keep, images.shape))))
-        feats = to_dense_encoder(model).forward(zeroed, mode=mode)
-        project = _project_dense
+        feats = to_dense_encoder(model).forward(zero_out_image(images, masks), mode=mode)
+
+        def project(s):
+            return _project_dense(model, s, feats[s])
     stages = cfg.encoder.stages
     to_dec: list = [None] * cfg.decoder.n_stages
     for k in range(stages if cfg.hierarchy else 1):
-        to_dec[k] = project(model, stages - 1 - k, feats[stages - 1 - k])
+        to_dec[k] = project(stages - 1 - k)
 
     recon = decoder_forward(model, to_dec, mode=mode)
     return recon, targets, masked_maps

@@ -26,7 +26,6 @@ from .autograd import (
     accumulate_grad,
     batchnorm_rows,
     record_op,
-    slice_rows,
 )
 
 __all__ = [
@@ -127,15 +126,6 @@ class SparseTensor2D:
     def with_features(self, features: DiffTensor) -> "SparseTensor2D":
         """The same active sites carrying new feature rows."""
         return SparseTensor2D(self.height, self.width, self.coords, features, validate=False, batch=self.batch)
-
-    def split(self, n: int) -> list:
-        """One single-sample tensor per sample 0..n-1 (empty where a sample has no sites)."""
-        if n == 1:
-            return [self]
-        bounds = np.searchsorted(self.batch, np.arange(n + 1))
-        return [SparseTensor2D(self.height, self.width, self.coords[a:b], slice_rows(self.features, a, b),
-                               validate=False)
-                for a, b in zip(bounds[:-1], bounds[1:])]
 
     def __repr__(self):
         return (
@@ -338,7 +328,6 @@ def sparse_downsample(
     b: DiffTensor | None = None,
     stride: int = 2,
     padding: int = 0,
-    rulebook: Rulebook | None = None,
     target_batch: np.ndarray | None = None,
 ) -> SparseTensor2D:
     """Strided sparse convolution onto a mask-derived target active set.
@@ -351,11 +340,8 @@ def sparse_downsample(
     batch_out = _no_batch(coords_out) if target_batch is None else np.asarray(target_batch, dtype=np.int64)
     h_out = (sp.height + 2 * padding - kh) // stride + 1
     w_out = (sp.width + 2 * padding - kw) // stride + 1
-    if rulebook is None:
-        rulebook = build_rulebook(sp, (kh, kw), target=coords_out, target_batch=batch_out, stride=stride,
-                                  padding=padding)
-    elif rulebook.in_key != sp.active_key() or rulebook.out_key != _coords_key(h_out, w_out, coords_out, batch_out):
-        raise ValueError("sparse_downsample: rulebook does not match the input's or the target's active set")
+    rulebook = build_rulebook(sp, (kh, kw), target=coords_out, target_batch=batch_out, stride=stride,
+                              padding=padding)
     feats = _apply_rulebook(sp.features, w, b, rulebook)
     return SparseTensor2D(h_out, w_out, coords_out, feats, validate=False, batch=batch_out)
 
@@ -377,33 +363,38 @@ def sparse_batchnorm(
     return sp.with_features(batchnorm_rows(sp.features, gamma, beta, state, mode=mode, clamp=clamp))
 
 
-def densify(sp: SparseTensor2D, fill: DiffTensor) -> DiffTensor:
-    """Fill inactive sites of one sample with a learnable embedding vector; returns [1,C,h,w].
+def densify(sp: SparseTensor2D, fill: DiffTensor, n: int) -> DiffTensor:
+    """Scatter a batch of ``n`` samples into [n,C,h,w], every inactive site
+    filled with a learnable embedding vector.
 
     Active positions carry their feature rows exactly; every inactive
-    position carries ``fill``. Gradients to ``fill`` sum over inactive
-    positions only.
+    position carries ``fill``. ``n`` is given because a trailing sample with
+    no active site leaves no trace in ``sp.batch``. Gradients to ``fill`` sum
+    over inactive positions only, one sample at a time from the last to the
+    first.
     """
     c = sp.channels
     if fill.shape != (c,):
         raise ValueError(f"densify: fill width {tuple(fill.shape)} != channel count ({c},)")
-    if sp.batch.any():
-        raise ValueError("densify: tensor holds several samples; split it first")
+    if sp.num_active and sp.batch[-1] >= n:
+        raise ValueError(f"densify: sample index {sp.batch[-1]} out of range for a batch of {n}")
     h, w = sp.height, sp.width
-    dense = np.empty((1, c, h, w))
-    dense[0] = fill.data[:, None, None]
-    rows, cols = sp.coords[:, 0], sp.coords[:, 1]
-    dense[0, :, rows, cols] = sp.features.data  # [b,:,rows,cols] indexes as [m, C]
+    dense = np.empty((n, c, h, w))
+    dense[:] = fill.data[:, None, None]
+    batch, rows, cols = sp.batch, sp.coords[:, 0], sp.coords[:, 1]
+    dense[batch, :, rows, cols] = sp.features.data  # [batch,:,rows,cols] indexes as [m, C]
     out = DiffTensor(dense)
     feats = sp.features
 
     def backward_fn(g):
-        g2 = g[0].reshape(c, h * w)
-        flat = rows * w + cols
         if feats.requires_grad:
-            accumulate_grad(feats, g2[:, flat].T)
+            accumulate_grad(feats, g[batch, :, rows, cols])
         if fill.requires_grad:
-            accumulate_grad(fill, g2.sum(axis=1) - (g2[:, flat].sum(axis=1) if flat.size else 0.0))
+            bounds = np.searchsorted(batch, np.arange(n + 1))
+            flat = rows * w + cols
+            for b in reversed(range(n)):
+                g2, fb = g[b].reshape(c, h * w), flat[bounds[b]:bounds[b + 1]]
+                accumulate_grad(fill, g2.sum(axis=1) - (g2[:, fb].sum(axis=1) if fb.size else 0.0))
 
     return record_op(out, (feats, fill), backward_fn)
 

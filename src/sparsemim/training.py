@@ -207,6 +207,7 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
                 loss = spark_loss(recon, targets, mmaps, loss_on=model.cfg.loss_on)
                 loss_val = loss.item()
                 if not math.isfinite(loss_val):
+                    ag.active_tape().clear()  # no backward will run: drop the step's graph
                     raise TrainingDiverged(
                         f"non-finite loss {loss_val} at step {gstep} (epoch {epoch}); "
                         f"lr={cosine_lr(gstep, total_steps, peak, warmup):.3e}"

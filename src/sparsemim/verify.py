@@ -238,11 +238,7 @@ def suite_leakage():
         loss_b = spark_loss(recon_b, targets, maps).item()
         feats_b = encoder_forward(model, perturbed, mask, mode="eval")
 
-        feats_same = all(
-            np.array_equal(sa.features.data, sb.features.data)
-            for la, lb in zip(feats_a, feats_b)
-            for sa, sb in zip(la, lb)
-        )
+        feats_same = all(np.array_equal(sa.features.data, sb.features.data) for sa, sb in zip(feats_a, feats_b))
         recon_same = np.array_equal(recon_a.data, recon_b.data)
 
         visible = images.copy()

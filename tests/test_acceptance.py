@@ -98,10 +98,9 @@ class TestAcceptance:
             for mode in ("eval", "train"):
                 sparse_feats = encoder_forward(model, img, [mask0, mask0], mode=mode)
                 dense_feats = to_dense_encoder(model).forward(img, mode=mode)
-                for fs, fd in zip(sparse_feats, dense_feats):
-                    for b, sp in enumerate(fs):
-                        ref = fd.data[b][:, sp.coords[:, 0], sp.coords[:, 1]].T
-                        worst = max(worst, float(np.abs(sp.features.data - ref).max()))
+                for sp, fd in zip(sparse_feats, dense_feats):
+                    ref = fd.data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
+                    worst = max(worst, float(np.abs(sp.features.data - ref).max()))
         assert worst < 1e-6
         _announce(3, f"ratio-0 sparse forward equals dense conversion, per-stage max abs diff {worst:.2e}")
 
@@ -126,9 +125,7 @@ class TestAcceptance:
             loss_b = spark_loss(recon_b, targets, maps).item()
 
             assert all(
-                np.array_equal(sa.features.data, sb.features.data)
-                for la, lb in zip(feats_a, feats_b)
-                for sa, sb in zip(la, lb)
+                np.array_equal(sa.features.data, sb.features.data) for sa, sb in zip(feats_a, feats_b)
             ), "sparse encoder features changed"
             assert np.array_equal(recon_a.data, recon_b.data)
             assert loss_a == loss_b

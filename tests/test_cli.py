@@ -240,8 +240,7 @@ class TestConvert:
         with ag.no_grad():
             sparse_feats = encoder_forward(model, img, mask0, mode="eval")
             dense_feats = dense.forward(img, mode="eval")
-        for fs, fd in zip(sparse_feats, dense_feats):
-            sp = fs[0]
+        for sp, fd in zip(sparse_feats, dense_feats):
             ref = fd.data[0][:, sp.coords[:, 0], sp.coords[:, 1]].T
             assert np.abs(sp.features.data - ref).max() < 1e-6
 
@@ -293,6 +292,11 @@ class TestVerify:
         assert main(["verify", "--suite", "erosion"]) == 0
         out = capsys.readouterr().out
         assert "[PASS] erosion" in out and "zero_cells" in out
+
+    def test_all_suites_pass(self, capsys):
+        assert main(["verify"]) == 0
+        out = capsys.readouterr().out
+        assert all(f"[PASS] {name}" in out for name in ("erosion", "gradcheck", "leakage", "oracle"))
 
     def test_unknown_suite_usage_error(self):
         assert main(["verify", "--suite", "bogus"]) == 1

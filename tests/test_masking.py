@@ -182,6 +182,17 @@ class TestZeroOut:
         expected = -img2[0][:, mm].sum() / img2.size
         assert abs((z2.mean() - img2.mean()) - expected) < 1e-12
 
+    def test_one_mask_per_sample(self):
+        rng = np.random.default_rng(14)
+        img = rng.random((2, 3, 16, 16)) + 0.1
+        ms = [generate_mask(2, 2, 0.5, np.random.default_rng(s), patch_size=8) for s in (4, 6)]
+        assert not np.array_equal(ms[0].visible, ms[1].visible)
+        z = zero_out_image(img, ms).data
+        for b, m in enumerate(ms):
+            np.testing.assert_array_equal(z[b], zero_out_image(img[b : b + 1], m).data[0])
+        with pytest.raises(ValueError, match="masks"):
+            zero_out_image(img, ms[:1])
+
     def test_differentiable(self):
         rng = np.random.default_rng(13)
         img = ag.tensor(rng.random((1, 3, 16, 16)), requires_grad=True)

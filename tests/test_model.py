@@ -97,7 +97,7 @@ class TestEncoderForward:
         img = np.random.default_rng(3).random((1, 3, 128, 128))
         mask = generate_mask(4, 4, 0.5, np.random.default_rng(4), patch_size=32)
         feats = encoder_forward(model, img, mask, mode="eval")
-        assert [(f[0].height, f[0].width) for f in feats] == [(32, 32), (16, 16), (8, 8), (4, 4)]
+        assert [(f.height, f.width) for f in feats] == [(32, 32), (16, 16), (8, 8), (4, 4)]
         ag.active_tape().clear()
 
     def test_active_counts_match_mask(self):
@@ -111,7 +111,7 @@ class TestEncoderForward:
             feats = encoder_forward(model, img, mask, mode="eval")
         for i, f in enumerate(feats):
             cells_per_patch = (32 // (4 * 2 ** i)) ** 2
-            assert f[0].num_active == 20 * cells_per_patch
+            assert f.num_active == 20 * cells_per_patch
 
     @pytest.mark.parametrize("down_kernel", [2, 3])
     def test_batch_equals_per_sample_runs(self, down_kernel):
@@ -126,11 +126,11 @@ class TestEncoderForward:
             batched = encoder_forward(model, img, masks, mode="eval")
             for b, mask in enumerate(masks):
                 single = encoder_forward(model, img[b : b + 1], mask, mode="eval")
-                for stage_b, stage_1 in zip(batched, single):
-                    got, want = stage_b[b], stage_1[0]
+                for got, want in zip(batched, single):
+                    rows = got.batch == b
                     assert (got.height, got.width) == (want.height, want.width)
-                    assert np.array_equal(got.coords, want.coords) and not got.batch.any()
-                    np.testing.assert_allclose(got.features.data, want.features.data, rtol=0, atol=1e-12)
+                    assert np.array_equal(got.coords[rows], want.coords) and not want.batch.any()
+                    np.testing.assert_allclose(got.features.data[rows], want.features.data, rtol=0, atol=1e-12)
 
     def test_batch_gradients_equal_sum_of_per_sample_runs(self):
         # overlapping masks: the shared ape is read at the same position by several samples
@@ -143,12 +143,13 @@ class TestEncoderForward:
                  for i, r in enumerate((0.25, 0.5, 0.5))]
         assert (masks[0].visible & masks[1].visible & masks[2].visible).any()
         with ag.no_grad():
-            shapes = [[sp.features.shape for sp in stage] for stage in encoder_forward(model, img, masks, mode="eval")]
-        weights = [[rng.normal(size=shape) for shape in stage] for stage in shapes]
+            ref = encoder_forward(model, img, masks, mode="eval")
+        weights = [rng.normal(size=sp.features.shape) for sp in ref]
 
-        def loss(stages, samples):
-            terms = [ag.sum_over(ag.mul(stage[j], ag.tensor(weights[i][b])))
-                     for i, stage in enumerate(stages) for j, b in enumerate(samples)]
+        def loss(stages, b=None):
+            # sum of features x weights; with b, a single-sample run takes the weights of sample b's rows
+            terms = [ag.sum_over(ag.mul(sp.features, ag.tensor(w if b is None else w[r.batch == b])))
+                     for sp, w, r in zip(stages, weights, ref)]
             total = terms[0]
             for t in terms[1:]:
                 total = ag.add(total, t)
@@ -159,13 +160,11 @@ class TestEncoderForward:
             model.zero_grad()
             return out
 
-        feats = encoder_forward(model, img, masks, mode="eval")
-        ag.backward(loss([[sp.features for sp in stage] for stage in feats], range(3)))
+        ag.backward(loss(encoder_forward(model, img, masks, mode="eval")))
         batched = grads()
         summed = {}
         for b, mask in enumerate(masks):
-            feats = encoder_forward(model, img[b : b + 1], mask, mode="eval")
-            ag.backward(loss([[stage[0].features] for stage in feats], [b]))
+            ag.backward(loss(encoder_forward(model, img[b : b + 1], mask, mode="eval"), b))
             for name, g in grads().items():
                 summed[name] = summed.get(name, 0.0) + g
         assert batched.keys() == summed.keys() and "ape" in batched
@@ -196,10 +195,9 @@ class TestDenseConversion:
             sparse_feats = encoder_forward(model, img, [mask0, mask0], mode=mode)
             dense_feats = to_dense_encoder(model).forward(img, mode=mode)
         worst = 0.0
-        for fs, fd in zip(sparse_feats, dense_feats):
-            for b, sp in enumerate(fs):
-                ref = fd.data[b][:, sp.coords[:, 0], sp.coords[:, 1]].T
-                worst = max(worst, float(np.abs(sp.features.data - ref).max()))
+        for sp, fd in zip(sparse_feats, dense_feats):
+            ref = fd.data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
+            worst = max(worst, float(np.abs(sp.features.data - ref).max()))
         return worst
 
     def test_ratio0_matches_dense_eval(self):
@@ -234,12 +232,11 @@ class TestDenseConversion:
         mask0 = generate_mask(2, 2, 0.0, np.random.default_rng(52), patch_size=16)
         with ag.no_grad():
             feats = encoder_forward(model, img, mask, mode="eval")
-            assert [(f[0].height, f[0].width) for f in feats] == [(8, 8), (4, 4), (2, 2)]
+            assert [(f.height, f.width) for f in feats] == [(8, 8), (4, 4), (2, 2)]
             # ratio-0 equivalence holds for the 3x3 stride-2 pad-1 downsample too
             sparse0 = encoder_forward(model, img, mask0, mode="eval")
             dense0 = to_dense_encoder(model).forward(img, mode="eval")
-        for fs, fd in zip(sparse0, dense0):
-            sp = fs[0]
+        for sp, fd in zip(sparse0, dense0):
             ref = fd.data[0][:, sp.coords[:, 0], sp.coords[:, 1]].T
             assert np.abs(sp.features.data - ref).max() < 1e-6
 
@@ -250,7 +247,7 @@ class TestProjectAndDensify:
         img = np.random.default_rng(15).random((1, 3, 16, 16))
         mask0 = generate_mask(2, 2, 0.0, np.random.default_rng(16), patch_size=8)
         feats = encoder_forward(model, img, mask0, mode="eval")
-        out = project_and_densify(model, 1, feats[1])
+        out = project_and_densify(model, 1, feats[1], 1)
         ag.backward(ag.sum_over(ag.square(out)))
         np.testing.assert_array_equal(model.param("embed.scale1").grad, 0.0)
 
@@ -261,7 +258,7 @@ class TestProjectAndDensify:
         empty = SparseTensor2D(2, 2, np.zeros((0, 2), dtype=np.int64),
                                ag.tensor(np.zeros((0, 8))))
         fill = model.param("embed.scale1")
-        d = densify(empty, fill)
+        d = densify(empty, fill, 1)
         np.testing.assert_array_equal(d.data, np.broadcast_to(fill.data[None, :, None, None], (1, 8, 2, 2)))
 
     def test_embedding_gradcheck(self):
@@ -271,7 +268,7 @@ class TestProjectAndDensify:
 
         def f(_):
             feats = encoder_forward(model, img, mask, mode="eval")
-            return ag.mean_over(ag.square(project_and_densify(model, 1, feats[1])))
+            return ag.mean_over(ag.square(project_and_densify(model, 1, feats[1], 1)))
 
         embed = model.param("embed.scale1")
         assert ag.grad_check(f, [embed]) < 1e-6

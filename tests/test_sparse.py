@@ -374,21 +374,6 @@ class TestSparseDownsample:
         ref = ag.conv2d(ag.tensor(dense), w, stride=2).data[0, :, 1, 1]
         np.testing.assert_allclose(out.features.data[0], ref, atol=1e-12)
 
-    def test_mismatched_rulebook_rejected(self):
-        rng = np.random.default_rng(20)
-        coords = as_coords([(r, c) for r in range(4) for c in range(4)])
-        sp = SparseTensor2D(4, 4, coords, ag.tensor(rng.normal(size=(16, 1))))
-        w = ag.tensor(rng.normal(size=(1, 1, 2, 2)))
-        rb = build_rulebook(coords, 2, height=4, width=4, target=as_coords([(0, 0), (1, 1)]), stride=2, padding=0)
-        assert sparse_downsample(sp, as_coords([(0, 0), (1, 1)]), w, rulebook=rb).num_active == 2
-        # a target set of another size, or of the same size with other sites
-        for target in ([(0, 0)], [(0, 0), (0, 1), (1, 1)], [(0, 0), (0, 1)]):
-            with pytest.raises(ValueError, match="rulebook does not match"):
-                sparse_downsample(sp, as_coords(target), w, rulebook=rb)
-        other = SparseTensor2D(4, 4, coords[:4], ag.tensor(rng.normal(size=(4, 1))))
-        with pytest.raises(ValueError, match="rulebook does not match"):
-            sparse_downsample(other, as_coords([(0, 0), (1, 1)]), w, rulebook=rb)
-
     def test_empty_receptive_field_rejected(self):
         rng = np.random.default_rng(9)
         sp = SparseTensor2D(4, 4, as_coords([(0, 0)]), ag.tensor(rng.normal(size=(1, 1))))
@@ -449,7 +434,7 @@ class TestDensifyGather:
         feats = ag.tensor(rng.normal(size=(9, 2)), requires_grad=True)
         fill = ag.tensor(rng.normal(size=2), requires_grad=True)
         sp = SparseTensor2D(3, 3, coords, feats)
-        d = densify(sp, fill)
+        d = densify(sp, fill, 1)
         np.testing.assert_array_equal(d.data[0][:, coords[:, 0], coords[:, 1]].T, feats.data)
         ag.backward(ag.sum_over(ag.square(d)))
         np.testing.assert_array_equal(fill.grad, np.zeros(2))
@@ -457,14 +442,14 @@ class TestDensifyGather:
     def test_fully_inactive_constant_field(self):
         fill = ag.tensor(np.array([1.5, -2.0]))
         sp = SparseTensor2D(3, 3, np.zeros((0, 2), dtype=np.int64), ag.tensor(np.zeros((0, 2))))
-        d = densify(sp, fill)
+        d = densify(sp, fill, 1)
         np.testing.assert_array_equal(d.data, np.broadcast_to(fill.data[None, :, None, None], (1, 2, 3, 3)))
 
     def test_mixed_vs_scatter_oracle(self):
         rng = np.random.default_rng(15)
         sp = random_sparse(rng, 4, 5, 3, 0.4)
         fill = ag.tensor(rng.normal(size=3))
-        d = densify(sp, fill)
+        d = densify(sp, fill, 1)
         ref = np.broadcast_to(fill.data[None, :, None, None], (1, 3, 4, 5)).copy()
         for i, (r, c) in enumerate(sp.coords):
             ref[0, :, r, c] = sp.features.data[i]
@@ -473,7 +458,34 @@ class TestDensifyGather:
     def test_width_mismatch_rejected(self):
         sp = SparseTensor2D(2, 2, as_coords([(0, 0)]), ag.tensor(np.zeros((1, 3))))
         with pytest.raises(ValueError, match="width"):
-            densify(sp, ag.tensor(np.zeros(2)))
+            densify(sp, ag.tensor(np.zeros(2)), 1)
+
+    def test_batch_equals_per_sample_densify(self):
+        # samples 1 and 3 have no active site; only n tells that sample 3 exists
+        rng = np.random.default_rng(19)
+        coords, batch = stack_coords([[(0, 1), (2, 2)], [], [(1, 0), (1, 2), (2, 1)], []])
+        feats = ag.tensor(rng.normal(size=(coords.shape[0], 2)), requires_grad=True)
+        fill = ag.tensor(rng.normal(size=2), requires_grad=True)
+        g = rng.normal(size=(4, 2, 3, 3))
+        d = densify(SparseTensor2D(3, 3, coords, feats, batch=batch), fill, 4)
+        assert d.shape == (4, 2, 3, 3)
+        ag.backward(ag.sum_over(ag.mul(d, ag.tensor(g))))
+        fill_grad = None
+        for b in reversed(range(4)):  # the fill gradient sums the samples from the last to the first
+            rows = batch == b
+            x1, f1 = ag.tensor(feats.data[rows], requires_grad=True), ag.tensor(fill.data, requires_grad=True)
+            d1 = densify(SparseTensor2D(3, 3, coords[rows], x1), f1, 1)
+            np.testing.assert_array_equal(d.data[b : b + 1], d1.data)
+            ag.backward(ag.sum_over(ag.mul(d1, ag.tensor(g[b : b + 1]))))
+            np.testing.assert_array_equal(feats.grad[rows], x1.grad)
+            fill_grad = f1.grad if fill_grad is None else fill_grad + f1.grad
+        np.testing.assert_array_equal(fill.grad, fill_grad)
+
+    def test_sample_index_beyond_batch_rejected(self):
+        coords, batch = stack_coords([[(0, 0)], [(1, 1)]])
+        sp = SparseTensor2D(2, 2, coords, ag.tensor(np.zeros((2, 3))), batch=batch)
+        with pytest.raises(ValueError, match="out of range"):
+            densify(sp, ag.tensor(np.zeros(3)), 1)
 
     def test_round_trip_and_inactive_grads_zero(self):
         rng = np.random.default_rng(16)
@@ -481,7 +493,7 @@ class TestDensifyGather:
         coords = as_coords([(0, 0), (1, 2), (3, 3)])
         sp = gather_from_dense(x, coords, batch_index=1)
         np.testing.assert_array_equal(sp.features.data, x.data[1][:, coords[:, 0], coords[:, 1]].T)
-        d = densify(sp, ag.tensor(np.zeros(3)))
+        d = densify(sp, ag.tensor(np.zeros(3)), 1)
         np.testing.assert_array_equal(d.data[0][:, coords[:, 0], coords[:, 1]].T,
                                       x.data[1][:, coords[:, 0], coords[:, 1]].T)
         ag.backward(ag.sum_over(ag.square(d)))
@@ -513,7 +525,7 @@ class TestDensifyGather:
         rng = np.random.default_rng(17)
         x = ag.tensor(rng.normal(size=(1, 2, 3, 3)))
         coords = as_coords([(r, c) for r in range(3) for c in range(3)])
-        d = densify(gather_from_dense(x, coords), ag.tensor(rng.normal(size=2)))
+        d = densify(gather_from_dense(x, coords), ag.tensor(rng.normal(size=2)), 1)
         np.testing.assert_array_equal(d.data, x.data)
 
 

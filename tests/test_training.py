@@ -307,7 +307,7 @@ class TestTrainLoop:
         model = desk_model(seed=0)
         with pytest.raises(TrainingDiverged, match="step"):
             train(model, PoisonedDataset(), self._cfg(max_steps=3))
-        ag.active_tape().clear()
+        assert len(ag.active_tape()) == 0
 
     def test_dataset_smaller_than_batch_rejected(self):
         model = desk_model(seed=0)
