@@ -521,13 +521,7 @@ def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: in
     return record_op(out, (x, w, b), backward_fn)
 
 
-def conv_transpose2d(
-    x: DiffTensor,
-    w: DiffTensor,
-    b: DiffTensor | None = None,
-    stride: int = 2,
-    padding: int = 1,
-) -> DiffTensor:
+def conv_transpose2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None) -> DiffTensor:
     """Transposed convolution; weight layout is [Cin, Cout, kh, kw].
 
     Only the exact doubling of kernel 4, stride 2, padding 1 is supported. It
@@ -544,11 +538,8 @@ def conv_transpose2d(
         raise ValueError(f"conv_transpose2d: input channel dim {cin} != weight in-channel dim {cin_w}")
     if b is not None and b.shape != (cout,):
         raise ValueError(f"conv_transpose2d: bias shape {tuple(b.shape)} != out-channel dim ({cout},)")
-    if (kh, kw, stride, padding) != (4, 4, 2, 1):
-        raise ValueError(
-            f"conv_transpose2d: kernel {kh}x{kw}, stride {stride}, padding {padding}; "
-            "only kernel 4, stride 2, padding 1 (an exact doubling) is supported"
-        )
+    if (kh, kw) != (4, 4):
+        raise ValueError(f"conv_transpose2d: kernel {kh}x{kw}; only kernel 4 (an exact doubling) is supported")
 
     ws = _s2d(w.data, 2, 0, 2, 2)
     z, _ = _corr_grads(x.data, None, ws, 0, True, False)

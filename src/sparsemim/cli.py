@@ -19,7 +19,8 @@ import numpy as np
 
 from . import autograd as ag
 from .data import DirectoryDataset, load_ppm, save_ppm, synth_dataset
-from .masking import generate_mask, masked_pixel_map, patch_stats, denormalize_patches, zero_out_image
+from .masking import (denormalize_patches, generate_mask, masked_patch_count, masked_pixel_map, patch_stats,
+                      zero_out_image)
 from .model import (
     EncoderConfig,
     SparkConfig,
@@ -184,8 +185,14 @@ def cmd_pretrain(args) -> int:
                                 patch_size=resolved["patch"], dec_fea_dim=resolved["dec_width"], **flags)
     except ValueError as e:
         raise UsageError(str(e)) from e
-    if not (0.0 <= resolved["mask_ratio"] < 1.0):
-        raise UsageError(f"--mask-ratio must be in [0, 1), got {resolved['mask_ratio']}")
+    grid = model_cfg.image_size // model_cfg.patch_size
+    try:  # the check every training mask draw makes, before anything is written
+        masked = masked_patch_count(grid, grid, resolved["mask_ratio"])
+    except ValueError as e:
+        raise UsageError(f"--mask-ratio: {e}") from e
+    if masked == 0 and model_cfg.loss_on == "masked":
+        raise UsageError("--mask-ratio 0 masks no patch, so the masked-position loss is empty; "
+                         "use --variant loss-all")
     if resolved["lr"] is not None and not (0.0 < resolved["lr"] < math.inf):
         raise UsageError(f"--lr must be finite and positive, got {resolved['lr']}")
     if not (0.0 <= resolved["weight_decay"] < math.inf):
@@ -245,6 +252,8 @@ def cmd_reconstruct(args) -> int:
     ratio = args.mask_ratio if args.mask_ratio is not None else _trained_mask_ratio(ckpt.config)
     if not (0.0 <= ratio < 1.0):
         raise UsageError(f"--mask-ratio must be in [0, 1), got {ratio}")
+    grid = cfg.image_size // cfg.patch_size
+    mask = generate_mask(grid, grid, ratio, np.random.default_rng(args.seed), patch_size=cfg.patch_size)
 
     os.makedirs(args.out, exist_ok=True)
     _echo_config({"command": "reconstruct", "ckpt": args.ckpt, "image": args.image,
@@ -252,8 +261,6 @@ def cmd_reconstruct(args) -> int:
                   "model": cfg.to_dict()}, args.out)
 
     img = _center_crop(load_ppm(args.image), cfg.image_size)[None]
-    grid = cfg.image_size // cfg.patch_size
-    mask = generate_mask(grid, grid, ratio, np.random.default_rng(args.seed), patch_size=cfg.patch_size)
 
     with ag.no_grad():
         recon, _, _ = spark_forward(model, img, mask, mode="eval")
@@ -265,8 +272,8 @@ def cmd_reconstruct(args) -> int:
     save_ppm(os.path.join(args.out, "masked_input.ppm"), zero_out_image(img[0][None], mask).data[0])
     save_ppm(os.path.join(args.out, "reconstruction.ppm"), pred[0])
     save_ppm(os.path.join(args.out, "composite.ppm"), composite)
-    mse = float(((pred[0] - img[0]) ** 2)[:, mm].mean())
-    print(f"masked-region mse {mse:.6f}; wrote 3 images to {args.out}")
+    error = f"masked-region mse {((pred[0] - img[0]) ** 2)[:, mm].mean():.6f}" if mm.any() else "no patch masked"
+    print(f"{error}; wrote 3 images to {args.out}")
     return 0
 
 

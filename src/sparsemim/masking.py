@@ -8,6 +8,7 @@ from .autograd import DiffTensor, mul
 
 __all__ = [
     "PatchMask",
+    "masked_patch_count",
     "generate_mask",
     "active_set_at_scale",
     "masked_pixel_map",
@@ -23,9 +24,9 @@ __all__ = [
 class PatchMask:
     """Boolean patch grid (True = visible) plus its pixel geometry."""
 
-    __slots__ = ("grid_h", "grid_w", "patch_size", "visible", "ratio")
+    __slots__ = ("grid_h", "grid_w", "patch_size", "visible")
 
-    def __init__(self, grid_h: int, grid_w: int, patch_size: int, visible: np.ndarray, ratio: float):
+    def __init__(self, grid_h: int, grid_w: int, patch_size: int, visible: np.ndarray):
         visible = np.asarray(visible, dtype=bool)
         if visible.shape != (grid_h, grid_w):
             raise ValueError(f"PatchMask: visible grid shape {visible.shape} != ({grid_h}, {grid_w})")
@@ -33,7 +34,6 @@ class PatchMask:
         self.grid_w = grid_w
         self.patch_size = patch_size
         self.visible = visible
-        self.ratio = ratio
 
     @property
     def num_patches(self) -> int:
@@ -58,27 +58,34 @@ class PatchMask:
         )
 
 
-def generate_mask(grid_h: int, grid_w: int, ratio: float, rng, patch_size: int = 32) -> PatchMask:
-    """Sample a patch mask with exactly round(ratio*N) patches masked.
+def masked_patch_count(grid_h: int, grid_w: int, ratio: float) -> int:
+    """round(ratio*N), the number of patches a mask of this ratio hides on the grid.
 
-    Rejects ratios outside [0, 1) and draws that would leave no visible (or,
+    Rejects ratios outside [0, 1) and ratios that would leave no visible (or,
     for 0 < ratio, no masked) patch, since a fully hidden image cannot be
     encoded and a fully visible one is not a masking draw.
     """
     if not (0.0 <= ratio < 1.0):
-        raise ValueError(f"generate_mask: ratio must be in [0, 1), got {ratio}")
+        raise ValueError(f"mask ratio must be in [0, 1), got {ratio}")
     n = grid_h * grid_w
     if n < 1:
-        raise ValueError("generate_mask: empty patch grid")
+        raise ValueError("mask on an empty patch grid")
     k = int(round(ratio * n))
     if ratio > 0.0 and (k == 0 or k == n):
         raise ValueError(
-            f"generate_mask: ratio {ratio} on a {grid_h}x{grid_w} grid rounds to {k} masked "
+            f"mask ratio {ratio} on a {grid_h}x{grid_w} patch grid rounds to {k} masked "
             f"patches; need at least one visible and one masked"
         )
+    return k
+
+
+def generate_mask(grid_h: int, grid_w: int, ratio: float, rng, patch_size: int = 32) -> PatchMask:
+    """Sample a patch mask with exactly round(ratio*N) patches masked; the ratio
+    is checked by :func:`masked_patch_count`."""
+    k = masked_patch_count(grid_h, grid_w, ratio)
     visible = np.ones((grid_h, grid_w), dtype=bool)
-    visible.reshape(-1)[rng.choice(n, size=k, replace=False)] = False
-    return PatchMask(grid_h, grid_w, patch_size, visible, ratio)
+    visible.reshape(-1)[rng.choice(grid_h * grid_w, size=k, replace=False)] = False
+    return PatchMask(grid_h, grid_w, patch_size, visible)
 
 
 def active_set_at_scale(mask: PatchMask, stride: int) -> np.ndarray:

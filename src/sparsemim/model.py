@@ -504,7 +504,7 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
                 )
             x = skip if x is None else ag.add(x, skip)
         pre = f"decoder.stage{k}"
-        x = ag.conv_transpose2d(x, model.param(f"{pre}.up.w"), model.param(f"{pre}.up.b"), stride=2, padding=1)
+        x = ag.conv_transpose2d(x, model.param(f"{pre}.up.w"), model.param(f"{pre}.up.b"))
         x = bn(ag.conv2d(x, model.param(f"{pre}.conv0.w"), stride=1, padding=1), f"{pre}.bn0", 6.0)
         x = bn(ag.conv2d(x, model.param(f"{pre}.conv1.w"), stride=1, padding=1), f"{pre}.bn1", None)
     return ag.conv2d(x, model.param("decoder.proj.w"), model.param("decoder.proj.b"))

@@ -3,15 +3,16 @@
 A sparse tensor stores only the features of its active sites. One tensor
 holds a whole batch: its rows are ordered by (sample, row, col) and carry a
 per-row sample index, so every layer runs once per batch, not once per
-sample. A rulebook enumerates, per kernel offset, exactly the (input site,
-output site) pairs a sparse convolution multiplies; sites only pair within
-their own sample. One builder makes every rulebook: a strided conv maps
-the input active set onto a given target set, and a submanifold conv is
-the stride-1 case whose output sites are its input sites, so stacking
-layers never grows or erodes the mask pattern. From the pairs a rulebook
-derives two neighbour tables, and a convolution is one gather of the
-neighbour rows followed by one GEMM over all kernel offsets at once
-(backward: one gather-GEMM for each gradient). All feature math runs
+sample. A rulebook is one neighbour table: for each output site and kernel
+offset, the input row that a sparse convolution multiplies there, or a
+marker where that input site is inactive; sites only pair within their own
+sample. One builder fills every table by direct lookup in a dense index
+grid: a strided conv maps the input active set onto a given target set,
+and a submanifold conv is the stride-1 case whose output sites are its
+input sites, so stacking layers never grows or erodes the mask pattern. A
+convolution is one gather of the neighbour rows followed by one GEMM over
+all kernel offsets at once (backward: one gather-GEMM for each gradient,
+the input gradient along the inverse table). All feature math runs
 through the autograd engine and is differentiable with respect to
 features, weights, biases, and fill values.
 """
@@ -135,95 +136,73 @@ class SparseTensor2D:
 
 
 class Rulebook:
-    """Per-offset (input_index, output_index) pair lists for one sparse conv.
+    """The neighbour table of one sparse conv: ``fwd[q, o]`` is the input row
+    that output row q reads at kernel offset o (offsets in row-major scan
+    order), or ``num_in`` where that input site is inactive; the conv
+    appends a zero row there.
 
-    ``pairs[o]`` is an [m_o, 2] int64 array in kernel scan order (row-major
-    over offsets); within an offset, indices on each side are unique and
-    the pairs run in ascending output index. ``in_key`` / ``out_key``
-    identify the input and output active sets (grid size, sites, sample
-    index); a submanifold rulebook has ``out_key == in_key``.
+    ``in_key`` / ``out_key`` identify the input and output active sets (grid
+    size, sites, sample index); a submanifold rulebook has ``out_key ==
+    in_key``.
     """
 
-    __slots__ = ("kernel", "pairs", "in_key", "out_key", "num_in", "num_out", "_tables")
+    __slots__ = ("kernel", "fwd", "in_key", "out_key", "num_in", "_inv")
 
-    def __init__(self, kernel, pairs, in_key, out_key, num_in, num_out):
+    def __init__(self, kernel, fwd, in_key, out_key, num_in):
         self.kernel = kernel
-        self.pairs = pairs
+        self.fwd = fwd
         self.in_key = in_key
         self.out_key = out_key
         self.num_in = num_in
-        self.num_out = num_out
-        self._tables = None
+        self._inv = None
+
+    @property
+    def num_out(self) -> int:
+        return self.fwd.shape[0]
 
     @property
     def total_pairs(self) -> int:
-        return sum(p.shape[0] for p in self.pairs)
+        return int(np.count_nonzero(self.fwd != self.num_in))
 
-    def neighbour_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """``fwd[num_out, K]``: the input row output row p meets at offset o;
-        ``inv[num_in, K]``: the output row input row i feeds at offset o.
+    @property
+    def pairs(self) -> list:
+        """Per offset, the [m_o, 2] int64 (input row, output row) pairs in ascending output row."""
+        out = []
+        for col in self.fwd.T:
+            q = np.flatnonzero(col != self.num_in)
+            out.append(np.stack([col[q], q], axis=1))
+        return out
 
-        An absent neighbour points one past the last row (``num_in`` in
-        ``fwd``, ``num_out`` in ``inv``), where the conv appends a zero row.
-        Built from ``pairs`` on first use and cached.
-        """
-        if self._tables is None:
-            k = len(self.pairs)
-            fwd = np.full((self.num_out, k), self.num_in, dtype=np.int64)
-            for o, pr in enumerate(self.pairs):
-                fwd[pr[:, 1], o] = pr[:, 0]
-            inv = np.full((self.num_in, k), self.num_out, dtype=np.int64)
-            for o, pr in enumerate(self.pairs):
-                inv[pr[:, 0], o] = pr[:, 1]
-            self._tables = fwd, inv
-        return self._tables
-
-
-def _match_offsets(coords_in: np.ndarray, batch_in: np.ndarray, base: np.ndarray, batch_out: np.ndarray,
-                   offsets) -> list:
-    """Per offset (dr, dc), the [m, 2] pairs (i, o) with coords_in[i] == base[o] + (dr, dc)
-    and batch_in[i] == batch_out[o].
-
-    Sites become linear keys ``(b * rows + r - r0) * span + (c - c0)`` over the
-    bounding box of ``coords_in``; a neighbour outside that box is rejected
-    before its key is formed, so keys never alias across a row end or a
-    sample, and the rest are found by binary search in the sorted input
-    keys. Within an offset the pairs run in ascending ``o``; a duplicated
-    input site resolves to its last index.
-    """
-    if coords_in.shape[0] == 0:
-        return [np.zeros((0, 2), dtype=np.int64) for _ in offsets]
-    (r0, c0), (r1, c1) = coords_in.min(axis=0), coords_in.max(axis=0)
-    rows, span = r1 - r0 + 1, c1 - c0 + 1
-    keys = (batch_in * rows + coords_in[:, 0] - r0) * span + (coords_in[:, 1] - c0)
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    pairs = []
-    for dr, dc in offsets:
-        r = base[:, 0] + dr
-        c = base[:, 1] + dc
-        inside = (r >= r0) & (r <= r1) & (c >= c0) & (c <= c1)
-        nkeys = (batch_out[inside] * rows + r[inside] - r0) * span + (c[inside] - c0)
-        pos = np.searchsorted(sorted_keys, nkeys, side="right") - 1
-        hit = (pos >= 0) & (sorted_keys[pos] == nkeys)
-        pairs.append(np.stack([order[pos[hit]], np.flatnonzero(inside)[hit]], axis=1))
-    return pairs
+    def inv(self) -> np.ndarray:
+        """``inv[i, o]``: the output row that input row i feeds at offset o, or
+        ``num_out`` if none. Built on first use and cached."""
+        if self._inv is None:
+            k = self.fwd.shape[1]
+            q, o = np.nonzero(self.fwd != self.num_in)
+            inv = np.full(self.num_in * k, self.num_out, dtype=np.int64)
+            inv[self.fwd[q, o] * k + o] = q
+            self._inv = inv.reshape(self.num_in, k)
+        return self._inv
 
 
 def build_rulebook(active, kernel, height: int | None = None, width: int | None = None, target=None,
                    target_batch: np.ndarray | None = None, stride: int = 1, padding: int | None = None) -> Rulebook:
-    """Enumerate all (input, output) site pairs of a sparse convolution.
+    """The neighbour table of a sparse convolution, filled by direct lookup.
 
     Output site q at kernel tap (i, j) reads input site q * stride - padding
-    + (i, j) of its own sample; the pair is emitted iff that site is active.
+    + (i, j) of its own sample. Input rows are scattered into a dense index
+    grid [samples, height + 2 * padding, width + 2 * padding] that holds
+    ``num_in`` at every inactive site, and each tap reads that grid at the
+    target sites; a repeated input site resolves to its last row.
     ``active`` is a SparseTensor2D (its sample index and, by default, its
-    size are used) or a single sample's coordinate collection. ``target``
-    (with ``target_batch``, default sample 0) is the output active set of a
-    strided conv; every target site must see at least one active input of
-    its sample, since an empty field means the target set and the stride
-    geometry disagree (a mask alignment bug upstream). With no target the
-    output sites are the input sites: a submanifold conv, which needs an odd
-    kernel, stride 1 and the default padding kernel // 2.
+    size are used) or a single sample's coordinate collection, which needs
+    ``height`` and ``width``. ``target`` (with ``target_batch``, default
+    sample 0) is the output active set of a strided conv; every target site
+    must see at least one active input of its sample, since an empty field
+    means the target set and the stride geometry disagree (a mask alignment
+    bug upstream). With no target the output sites are the input sites: a
+    submanifold conv, which needs an odd kernel, stride 1 and the default
+    padding kernel // 2.
     """
     kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
     if isinstance(active, SparseTensor2D):
@@ -233,11 +212,13 @@ def build_rulebook(active, kernel, height: int | None = None, width: int | None 
     else:
         coords = as_coords(active)
         batch = _no_batch(coords)
-    if height is None:
-        height = int(coords[:, 0].max()) + 1 if coords.shape[0] else 0
-    if width is None:
-        width = int(coords[:, 1].max()) + 1 if coords.shape[0] else 0
+        if height is None or width is None:
+            raise ValueError("build_rulebook: a coordinate collection needs height= and width=")
+    if coords.shape[0] and (coords.min() < 0 or coords[:, 0].max() >= height or coords[:, 1].max() >= width):
+        raise ValueError(f"build_rulebook: input site outside {height}x{width} grid")
     ph, pw = (kh // 2, kw // 2) if padding is None else (padding, padding)
+    if ph < 0:
+        raise ValueError(f"build_rulebook: negative padding {ph}")
     if target is None:
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError(f"build_rulebook: even kernel {kh}x{kw} is invalid in submanifold mode")
@@ -249,20 +230,28 @@ def build_rulebook(active, kernel, height: int | None = None, width: int | None 
     target_batch = _no_batch(target) if target_batch is None else np.asarray(target_batch, dtype=np.int64)
     h_out = (height + 2 * ph - kh) // stride + 1
     w_out = (width + 2 * pw - kw) // stride + 1
-    if target.shape[0] and (target[:, 0].max() >= h_out or target[:, 1].max() >= w_out):
+    if target.shape[0] and (target.min() < 0 or target[:, 0].max() >= h_out or target[:, 1].max() >= w_out):
         raise ValueError(f"build_rulebook: target site outside {h_out}x{w_out} output grid")
+    if min(batch.min(initial=0), target_batch.min(initial=0)) < 0:
+        raise ValueError("build_rulebook: negative sample index")
 
-    offsets = [(i, j) for i in range(kh) for j in range(kw)]
-    pairs = _match_offsets(coords, batch, target * stride - (ph, pw), target_batch, offsets)
-    hits = np.bincount(np.concatenate([pr[:, 1] for pr in pairs]), minlength=target.shape[0])
-    if target.shape[0] and int(hits.min()) == 0:
-        bad = target[int(np.argmin(hits))]
+    num_in = coords.shape[0]
+    samples = int(max(batch.max(initial=-1), target_batch.max(initial=-1))) + 1
+    # a tap of an in-range target site stays inside the padded grid, so no index wraps
+    index = np.full((samples, height + 2 * ph, width + 2 * pw), num_in, dtype=np.int64)
+    index[batch, coords[:, 0] + ph, coords[:, 1] + pw] = np.arange(num_in)
+    rows = target[:, 0, None] * stride + np.arange(kh)  # [m, kh]
+    cols = target[:, 1, None] * stride + np.arange(kw)  # [m, kw]
+    fwd = index[target_batch[:, None, None], rows[:, :, None], cols[:, None, :]].reshape(-1, kh * kw)
+    seen = (fwd != num_in).any(axis=1)
+    if not seen.all():
+        bad = target[int(np.argmin(seen))]
         raise ValueError(
             f"build_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
             f"receptive field (mask/stride misalignment)"
         )
-    return Rulebook((kh, kw), pairs, _coords_key(height, width, coords, batch),
-                    _coords_key(h_out, w_out, target, target_batch), coords.shape[0], target.shape[0])
+    return Rulebook((kh, kw), fwd, _coords_key(height, width, coords, batch),
+                    _coords_key(h_out, w_out, target, target_batch), num_in)
 
 
 def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -287,7 +276,7 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
         raise ValueError(f"sparse conv: weight kernel {kh}x{kw} != rulebook kernel {rb.kernel}")
     if b is not None and b.shape != (cout,):
         raise ValueError(f"sparse conv: bias shape {tuple(b.shape)} != out-channel dim ({cout},)")
-    fwd, inv = rb.neighbour_tables()
+    fwd = rb.fwd
     k = kh * kw
     wk = w.data.reshape(cout, cin, k)
 
@@ -304,7 +293,7 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
     def backward_fn(g):
         if x.requires_grad:
             w_in = w_rows().reshape(cout, k, cin).transpose(1, 0, 2).reshape(k * cout, cin)  # W'
-            accumulate_grad(x, _gather_rows(g, inv) @ w_in)
+            accumulate_grad(x, _gather_rows(g, rb.inv()) @ w_in)
         if w.requires_grad:
             gw = g.T @ _gather_rows(x.data, fwd)  # [cout, (o, ci)]
             accumulate_grad(w, np.ascontiguousarray(gw.reshape(cout, k, cin).transpose(0, 2, 1)).reshape(w.shape))

@@ -195,7 +195,7 @@ def suite_erosion(max_layers: int = 20):
     """Dense zero-out erodes a 32x32 hole to nothing in 16 layers; submanifold never does."""
     visible = np.ones((3, 3), dtype=bool)
     visible[1, 1] = False
-    mask = PatchMask(3, 3, 32, visible, 1.0 / 9.0)
+    mask = PatchMask(3, 3, 32, visible)
     profile = erosion_profile(mask, max_layers)
     lines = ["  layer  zero_cells"]
     for i, z in enumerate(profile):
@@ -204,7 +204,7 @@ def suite_erosion(max_layers: int = 20):
 
     # the same mask under stacked submanifold convs keeps the count constant
     rng = np.random.default_rng(0)
-    coords = as_coords(np.argwhere(~masked_pixel_map(PatchMask(3, 3, 4, visible, 1 / 9))))
+    coords = as_coords(np.argwhere(~masked_pixel_map(PatchMask(3, 3, 4, visible))))
     sp = SparseTensor2D(12, 12, coords, ag.tensor(rng.normal(size=(coords.shape[0], 2))))
     rb = build_rulebook(coords, 3, height=12, width=12)
     wt = ag.tensor(rng.normal(size=(2, 2, 3, 3)))

@@ -81,7 +81,7 @@ class TestAcceptance:
 
         visible = np.ones((3, 3), dtype=bool)
         visible[1, 1] = False
-        profile = erosion_profile(PatchMask(3, 3, 32, visible, 1 / 9), 20)
+        profile = erosion_profile(PatchMask(3, 3, 32, visible), 20)
         assert profile[16] == 0 and all(profile[k] > 0 for k in range(16))
         elapsed = time.time() - t0
         assert elapsed < 10.0

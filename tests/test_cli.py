@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -37,6 +38,16 @@ class TestPretrain:
         code = run_pretrain(tmp_path / "bad", extra=["--mask-ratio", "1.0"])
         assert code == 1
         assert "mask-ratio" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ratio", ["0", "0.01", "0.9"])  # 0, 0 and 4 of the 2x2 patches masked
+    def test_ratio_masking_nothing_or_everything_rejected_before_any_write(self, tmp_path, capsys, ratio):
+        out = tmp_path / "bad"
+        assert run_pretrain(out, extra=["--mask-ratio", ratio]) == 1
+        assert "mask-ratio" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_ratio_zero_trains_with_loss_on_all_pixels(self, tmp_path):
+        assert run_pretrain(tmp_path / "run", extra=["--mask-ratio", "0", "--variant", "loss-all"]) == 0
 
     @pytest.mark.parametrize("argv,flag", [(["--lr", "nan"], "--lr"), (["--lr", "inf"], "--lr"),
                                            (["--lr", "0"], "--lr"), (["--lr", "-0.01"], "--lr"),
@@ -211,6 +222,21 @@ def test_reconstruct_malformed_train_section_exits_2(trained, tmp_path, capsys, 
     save_ppm(img, np.zeros((3, 16, 16)))
     assert main(["reconstruct", "--ckpt", str(bad), "--image", str(img), "--out", str(tmp_path / "o")]) == 2
     assert "train" in capsys.readouterr().err
+
+
+def test_reconstruct_ratio0_reports_no_masked_patch(trained, tmp_path, capsys):
+    img = tmp_path / "x.ppm"
+    save_ppm(img, np.random.default_rng(0).random((3, 16, 16)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["reconstruct", "--ckpt", str(trained / "final.ckpt"), "--image", str(img),
+                     "--out", str(tmp_path / "o"), "--mask-ratio", "0"]) == 0
+    out = capsys.readouterr().out
+    assert "no patch masked" in out and "nan" not in out
+    # 0.9 hides all 4 patches of the 2x2 grid: rejected before the out directory is made
+    assert main(["reconstruct", "--ckpt", str(trained / "final.ckpt"), "--image", str(img),
+                 "--out", str(tmp_path / "bad"), "--mask-ratio", "0.9"]) == 1
+    assert "rounds to 4" in capsys.readouterr().err and not (tmp_path / "bad").exists()
 
 
 def test_reconstruct_without_train_section_uses_0_6(trained, tmp_path, capsys):

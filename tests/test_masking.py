@@ -61,7 +61,7 @@ class TestActiveSetAtScale:
     def test_stride4_blocks(self):
         visible = np.zeros((2, 2), dtype=bool)
         visible[0, 1] = True
-        m = PatchMask(2, 2, 32, visible, 0.75)
+        m = PatchMask(2, 2, 32, visible)
         act = active_set_at_scale(m, 4)
         assert act.shape[0] == 64  # one visible patch -> an 8x8 block of cells
         assert act[:, 0].min() == 0 and act[:, 0].max() == 7
@@ -91,7 +91,7 @@ class TestMaskedPixelMap:
     def test_single_patch_area(self):
         visible = np.ones((3, 3), dtype=bool)
         visible[1, 2] = False
-        m = PatchMask(3, 3, 8, visible, 1 / 9)
+        m = PatchMask(3, 3, 8, visible)
         mm = masked_pixel_map(m)
         assert int(mm.sum()) == 64
         assert mm[8:16, 16:24].all()
@@ -207,7 +207,7 @@ class TestErosionProfile:
     def _hole_mask(self):
         visible = np.ones((3, 3), dtype=bool)
         visible[1, 1] = False
-        return PatchMask(3, 3, 32, visible, 1 / 9)
+        return PatchMask(3, 3, 32, visible)
 
     def test_32px_hole_schedule(self):
         profile = erosion_profile(self._hole_mask(), 16)

@@ -181,7 +181,7 @@ class TestEncoderForward:
         model = tiny_model()
         from sparsemim.masking import PatchMask
 
-        mask = PatchMask(2, 2, 8, np.zeros((2, 2), dtype=bool), 1.0)
+        mask = PatchMask(2, 2, 8, np.zeros((2, 2), dtype=bool))
         with pytest.raises(ValueError, match="no visible"):
             encoder_forward(model, np.zeros((1, 3, 16, 16)), mask)
 

@@ -225,6 +225,64 @@ class TestBatchedRulebook:
         assert rb.total_pairs * 3 * 5 == sparse_flops(rb, 3, 5)
 
 
+class TestRulebookTable:
+    """Input checks of the index-grid lookup and the inverse table."""
+
+    def test_input_site_outside_grid_rejected(self):
+        for site in [(5, 0), (0, 5), (-1, 2), (2, -1)]:
+            with pytest.raises(ValueError, match="input site outside 5x5"):
+                build_rulebook([(1, 1), site], 3, height=5, width=5)
+        sp = SparseTensor2D(6, 6, [[5, 5]], ag.tensor(np.zeros((1, 1))))
+        with pytest.raises(ValueError, match="input site outside 4x6"):
+            build_rulebook(sp, 3, height=4)
+        with pytest.raises(ValueError, match="negative padding"):  # the index grid would lose its border
+            build_rulebook(sp, 2, target=[(2, 2)], stride=2, padding=-1)
+
+    def test_negative_sample_index_rejected(self):
+        sp = SparseTensor2D(4, 4, [[1, 1]], ag.tensor(np.zeros((1, 1))), validate=False, batch=np.array([-1]))
+        with pytest.raises(ValueError, match="negative sample index"):
+            build_rulebook(sp, 3)
+        ok = SparseTensor2D(4, 4, [[1, 1]], ag.tensor(np.zeros((1, 1))))
+        with pytest.raises(ValueError, match="negative sample index"):
+            build_rulebook(ok, 2, target=[(0, 0)], target_batch=np.array([-1]), stride=2, padding=0)
+
+    def test_coordinate_collection_needs_height_and_width(self):
+        for kwargs in ({}, {"height": 4}, {"width": 4}):
+            with pytest.raises(ValueError, match="height= and width="):
+                build_rulebook([(1, 1)], 3, **kwargs)
+
+    def test_repeated_input_site_resolves_to_last_row(self):
+        coords = as_coords([(1, 1), (1, 1), (1, 2), (1, 2), (1, 2)])
+        rb = build_rulebook(coords, 3, height=3, width=3)
+        assert rb.fwd[0, 4] == rb.fwd[1, 4] == 1 and rb.fwd[2, 4] == 4
+        assert_pairs_identical(rb.pairs, rulebook_reference(coords, 3))
+        down = build_rulebook(coords, 2, height=3, width=4, target=[(0, 0), (0, 1)], stride=2, padding=0)
+        assert down.fwd.tolist() == [[5, 5, 5, 1], [5, 5, 4, 5]]  # 5 = num_in marks an inactive tap
+
+    @staticmethod
+    def _inverse_from_pairs(rb):
+        inv = np.full((rb.num_in, len(rb.pairs)), rb.num_out, dtype=np.int64)
+        for o, pr in enumerate(rb.pairs):
+            inv[pr[:, 0], o] = pr[:, 1]
+        return inv
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 5).map(lambda v: 2 * v),
+           st.integers(1, 5).map(lambda v: 2 * v), st.sampled_from([1, 3, 5]))
+    def test_inv_is_the_inverse_of_pairs(self, seed, n, h, w, k):
+        rng = np.random.default_rng(seed)
+        sets = [np.argwhere(rng.random((h, w)) < rng.uniform(0.0, 1.0)) for _ in range(n)]
+        coords, batch = stack_coords(sets)
+        sp = SparseTensor2D(h, w, coords, ag.tensor(np.zeros((coords.shape[0], 1))), batch=batch)
+        down = np.unique(np.column_stack([batch, coords // 2]), axis=0)  # each 2x2 cell holding an input site
+        strided = build_rulebook(sp, 2, target=down[:, 1:], target_batch=down[:, 0], stride=2, padding=0)
+        for rb in (build_rulebook(sp, k), strided):
+            got = rb.inv()
+            assert got.dtype == np.int64 and got.shape == (rb.num_in, len(rb.pairs))
+            assert np.array_equal(got, self._inverse_from_pairs(rb))
+            assert rb.inv() is got
+
+
 class TestBatchedGradients:
     """Gradients of a batched sparse conv equal the dense conv's, restricted to active sites."""
 
