@@ -39,6 +39,7 @@ from .model import (
     to_dense_encoder,
 )
 from .sparse import (
+    ActiveSet,
     Rulebook,
     SparseTensor2D,
     build_rulebook,

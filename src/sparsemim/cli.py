@@ -33,6 +33,7 @@ from .training import (
     CheckpointError,
     TrainConfig,
     TrainingDiverged,
+    count_steps,
     load_checkpoint,
     model_checkpoint_arrays,
     model_from_checkpoint,
@@ -204,16 +205,19 @@ def cmd_pretrain(args) -> int:
         seed=resolved["seed"], max_steps=resolved["steps"], mask_ratio=resolved["mask_ratio"],
     )
 
+    if args.synth is not None:
+        if args.synth < 1:
+            raise UsageError(f"--synth must be positive, got {args.synth}")
+        dataset = synth_dataset(args.synth, resolved["image_size"], resolved["seed"])
+    else:
+        dataset = DirectoryDataset(args.data)
+    count_steps(train_cfg, len(dataset))  # the size checks train makes, before anything is written
+
     os.makedirs(args.out, exist_ok=True)
     full = {"command": "pretrain", "data": args.data, "synth": args.synth, "out": args.out,
             **{k: resolved[k] for k in DEFAULTS},
             "model": model_cfg.to_dict(), "train": train_cfg.to_dict()}
     _echo_config(full, args.out)
-
-    if args.synth is not None:
-        dataset = synth_dataset(args.synth, resolved["image_size"], resolved["seed"])
-    else:
-        dataset = DirectoryDataset(args.data)
 
     model = SparkModel(model_cfg, np.random.default_rng(np.random.SeedSequence([resolved["seed"], 1])))
     rows, opt = train(model, dataset, train_cfg, metrics_path=os.path.join(args.out, "metrics.csv"))

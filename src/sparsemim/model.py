@@ -28,6 +28,7 @@ from .masking import (
     zero_out_image,
 )
 from .sparse import (
+    ActiveSet,
     build_rulebook,
     densify,
     dense_conv_macs,
@@ -35,7 +36,6 @@ from .sparse import (
     sparse_batchnorm,
     sparse_downsample,
     sparse_flops,
-    stack_coords,
     subm_conv2d,
 )
 
@@ -369,29 +369,29 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
         if m.visible_count == 0:
             raise ValueError("encoder_forward: mask leaves no visible patch")
 
-    # per stage, the batch's active sites as (coords, sample index), rows ordered by (sample, row, col)
-    active = [stack_coords([active_set_at_scale(m, enc.stride_at(i)) for m in masks]) for i in range(enc.stages)]
+    # per stage, the batch's active sites, rows ordered by (sample, row, col)
+    sites = [ActiveSet.stack(h // s, w // s, [active_set_at_scale(m, s) for m in masks])
+             for s in map(enc.stride_at, range(enc.stages))]
     outputs = [None] * enc.stages
     sp = block_in = rb = None
     for layer in encoder_layers(enc):
         w = model.param(layer.weight)
-        coords, batch = active[layer.stage]
         x_in = sp
         if sp is None:
             # stem: dense strided conv, then gather the visible sites. Patch edges are
             # multiples of the stem stride, so every gathered site's window lies
             # entirely inside a visible patch and masked pixels never contribute.
             stem = ag.conv2d(images, w, stride=layer.stride, padding=layer.padding)
-            sp = gather_from_dense(stem, coords, batch_index=batch)
             if cfg.ape:
-                ape = gather_from_dense(model.param("ape"), sp.coords, batch_index=0)
-                sp = sp.with_features(ag.add(sp.features, ape.features))
+                stem = ag.add_broadcast(stem, model.param("ape"))
+            sp = gather_from_dense(stem, sites[0])
         elif layer.stride != 1:
-            sp = sparse_downsample(sp, coords, w, stride=layer.stride, padding=layer.padding, target_batch=batch)
-            rb = None
+            rb = build_rulebook(sp.sites, layer.kernel, sites[layer.stage], stride=layer.stride,
+                                padding=layer.padding)
+            sp = sparse_downsample(sp, w, None, rb)
         else:
-            if rb is None:  # one rulebook serves every stride-1 layer of a stage
-                rb = build_rulebook(sp, layer.kernel)
+            if rb is None or rb.dst is not rb.src:  # one rulebook serves every stride-1 layer of a stage
+                rb = build_rulebook(sp.sites, layer.kernel)
             sp = subm_conv2d(sp, w, None, rb)
         sp = sparse_batchnorm(sp, model.param(f"{layer.bn}.gamma"), model.param(f"{layer.bn}.beta"),
                               model.bn(layer.bn), mode=mode, clamp=np.inf)
@@ -570,14 +570,15 @@ def encoder_flops_table(enc: EncoderConfig, mask: PatchMask) -> list[dict]:
     """
     h, w = mask.image_hw
     rows = []
-    prev, prev_stride, subm = active_set_at_scale(mask, 1), 1, None
+    prev, rb = ActiveSet.stack(h, w, [active_set_at_scale(mask, 1)]), None
     for layer in encoder_layers(enc):
         s = enc.stride_at(layer.stage)
-        act = active_set_at_scale(mask, s)
-        if layer.stride != 1 or subm is None:
-            rb = build_rulebook(prev, layer.kernel, height=h // prev_stride, width=w // prev_stride, target=act,
-                                stride=layer.stride, padding=layer.padding)
-        subm = rb if layer.stride == 1 else None  # as in the encoder, one rulebook per stage's stride-1 layers
+        if layer.stride != 1:
+            act = ActiveSet.stack(h // s, w // s, [active_set_at_scale(mask, s)])
+            rb = build_rulebook(prev, layer.kernel, act, stride=layer.stride, padding=layer.padding)
+            prev = act
+        elif rb.dst is not rb.src:  # as in the encoder, one rulebook per stage's stride-1 layers
+            rb = build_rulebook(prev, layer.kernel)
         smacs = sparse_flops(rb, layer.cin, layer.cout)
         dmacs = dense_conv_macs(h // s, w // s, layer.kernel, layer.cin, layer.cout)
         rows.append({
@@ -587,5 +588,4 @@ def encoder_flops_table(enc: EncoderConfig, mask: PatchMask) -> list[dict]:
             "dense_macs": int(dmacs),
             "ratio": smacs / dmacs,
         })
-        prev, prev_stride = act, s
     return rows

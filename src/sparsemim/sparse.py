@@ -1,15 +1,16 @@
 """Sparse 2-D feature maps, rulebooks, and sparse convolution.
 
-A sparse tensor stores only the features of its active sites. One tensor
-holds a whole batch: its rows are ordered by (sample, row, col) and carry a
-per-row sample index, so every layer runs once per batch, not once per
-sample. A rulebook is one neighbour table: for each output site and kernel
-offset, the input row that a sparse convolution multiplies there, or a
-marker where that input site is inactive; sites only pair within their own
-sample. One builder fills every table by direct lookup in a dense index
-grid: a strided conv maps the input active set onto a given target set,
-and a submanifold conv is the stride-1 case whose output sites are its
-input sites, so stacking layers never grows or erodes the mask pattern. A
+An active set is the active sites of a whole batch at one scale, rows
+ordered by (sample, row, col) and each carrying its sample index, checked
+once when it is built. A sparse tensor is an active set plus one feature
+row per site, so every layer runs once per batch. A rulebook is one
+neighbour table from an input set to an output set: for each output site
+and kernel offset, the input row that a sparse convolution multiplies
+there, or a marker where that input site is inactive; sites only pair
+within their own sample. It is filled by direct lookup in a dense index
+grid. A submanifold conv's output set is its input set, so stacking layers
+never grows or erodes the mask pattern; ops take a rulebook only if it was
+built on the very set (by identity) that their input carries. A
 convolution is one gather of the neighbour rows followed by one GEMM over
 all kernel offsets at once (backward: one gather-GEMM for each gradient,
 the input gradient along the inverse table). All feature math runs
@@ -30,10 +31,9 @@ from .autograd import (
 )
 
 __all__ = [
+    "ActiveSet",
     "SparseTensor2D",
     "Rulebook",
-    "as_coords",
-    "stack_coords",
     "build_rulebook",
     "subm_conv2d",
     "sparse_downsample",
@@ -45,73 +45,67 @@ __all__ = [
 ]
 
 
-def as_coords(obj) -> np.ndarray:
-    """Canonicalize a coordinate collection to a row-major sorted [m,2] int64 array.
+class ActiveSet:
+    """The active sites of a batch on a ``height`` x ``width`` grid.
 
-    Duplicates are kept; an empty collection gives a [0,2] array.
-    """
-    arr = np.asarray(obj if isinstance(obj, np.ndarray) else list(obj), dtype=np.int64)
-    if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    elif arr.ndim != 2 or arr.shape[1] != 2:
-        raise ValueError(f"as_coords: expected (row, col) pairs, got shape {arr.shape}")
-    return arr[np.lexsort((arr[:, 1], arr[:, 0]))]
-
-
-def stack_coords(coord_sets) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample [m_b,2] coordinate arrays -> batched (coords [m,2], sample index [m])."""
-    coord_sets = [np.asarray(c, dtype=np.int64).reshape(-1, 2) for c in coord_sets]
-    batch = np.repeat(np.arange(len(coord_sets), dtype=np.int64), [c.shape[0] for c in coord_sets])
-    return np.concatenate(coord_sets) if coord_sets else np.zeros((0, 2), dtype=np.int64), batch
-
-
-def _no_batch(coords: np.ndarray) -> np.ndarray:
-    return np.zeros(coords.shape[0], dtype=np.int64)
-
-
-def _coords_key(height: int, width: int, coords: np.ndarray, batch: np.ndarray) -> bytes:
-    return (np.int64(height).tobytes() + np.int64(width).tobytes()
-            + np.ascontiguousarray(coords).tobytes() + np.ascontiguousarray(batch).tobytes())
-
-
-class SparseTensor2D:
-    """Active coordinates plus per-site feature rows at one spatial scale.
-
-    ``coords`` is [m,2] int64 and ``batch`` the [m] sample index of each row
-    (all zeros for a single sample); rows are unique and sorted by (sample,
-    row, col). ``features`` is a [m, channels] DiffTensor whose row i belongs
-    to site coords[i] of sample batch[i]. Empty tensors (m == 0) are legal
-    values.
+    ``coords`` is [m,2] int64 (row, col) and ``batch`` the [m] sample index
+    of each row. The constructor checks that every site lies on the grid,
+    every sample index is non-negative, and the rows are unique and sorted
+    by (sample, row, col); an empty set (m == 0) is legal.
     """
 
-    __slots__ = ("height", "width", "coords", "batch", "features")
+    __slots__ = ("height", "width", "coords", "batch")
 
-    def __init__(self, height: int, width: int, coords: np.ndarray, features: DiffTensor, validate: bool = True,
-                 batch: np.ndarray | None = None):
+    def __init__(self, height: int, width: int, coords, batch):
         coords = np.asarray(coords, dtype=np.int64).reshape(-1, 2)
-        batch = _no_batch(coords) if batch is None else np.asarray(batch, dtype=np.int64)
-        if validate:
-            if coords.shape[0] != features.shape[0]:
-                raise ValueError(
-                    f"SparseTensor2D: {coords.shape[0]} coords but {features.shape[0]} feature rows"
-                )
-            if features.ndim != 2:
-                raise ValueError("SparseTensor2D: features must be [sites, channels]")
-            if batch.shape != (coords.shape[0],):
-                raise ValueError(f"SparseTensor2D: batch index shape {batch.shape} != ({coords.shape[0]},)")
-            if coords.shape[0]:
-                if coords.min() < 0 or coords[:, 0].max() >= height or coords[:, 1].max() >= width:
-                    raise ValueError(f"SparseTensor2D: coordinate out of bounds for {height}x{width}")
-                if batch.min() < 0:
-                    raise ValueError("SparseTensor2D: negative sample index")
-                keys = (batch * height + coords[:, 0]) * width + coords[:, 1]
-                if not np.all(np.diff(keys) > 0):
-                    raise ValueError("SparseTensor2D: coords must be unique and sorted by (sample, row, col)")
+        batch = np.asarray(batch, dtype=np.int64)
+        if batch.shape != (coords.shape[0],):
+            raise ValueError(f"ActiveSet: batch index shape {batch.shape} != ({coords.shape[0]},)")
+        if coords.shape[0]:
+            if coords.min() < 0 or coords[:, 0].max() >= height or coords[:, 1].max() >= width:
+                raise ValueError(f"ActiveSet: coordinate out of bounds for {height}x{width}")
+            if batch.min() < 0:
+                raise ValueError("ActiveSet: negative sample index")
+            keys = (batch * height + coords[:, 0]) * width + coords[:, 1]
+            if not np.all(np.diff(keys) > 0):
+                raise ValueError("ActiveSet: sites must be unique and sorted by (sample, row, col)")
         self.height = int(height)
         self.width = int(width)
         self.coords = coords
         self.batch = batch
+
+    @classmethod
+    def stack(cls, height: int, width: int, per_sample_coords) -> "ActiveSet":
+        """One set from each sample's [m_b,2] coordinates; sample b's rows carry index b."""
+        sets = [np.asarray(c, dtype=np.int64).reshape(-1, 2) for c in per_sample_coords]
+        batch = np.repeat(np.arange(len(sets), dtype=np.int64), [c.shape[0] for c in sets])
+        return cls(height, width, np.concatenate(sets) if sets else np.zeros((0, 2), dtype=np.int64), batch)
+
+    def __len__(self) -> int:
+        return self.coords.shape[0]
+
+
+class SparseTensor2D:
+    """An active set plus one feature row per site at one spatial scale.
+
+    ``features`` is a [m, channels] DiffTensor whose row i belongs to site
+    ``sites.coords[i]`` of sample ``sites.batch[i]``.
+    """
+
+    __slots__ = ("sites", "features")
+
+    def __init__(self, sites: ActiveSet, features: DiffTensor):
+        if features.ndim != 2:
+            raise ValueError("SparseTensor2D: features must be [sites, channels]")
+        if features.shape[0] != len(sites):
+            raise ValueError(f"SparseTensor2D: {len(sites)} sites but {features.shape[0]} feature rows")
+        self.sites = sites
         self.features = features
+
+    height = property(lambda self: self.sites.height)
+    width = property(lambda self: self.sites.width)
+    coords = property(lambda self: self.sites.coords)
+    batch = property(lambda self: self.sites.batch)
 
     @property
     def channels(self) -> int:
@@ -119,14 +113,11 @@ class SparseTensor2D:
 
     @property
     def num_active(self) -> int:
-        return self.coords.shape[0]
-
-    def active_key(self) -> bytes:
-        return _coords_key(self.height, self.width, self.coords, self.batch)
+        return len(self.sites)
 
     def with_features(self, features: DiffTensor) -> "SparseTensor2D":
         """The same active sites carrying new feature rows."""
-        return SparseTensor2D(self.height, self.width, self.coords, features, validate=False, batch=self.batch)
+        return SparseTensor2D(self.sites, features)
 
     def __repr__(self):
         return (
@@ -136,25 +127,25 @@ class SparseTensor2D:
 
 
 class Rulebook:
-    """The neighbour table of one sparse conv: ``fwd[q, o]`` is the input row
-    that output row q reads at kernel offset o (offsets in row-major scan
-    order), or ``num_in`` where that input site is inactive; the conv
-    appends a zero row there.
-
-    ``in_key`` / ``out_key`` identify the input and output active sets (grid
-    size, sites, sample index); a submanifold rulebook has ``out_key ==
-    in_key``.
+    """The neighbour table of one sparse conv from active set ``src`` to
+    ``dst``: ``fwd[q, o]`` is the src row that dst row q reads at kernel
+    offset o (offsets in row-major scan order), or ``num_in`` where that
+    input site is inactive; the conv appends a zero row there. A submanifold
+    rulebook has ``dst is src``.
     """
 
-    __slots__ = ("kernel", "fwd", "in_key", "out_key", "num_in", "_inv")
+    __slots__ = ("kernel", "fwd", "src", "dst", "_inv")
 
-    def __init__(self, kernel, fwd, in_key, out_key, num_in):
+    def __init__(self, kernel, fwd, src: ActiveSet, dst: ActiveSet):
         self.kernel = kernel
         self.fwd = fwd
-        self.in_key = in_key
-        self.out_key = out_key
-        self.num_in = num_in
+        self.src = src
+        self.dst = dst
         self._inv = None
+
+    @property
+    def num_in(self) -> int:
+        return len(self.src)
 
     @property
     def num_out(self) -> int:
@@ -185,64 +176,45 @@ class Rulebook:
         return self._inv
 
 
-def build_rulebook(active, kernel, height: int | None = None, width: int | None = None, target=None,
-                   target_batch: np.ndarray | None = None, stride: int = 1, padding: int | None = None) -> Rulebook:
+def build_rulebook(src: ActiveSet, kernel, dst: ActiveSet | None = None, stride: int = 1,
+                   padding: int | None = None) -> Rulebook:
     """The neighbour table of a sparse convolution, filled by direct lookup.
 
     Output site q at kernel tap (i, j) reads input site q * stride - padding
     + (i, j) of its own sample. Input rows are scattered into a dense index
     grid [samples, height + 2 * padding, width + 2 * padding] that holds
     ``num_in`` at every inactive site, and each tap reads that grid at the
-    target sites; a repeated input site resolves to its last row.
-    ``active`` is a SparseTensor2D (its sample index and, by default, its
-    size are used) or a single sample's coordinate collection, which needs
-    ``height`` and ``width``. ``target`` (with ``target_batch``, default
-    sample 0) is the output active set of a strided conv; every target site
-    must see at least one active input of its sample, since an empty field
-    means the target set and the stride geometry disagree (a mask alignment
-    bug upstream). With no target the output sites are the input sites: a
+    output sites. ``dst`` is a strided conv's output set, on its output
+    grid; every dst site must see an active input of its sample, since an
+    empty field means the set and the stride geometry disagree (a mask
+    alignment bug upstream). With no ``dst`` the output set is ``src``: a
     submanifold conv, which needs an odd kernel, stride 1 and the default
     padding kernel // 2.
     """
     kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-    if isinstance(active, SparseTensor2D):
-        coords, batch = active.coords, active.batch
-        height = active.height if height is None else height
-        width = active.width if width is None else width
-    else:
-        coords = as_coords(active)
-        batch = _no_batch(coords)
-        if height is None or width is None:
-            raise ValueError("build_rulebook: a coordinate collection needs height= and width=")
-    if coords.shape[0] and (coords.min() < 0 or coords[:, 0].max() >= height or coords[:, 1].max() >= width):
-        raise ValueError(f"build_rulebook: input site outside {height}x{width} grid")
     ph, pw = (kh // 2, kw // 2) if padding is None else (padding, padding)
     if ph < 0:
         raise ValueError(f"build_rulebook: negative padding {ph}")
-    if target is None:
+    if dst is None:
         if kh % 2 == 0 or kw % 2 == 0:
             raise ValueError(f"build_rulebook: even kernel {kh}x{kw} is invalid in submanifold mode")
         if stride != 1 or (ph, pw) != (kh // 2, kw // 2):
             raise ValueError("build_rulebook: a submanifold rulebook has stride 1 and padding kernel // 2")
-        target, target_batch = coords, batch
-    elif not isinstance(target, np.ndarray):
-        target = as_coords(target)
-    target_batch = _no_batch(target) if target_batch is None else np.asarray(target_batch, dtype=np.int64)
-    h_out = (height + 2 * ph - kh) // stride + 1
-    w_out = (width + 2 * pw - kw) // stride + 1
-    if target.shape[0] and (target.min() < 0 or target[:, 0].max() >= h_out or target[:, 1].max() >= w_out):
-        raise ValueError(f"build_rulebook: target site outside {h_out}x{w_out} output grid")
-    if min(batch.min(initial=0), target_batch.min(initial=0)) < 0:
-        raise ValueError("build_rulebook: negative sample index")
+        dst = src
+    h_out = (src.height + 2 * ph - kh) // stride + 1
+    w_out = (src.width + 2 * pw - kw) // stride + 1
+    if (dst.height, dst.width) != (h_out, w_out):
+        raise ValueError(f"build_rulebook: output set on a {dst.height}x{dst.width} grid, "
+                         f"but the conv's output grid is {h_out}x{w_out}")
 
-    num_in = coords.shape[0]
-    samples = int(max(batch.max(initial=-1), target_batch.max(initial=-1))) + 1
-    # a tap of an in-range target site stays inside the padded grid, so no index wraps
-    index = np.full((samples, height + 2 * ph, width + 2 * pw), num_in, dtype=np.int64)
-    index[batch, coords[:, 0] + ph, coords[:, 1] + pw] = np.arange(num_in)
+    num_in, coords, target = len(src), src.coords, dst.coords
+    samples = int(max(src.batch.max(initial=-1), dst.batch.max(initial=-1))) + 1
+    # a tap of an on-grid output site stays inside the padded grid, so no index wraps
+    index = np.full((samples, src.height + 2 * ph, src.width + 2 * pw), num_in, dtype=np.int64)
+    index[src.batch, coords[:, 0] + ph, coords[:, 1] + pw] = np.arange(num_in)
     rows = target[:, 0, None] * stride + np.arange(kh)  # [m, kh]
     cols = target[:, 1, None] * stride + np.arange(kw)  # [m, kw]
-    fwd = index[target_batch[:, None, None], rows[:, :, None], cols[:, None, :]].reshape(-1, kh * kw)
+    fwd = index[dst.batch[:, None, None], rows[:, :, None], cols[:, None, :]].reshape(-1, kh * kw)
     seen = (fwd != num_in).any(axis=1)
     if not seen.all():
         bad = target[int(np.argmin(seen))]
@@ -250,8 +222,7 @@ def build_rulebook(active, kernel, height: int | None = None, width: int | None 
             f"build_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
             f"receptive field (mask/stride misalignment)"
         )
-    return Rulebook((kh, kw), fwd, _coords_key(height, width, coords, batch),
-                    _coords_key(h_out, w_out, target, target_batch), num_in)
+    return Rulebook((kh, kw), fwd, src, dst)
 
 
 def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -305,34 +276,16 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
 
 def subm_conv2d(sp: SparseTensor2D, w: DiffTensor, b: DiffTensor | None, rb: Rulebook) -> SparseTensor2D:
     """Submanifold sparse convolution: computes only at (and from) active sites."""
-    if rb.in_key != sp.active_key() or rb.out_key != rb.in_key:
+    if rb.src is not sp.sites or rb.dst is not rb.src:
         raise ValueError("subm_conv2d: rulebook does not map the input's active set onto itself")
     return sp.with_features(_apply_rulebook(sp.features, w, b, rb))
 
 
-def sparse_downsample(
-    sp: SparseTensor2D,
-    target_active,
-    w: DiffTensor,
-    b: DiffTensor | None = None,
-    stride: int = 2,
-    padding: int = 0,
-    target_batch: np.ndarray | None = None,
-) -> SparseTensor2D:
-    """Strided sparse convolution onto a mask-derived target active set.
-
-    ``target_batch`` is the sample index of each target site when ``sp``
-    holds a batch (default: every target belongs to sample 0).
-    """
-    kh, kw = w.shape[2], w.shape[3]
-    coords_out = as_coords(target_active) if not isinstance(target_active, np.ndarray) else target_active
-    batch_out = _no_batch(coords_out) if target_batch is None else np.asarray(target_batch, dtype=np.int64)
-    h_out = (sp.height + 2 * padding - kh) // stride + 1
-    w_out = (sp.width + 2 * padding - kw) // stride + 1
-    rulebook = build_rulebook(sp, (kh, kw), target=coords_out, target_batch=batch_out, stride=stride,
-                              padding=padding)
-    feats = _apply_rulebook(sp.features, w, b, rulebook)
-    return SparseTensor2D(h_out, w_out, coords_out, feats, validate=False, batch=batch_out)
+def sparse_downsample(sp: SparseTensor2D, w: DiffTensor, b: DiffTensor | None, rb: Rulebook) -> SparseTensor2D:
+    """Strided sparse convolution onto the rulebook's mask-derived output set."""
+    if rb.src is not sp.sites:
+        raise ValueError("sparse_downsample: rulebook does not read the input's active set")
+    return SparseTensor2D(rb.dst, _apply_rulebook(sp.features, w, b, rb))
 
 
 def sparse_batchnorm(
@@ -388,35 +341,30 @@ def densify(sp: SparseTensor2D, fill: DiffTensor, n: int) -> DiffTensor:
     return record_op(out, (feats, fill), backward_fn)
 
 
-def gather_from_dense(x: DiffTensor, active, batch_index=0) -> SparseTensor2D:
-    """Read feature rows of a [N,C,H,W] tensor at the given active coordinates.
+def gather_from_dense(x: DiffTensor, sites: ActiveSet) -> SparseTensor2D:
+    """Read feature rows of a [N,C,H,W] tensor at the given active sites.
 
-    ``batch_index`` is one sample (the result is a single-sample tensor) or
-    an [m] array naming each row's sample (the result is a batched tensor
-    carrying that index). Round-tripping through ``densify`` reproduces the
-    dense values at active sites; gradients to inactive positions are
-    exactly zero. A position read by several rows (the same site in several
-    samples, e.g. a shared [1,C,H,W] embedding) receives the sum of their
-    gradients.
+    Round-tripping through ``densify`` reproduces the dense values at active
+    sites; gradients to inactive positions are exactly zero.
     """
     if x.ndim != 4:
         raise ValueError(f"gather_from_dense: input must be 4-d, got {x.ndim}-d")
     n, c, h, w = x.shape
-    coords = as_coords(active) if not isinstance(active, np.ndarray) else active
-    if coords.shape[0] and (coords[:, 0].max() >= h or coords[:, 1].max() >= w):
-        raise ValueError(f"gather_from_dense: coordinate out of bounds for {h}x{w}")
-    rows, cols = coords[:, 0], coords[:, 1]
-    feats = DiffTensor(np.ascontiguousarray(x.data[batch_index, :, rows, cols]))  # [m, C]
+    if (sites.height, sites.width) != (h, w):
+        raise ValueError(f"gather_from_dense: active set on a {sites.height}x{sites.width} grid, input is {h}x{w}")
+    if len(sites) and sites.batch[-1] >= n:
+        raise ValueError(f"gather_from_dense: sample index {sites.batch[-1]} out of range for a batch of {n}")
+    batch, rows, cols = sites.batch, sites.coords[:, 0], sites.coords[:, 1]
+    feats = DiffTensor(np.ascontiguousarray(x.data[batch, :, rows, cols]))  # [m, C]
 
     def backward_fn(g):
         if x.requires_grad:
             gx = np.zeros_like(x.data)
-            np.add.at(gx, (batch_index, slice(None), rows, cols), g)
+            gx[batch, :, rows, cols] = g  # sites are unique, so no position is written twice
             accumulate_grad(x, gx)
 
     record_op(feats, (x,), backward_fn)
-    batch = np.asarray(batch_index, dtype=np.int64) if np.ndim(batch_index) else None
-    return SparseTensor2D(h, w, coords, feats, validate=False, batch=batch)
+    return SparseTensor2D(sites, feats)
 
 
 def sparse_flops(rb: Rulebook, cin: int, cout: int) -> int:

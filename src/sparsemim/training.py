@@ -31,6 +31,7 @@ __all__ = [
     "OptimizerState",
     "adam_step",
     "lamb_step",
+    "count_steps",
     "train",
     "Checkpoint",
     "save_checkpoint",
@@ -147,6 +148,22 @@ def lamb_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_
         p -= update
 
 
+def count_steps(cfg: TrainConfig, n_data: int) -> int:
+    """The number of optimizer steps ``train`` takes on ``n_data`` images;
+    a ValueError if the sizes give none."""
+    if cfg.batch_size < 1:
+        raise ValueError(f"train: batch size {cfg.batch_size} must be positive")
+    if n_data < cfg.batch_size:
+        raise ValueError(f"train: dataset of {n_data} images smaller than batch size {cfg.batch_size}")
+    total_steps = cfg.epochs * (n_data // cfg.batch_size)
+    if cfg.max_steps is not None:
+        total_steps = min(total_steps, cfg.max_steps)
+    if total_steps < 1:
+        raise ValueError(f"train: {total_steps} training steps (epochs {cfg.epochs}, max steps {cfg.max_steps}); "
+                         f"need at least one")
+    return total_steps
+
+
 def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=None):
     """Pre-train ``model`` on ``dataset`` (anything with __len__ and pixels(i)).
 
@@ -159,16 +176,8 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
     from .data import augment  # local import to keep module load cheap
 
     n_data = len(dataset)
-    if cfg.batch_size < 1:
-        raise ValueError(f"train: batch size {cfg.batch_size} must be positive")
-    if n_data < cfg.batch_size:
-        raise ValueError(f"train: dataset of {n_data} images smaller than batch size {cfg.batch_size}")
+    total_steps = count_steps(cfg, n_data)
     steps_per_epoch = n_data // cfg.batch_size
-    total_steps = cfg.epochs * steps_per_epoch
-    if cfg.max_steps is not None:
-        total_steps = min(total_steps, cfg.max_steps)
-    if total_steps < 1:
-        raise ValueError("train: zero training steps; increase epochs or dataset size")
     warmup = min(max(total_steps // 100, 10), total_steps)
     peak = cfg.peak_lr()
 

@@ -13,7 +13,7 @@ from . import autograd as ag
 from .masking import PatchMask, erosion_profile, generate_mask, masked_pixel_map
 from .model import (EncoderConfig, SparkConfig, SparkModel, _project_dense, decoder_forward, encoder_forward,
                     spark_forward, spark_loss, to_dense_encoder)
-from .sparse import SparseTensor2D, as_coords, build_rulebook, sparse_downsample, stack_coords, subm_conv2d
+from .sparse import ActiveSet, SparseTensor2D, build_rulebook, sparse_downsample, subm_conv2d
 
 __all__ = ["suite_gradcheck", "suite_oracle", "suite_erosion", "suite_leakage", "run_suites", "SUITES"]
 
@@ -133,9 +133,8 @@ def _random_batch(rng, n, h, w, cin):
         if b != empty and not on.any():
             on[int(rng.integers(0, h)), int(rng.integers(0, w))] = True
         sets.append(np.argwhere(on & (b != empty)))
-    coords, batch = stack_coords(sets)
-    feats = ag.tensor(rng.normal(size=(coords.shape[0], cin)))
-    return SparseTensor2D(h, w, coords, feats, batch=batch), empty >= 0
+    sites = ActiveSet.stack(h, w, sets)
+    return SparseTensor2D(sites, ag.tensor(rng.normal(size=(len(sites), cin)))), empty >= 0
 
 
 def _zero_fill(sp, n, rows):
@@ -168,7 +167,7 @@ def suite_oracle(instances: int = 200, seed: int = 123):
         with_empty += has_empty
         wt = ag.tensor(rng.normal(size=(cout, cin, k, k)))
         bt = ag.tensor(rng.normal(size=cout))
-        out = subm_conv2d(sp, wt, bt, build_rulebook(sp, k))
+        out = subm_conv2d(sp, wt, bt, build_rulebook(sp.sites, k))
         preserved &= np.array_equal(out.coords, sp.coords) and np.array_equal(out.batch, sp.batch)
         dense = _zero_fill(sp, n, sp.features.data)
         ref = ag.conv2d(dense, wt, bt, stride=1, padding=k // 2).data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
@@ -181,7 +180,8 @@ def suite_oracle(instances: int = 200, seed: int = 123):
         reach = ag.conv2d(_zero_fill(sp, n, np.ones((sp.num_active, 1))), ag.tensor(np.ones((1, 1, kd, kd))),
                           stride=2, padding=pad).data[:, 0]
         target = np.argwhere((reach > 0) & (rng.random(reach.shape) < 0.8))  # (sample, row, col)
-        down = sparse_downsample(sp, target[:, 1:], wd, bd, stride=2, padding=pad, target_batch=target[:, 0])
+        dst = ActiveSet(reach.shape[1], reach.shape[2], target[:, 1:], target[:, 0])
+        down = sparse_downsample(sp, wd, bd, build_rulebook(sp.sites, kd, dst, stride=2, padding=pad))
         ref = ag.conv2d(dense, wd, bd, stride=2, padding=pad).data[target[:, 0], :, target[:, 1], target[:, 2]]
         worst_down = max(worst_down, float(np.abs(down.features.data - ref).max(initial=0.0)))
     lines = [f"  {instances} random batched instances ({with_empty} with an empty sample)",
@@ -204,11 +204,11 @@ def suite_erosion(max_layers: int = 20):
 
     # the same mask under stacked submanifold convs keeps the count constant
     rng = np.random.default_rng(0)
-    coords = as_coords(np.argwhere(~masked_pixel_map(PatchMask(3, 3, 4, visible))))
-    sp = SparseTensor2D(12, 12, coords, ag.tensor(rng.normal(size=(coords.shape[0], 2))))
-    rb = build_rulebook(coords, 3, height=12, width=12)
+    sites = ActiveSet.stack(12, 12, [np.argwhere(~masked_pixel_map(PatchMask(3, 3, 4, visible)))])
+    sp = SparseTensor2D(sites, ag.tensor(rng.normal(size=(len(sites), 2))))
+    rb = build_rulebook(sites, 3)
     wt = ag.tensor(rng.normal(size=(2, 2, 3, 3)))
-    zero_cells = 12 * 12 - coords.shape[0]
+    zero_cells = 12 * 12 - len(sites)
     constant = True
     for _ in range(max_layers):
         sp = subm_conv2d(sp, wt, None, rb)

@@ -30,8 +30,8 @@ from sparsemim.model import (
     to_dense_encoder,
 )
 from sparsemim.sparse import (
+    ActiveSet,
     SparseTensor2D,
-    as_coords,
     build_rulebook,
     dense_conv_macs,
     sparse_flops,
@@ -70,9 +70,10 @@ class TestAcceptance:
         t0 = time.time()
         rng = np.random.default_rng(7)
         sites = [(r, c) for r in range(10) for c in range(10) if rng.random() < 0.4]
-        coords = as_coords(sites)
-        sp = SparseTensor2D(10, 10, coords, ag.tensor(rng.normal(size=(coords.shape[0], 3))))
-        rb = build_rulebook(coords, 3, height=10, width=10)
+        active = ActiveSet.stack(10, 10, [sites])
+        coords = active.coords.copy()
+        sp = SparseTensor2D(active, ag.tensor(rng.normal(size=(coords.shape[0], 3))))
+        rb = build_rulebook(active, 3)
         w = ag.tensor(rng.normal(size=(3, 3, 3, 3)))
         with ag.no_grad():
             for depth in range(1, 21):
@@ -179,7 +180,7 @@ class TestAcceptance:
         for stride in (4, 8, 16, 32):
             act = active_set_at_scale(mask, stride)
             g = 224 // stride
-            rb = build_rulebook(act, 3, height=g, width=g)
+            rb = build_rulebook(ActiveSet.stack(g, g, [act]), 3)
             ratio = sparse_flops(rb, 4, 4) / dense_conv_macs(g, g, 3, 4, 4)
             assert ratio <= frac + 1e-12, f"stride {stride}: ratio {ratio} exceeds active fraction {frac}"
         _announce(6, f"scale-/4 sparse/dense MAC ratio {scale4['ratio']:.4f} in (0.30, 0.40], exact vs oracle; "

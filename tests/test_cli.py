@@ -60,6 +60,40 @@ class TestPretrain:
         assert flag in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,synth", [(["--steps", "0"], "12"), (["--steps", "-3"], "12"),
+                                            (["--epochs", "0"], "12"), (["--batch", "0"], "12"),
+                                            ([], "0"), ([], "-3"), (["--batch", "16"], "8")])
+    def test_sizes_giving_no_step_rejected_before_any_write(self, tmp_path, capsys, argv, synth):
+        out = tmp_path / "bad"
+        assert run_pretrain(out, extra=argv, synth=synth) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("sparsemim pretrain: ") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file_cfg,msg", [({"steps": 0}, "0 training steps"), ({"steps": -3}, "-3 training steps"),
+                                              ({"epochs": 0}, "0 training steps"),
+                                              ({"batch": 0}, "batch size 0 must be positive"),
+                                              ({"batch": 16}, "smaller than batch size 16")])
+    def test_sizes_in_config_file_giving_no_step_rejected(self, tmp_path, capsys, file_cfg, msg):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        out = tmp_path / "bad"
+        assert main(["pretrain", "--synth", "8", "--out", str(out), "--config", str(cfg_file), "--image-size", "16",
+                     "--patch", "8", "--stages", "2", "--widths", "4,8"]) == 1
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_data_directory_checked_before_any_write(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        out = tmp_path / "bad"
+        argv = ["pretrain", "--data", str(data), "--out", str(out), *TINY]
+        assert main(argv) == 1 and "no .ppm files" in capsys.readouterr().err
+        for i in range(2):  # two images cannot fill a batch of 4
+            save_ppm(str(data / f"{i}.ppm"), np.zeros((3, 16, 16)))
+        assert main(argv) == 1 and "smaller than batch size 4" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("file_cfg,flag", [({"lr": float("nan")}, "--lr"), ({"lr": 0.0}, "--lr"),
                                                ({"weight_decay": float("nan")}, "--weight-decay"),
                                                ({"weight_decay": -1.0}, "--weight-decay")])

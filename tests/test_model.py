@@ -253,9 +253,9 @@ class TestProjectAndDensify:
 
     def test_fully_inactive_constant_field(self):
         model = tiny_model()
-        from sparsemim.sparse import SparseTensor2D, densify
+        from sparsemim.sparse import ActiveSet, SparseTensor2D, densify
 
-        empty = SparseTensor2D(2, 2, np.zeros((0, 2), dtype=np.int64),
+        empty = SparseTensor2D(ActiveSet(2, 2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)),
                                ag.tensor(np.zeros((0, 8))))
         fill = model.param("embed.scale1")
         d = densify(empty, fill, 1)

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from sparsemim import autograd as ag
 from sparsemim.sparse import (
+    ActiveSet,
     SparseTensor2D,
-    as_coords,
     build_rulebook,
     densify,
     dense_conv_macs,
@@ -16,7 +16,6 @@ from sparsemim.sparse import (
     sparse_batchnorm,
     sparse_downsample,
     sparse_flops,
-    stack_coords,
     subm_conv2d,
 )
 
@@ -34,54 +33,43 @@ def count_pairs_oracle(coords, h, w, k):
     return total
 
 
+def one(h, w, coords):
+    """A single-sample active set on an h x w grid."""
+    return ActiveSet.stack(h, w, [coords])
+
+
 def random_sparse(rng, h, w, cin, density):
     sites = [(r, c) for r in range(h) for c in range(w) if rng.random() < density]
     if not sites:
         sites = [(int(rng.integers(0, h)), int(rng.integers(0, w)))]
-    coords = as_coords(sites)
-    feats = ag.tensor(rng.normal(size=(coords.shape[0], cin)), requires_grad=True)
-    return SparseTensor2D(h, w, coords, feats)
-
-
-class TestAsCoords:
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.tuples(st.integers(-5, 30), st.integers(-5, 30)), max_size=60))
-    def test_matches_sorted_tuples(self, sites):
-        want = np.asarray(sorted(sites), dtype=np.int64).reshape(-1, 2)
-        for got in (as_coords(sites), as_coords(np.asarray(sites, dtype=np.int64).reshape(-1, 2))):
-            assert got.dtype == np.int64 and got.shape == want.shape
-            assert np.array_equal(got, want)
-
-    def test_empty_and_bad_shape(self):
-        assert as_coords([]).shape == (0, 2) and as_coords(np.zeros((0, 2))).dtype == np.int64
-        with pytest.raises(ValueError, match="pairs"):
-            as_coords(np.zeros((3, 3), dtype=np.int64))
+    feats = ag.tensor(rng.normal(size=(len(sites), cin)), requires_grad=True)
+    return SparseTensor2D(one(h, w, sites), feats)
 
 
 class TestRulebook:
     def test_fully_active_4x4(self):
         coords = [(r, c) for r in range(4) for c in range(4)]
-        rb = build_rulebook(coords, 3, height=4, width=4)
+        rb = build_rulebook(one(4, 4, coords), 3)
         assert rb.pairs[4].shape[0] == 16  # center offset
         assert rb.total_pairs == 100 == count_pairs_oracle(coords, 4, 4, 3)
 
     def test_single_site(self):
-        rb = build_rulebook([(2, 2)], 3, height=5, width=5)
+        rb = build_rulebook(one(5, 5, [(2, 2)]), 3)
         assert rb.total_pairs == 1
 
     def test_2x2_block(self):
         coords = [(0, 0), (0, 1), (1, 0), (1, 1)]
-        rb = build_rulebook(coords, 3, height=4, width=4)
+        rb = build_rulebook(one(4, 4, coords), 3)
         assert rb.total_pairs == 16 == count_pairs_oracle(coords, 4, 4, 3)
 
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="even kernel"):
-            build_rulebook([(0, 0)], 2, height=2, width=2)
+            build_rulebook(one(2, 2, [(0, 0)]), 2)
 
     def test_pair_geometry(self):
         rng = np.random.default_rng(0)
         sp = random_sparse(rng, 6, 6, 1, 0.4)
-        rb = build_rulebook(sp.coords, 3, height=6, width=6)
+        rb = build_rulebook(sp.sites, 3)
         half = 1
         for o, pr in enumerate(rb.pairs):
             di, dj = o // 3 - half, o % 3 - half
@@ -93,7 +81,7 @@ class TestRulebook:
     def test_pair_count_matches_oracle(self, seed, h, w, k):
         rng = np.random.default_rng(seed)
         sp = random_sparse(rng, h, w, 1, rng.uniform(0.1, 1.0))
-        rb = build_rulebook(sp.coords, k, height=h, width=w)
+        rb = build_rulebook(sp.sites, k)
         assert rb.total_pairs == count_pairs_oracle(sp.coords, h, w, k)
 
 
@@ -145,7 +133,7 @@ class TestRulebookOracle:
     def test_submanifold(self, seed, h, w, density, k):
         rng = np.random.default_rng(seed)
         coords = np.argwhere(rng.random((h, w)) < density).astype(np.int64)
-        rb = build_rulebook(coords, k, height=h, width=w)
+        rb = build_rulebook(one(h, w, coords), k)
         assert_pairs_identical(rb.pairs, rulebook_reference(coords, k))
         assert rb.num_in == rb.num_out == coords.shape[0]
 
@@ -172,10 +160,10 @@ class TestRulebookOracle:
             msg = (f"build_rulebook: target site {empty} has an empty receptive field "
                    f"(mask/stride misalignment)")
             with pytest.raises(ValueError) as exc:
-                build_rulebook(coords_in, k, height=h, width=w, target=coords_out, stride=stride, padding=pad)
+                build_rulebook(one(h, w, coords_in), k, one(ho, wo, coords_out), stride=stride, padding=pad)
             assert str(exc.value) == msg
             return
-        rb = build_rulebook(coords_in, k, height=h, width=w, target=coords_out, stride=stride, padding=pad)
+        rb = build_rulebook(one(h, w, coords_in), k, one(ho, wo, coords_out), stride=stride, padding=pad)
         assert_pairs_identical(rb.pairs, want)
         assert (rb.num_in, rb.num_out) == (coords_in.shape[0], coords_out.shape[0])
 
@@ -194,11 +182,10 @@ class TestBatchedRulebook:
     def test_pairs_are_shifted_per_sample_pairs(self, seed, n, h, w, k, down):
         rng = np.random.default_rng(seed)
         sets = [np.argwhere(rng.random((h, w)) < rng.uniform(0.0, 1.0)) for _ in range(n)]
-        coords, batch = stack_coords(sets)
+        sites = ActiveSet.stack(h, w, sets)
         off = np.cumsum([0] + [s.shape[0] for s in sets])[:-1]
-        sp = SparseTensor2D(h, w, coords, ag.tensor(np.zeros((coords.shape[0], 1))), batch=batch)
-        rb = build_rulebook(sp, k)
-        want = self._per_sample_concat([build_rulebook(s, k, height=h, width=w) for s in sets], off, off)
+        rb = build_rulebook(sites, k)
+        want = self._per_sample_concat([build_rulebook(one(h, w, s), k) for s in sets], off, off)
         assert_pairs_identical(rb.pairs, [p.astype(np.int64) for p in want])
 
         kd, pad = down
@@ -215,11 +202,10 @@ class TestBatchedRulebook:
                         if rr % 2 == cc % 2 == 0 and 0 <= rr // 2 < ho and 0 <= cc // 2 < wo:
                             seen[rr // 2, cc // 2] = True
             targets.append(np.argwhere(seen))
-        tcoords, tbatch = stack_coords(targets)
         toff = np.cumsum([0] + [t.shape[0] for t in targets])[:-1]
-        rb = build_rulebook(sp, kd, target=tcoords, target_batch=tbatch, stride=2, padding=pad)
+        rb = build_rulebook(sites, kd, ActiveSet.stack(ho, wo, targets), stride=2, padding=pad)
         want = self._per_sample_concat(
-            [build_rulebook(s, kd, height=h, width=w, target=t, stride=2, padding=pad) for s, t in zip(sets, targets)],
+            [build_rulebook(one(h, w, s), kd, one(ho, wo, t), stride=2, padding=pad) for s, t in zip(sets, targets)],
             off, toff)
         assert_pairs_identical(rb.pairs, want)
         assert rb.total_pairs * 3 * 5 == sparse_flops(rb, 3, 5)
@@ -230,34 +216,27 @@ class TestRulebookTable:
 
     def test_input_site_outside_grid_rejected(self):
         for site in [(5, 0), (0, 5), (-1, 2), (2, -1)]:
-            with pytest.raises(ValueError, match="input site outside 5x5"):
-                build_rulebook([(1, 1), site], 3, height=5, width=5)
-        sp = SparseTensor2D(6, 6, [[5, 5]], ag.tensor(np.zeros((1, 1))))
-        with pytest.raises(ValueError, match="input site outside 4x6"):
-            build_rulebook(sp, 3, height=4)
+            with pytest.raises(ValueError, match="out of bounds for 5x5"):
+                one(5, 5, [(1, 1), site])
+        with pytest.raises(ValueError, match="out of bounds for 4x6"):
+            one(4, 6, [(5, 5)])
+        sp = one(6, 6, [(5, 5)])
         with pytest.raises(ValueError, match="negative padding"):  # the index grid would lose its border
-            build_rulebook(sp, 2, target=[(2, 2)], stride=2, padding=-1)
+            build_rulebook(sp, 2, one(3, 3, [(2, 2)]), stride=2, padding=-1)
 
     def test_negative_sample_index_rejected(self):
-        sp = SparseTensor2D(4, 4, [[1, 1]], ag.tensor(np.zeros((1, 1))), validate=False, batch=np.array([-1]))
         with pytest.raises(ValueError, match="negative sample index"):
-            build_rulebook(sp, 3)
-        ok = SparseTensor2D(4, 4, [[1, 1]], ag.tensor(np.zeros((1, 1))))
+            ActiveSet(4, 4, [[1, 1]], [-1])
         with pytest.raises(ValueError, match="negative sample index"):
-            build_rulebook(ok, 2, target=[(0, 0)], target_batch=np.array([-1]), stride=2, padding=0)
+            ActiveSet(2, 2, [(0, 0), (1, 1)], [-1, 0])
 
-    def test_coordinate_collection_needs_height_and_width(self):
-        for kwargs in ({}, {"height": 4}, {"width": 4}):
-            with pytest.raises(ValueError, match="height= and width="):
-                build_rulebook([(1, 1)], 3, **kwargs)
-
-    def test_repeated_input_site_resolves_to_last_row(self):
-        coords = as_coords([(1, 1), (1, 1), (1, 2), (1, 2), (1, 2)])
-        rb = build_rulebook(coords, 3, height=3, width=3)
-        assert rb.fwd[0, 4] == rb.fwd[1, 4] == 1 and rb.fwd[2, 4] == 4
-        assert_pairs_identical(rb.pairs, rulebook_reference(coords, 3))
-        down = build_rulebook(coords, 2, height=3, width=4, target=[(0, 0), (0, 1)], stride=2, padding=0)
-        assert down.fwd.tolist() == [[5, 5, 5, 1], [5, 5, 4, 5]]  # 5 = num_in marks an inactive tap
+    def test_output_set_off_the_conv_grid_rejected(self):
+        src = one(4, 4, [(0, 0), (1, 1), (2, 2)])
+        with pytest.raises(ValueError, match="output grid is 2x2"):
+            build_rulebook(src, 2, one(3, 3, [(0, 0)]), stride=2, padding=0)
+        with pytest.raises(ValueError, match="output grid is 4x4"):
+            build_rulebook(src, 3, one(4, 5, [(0, 0)]), stride=1, padding=1)
+        assert build_rulebook(src, 2, one(2, 2, [(0, 0), (1, 1)]), stride=2, padding=0).num_out == 2
 
     @staticmethod
     def _inverse_from_pairs(rb):
@@ -272,11 +251,10 @@ class TestRulebookTable:
     def test_inv_is_the_inverse_of_pairs(self, seed, n, h, w, k):
         rng = np.random.default_rng(seed)
         sets = [np.argwhere(rng.random((h, w)) < rng.uniform(0.0, 1.0)) for _ in range(n)]
-        coords, batch = stack_coords(sets)
-        sp = SparseTensor2D(h, w, coords, ag.tensor(np.zeros((coords.shape[0], 1))), batch=batch)
-        down = np.unique(np.column_stack([batch, coords // 2]), axis=0)  # each 2x2 cell holding an input site
-        strided = build_rulebook(sp, 2, target=down[:, 1:], target_batch=down[:, 0], stride=2, padding=0)
-        for rb in (build_rulebook(sp, k), strided):
+        sites = ActiveSet.stack(h, w, sets)
+        down = np.unique(np.column_stack([sites.batch, sites.coords // 2]), axis=0)  # each 2x2 cell holding a site
+        strided = build_rulebook(sites, 2, ActiveSet(h // 2, w // 2, down[:, 1:], down[:, 0]), stride=2, padding=0)
+        for rb in (build_rulebook(sites, k), strided):
             got = rb.inv()
             assert got.dtype == np.int64 and got.shape == (rb.num_in, len(rb.pairs))
             assert np.array_equal(got, self._inverse_from_pairs(rb))
@@ -292,7 +270,8 @@ class TestBatchedGradients:
         n, h, w, cin, cout = 3, 7, 6, 2, 3
         sets = [np.argwhere(rng.random((h, w)) < 0.5), np.zeros((0, 2), dtype=np.int64),
                 np.argwhere(rng.random((h, w)) < 0.7)]
-        coords, batch = stack_coords(sets)
+        sites = ActiveSet.stack(h, w, sets)
+        coords, batch = sites.coords, sites.batch
         x = rng.normal(size=(coords.shape[0], cin))
         k = int(kind[-1])
         stride, pad = (1, k // 2) if kind.startswith("subm") else (2, k - 2)
@@ -301,20 +280,21 @@ class TestBatchedGradients:
 
         feats = ag.tensor(x, requires_grad=True)
         ws, bs = ag.tensor(wt, requires_grad=True), ag.tensor(bt, requires_grad=True)
-        sp = SparseTensor2D(h, w, coords, feats, batch=batch)
+        sp = SparseTensor2D(sites, feats)
         dense_x = np.zeros((n, cin, h, w))
         dense_x[batch, :, coords[:, 0], coords[:, 1]] = x
         xd = ag.tensor(dense_x, requires_grad=True)
         wd, bd = ag.tensor(wt, requires_grad=True), ag.tensor(bt, requires_grad=True)
         if stride == 1:
-            out = subm_conv2d(sp, ws, bs, build_rulebook(sp, k))
+            out = subm_conv2d(sp, ws, bs, build_rulebook(sites, k))
             tb, tc = batch, coords
         else:
             reach = ag.conv2d(ag.tensor((dense_x != 0).any(axis=1, keepdims=True).astype(float)),
                               ag.tensor(np.ones((1, 1, k, k))), stride=2, padding=pad).data[:, 0]
             t = np.argwhere(reach > 0)
             tb, tc = t[:, 0], t[:, 1:]
-            out = sparse_downsample(sp, tc, ws, bs, stride=2, padding=pad, target_batch=tb)
+            dst = ActiveSet(reach.shape[1], reach.shape[2], tc, tb)
+            out = sparse_downsample(sp, ws, bs, build_rulebook(sites, k, dst, stride=2, padding=pad))
         gout = rng.normal(size=out.features.shape)
         ag.backward(ag.sum_over(ag.mul(out.features, ag.tensor(gout))))
         yd = ag.conv2d(xd, wd, bd, stride=stride, padding=pad)  # backward() clears the tape, so record after
@@ -336,22 +316,22 @@ class TestSubmConv:
 
     def test_fully_active_equals_dense(self):
         rng = np.random.default_rng(1)
-        coords = as_coords([(r, c) for r in range(5) for c in range(5)])
-        sp = SparseTensor2D(5, 5, coords, ag.tensor(rng.normal(size=(25, 3))))
+        sites = one(5, 5, [(r, c) for r in range(5) for c in range(5)])
+        sp = SparseTensor2D(sites, ag.tensor(rng.normal(size=(25, 3))))
         w = ag.tensor(rng.normal(size=(4, 3, 3, 3)))
         b = ag.tensor(rng.normal(size=4))
-        rb = build_rulebook(coords, 3, height=5, width=5)
+        rb = build_rulebook(sites, 3)
         out = subm_conv2d(sp, w, b, rb)
         np.testing.assert_allclose(out.features.data, self._dense_ref(sp, w, b, 3), atol=1e-12)
 
     def test_isolated_site_center_tap_only(self):
         rng = np.random.default_rng(2)
-        coords = as_coords([(3, 3)])
+        sites = one(7, 7, [(3, 3)])
         x = rng.normal(size=(1, 2))
-        sp = SparseTensor2D(7, 7, coords, ag.tensor(x))
+        sp = SparseTensor2D(sites, ag.tensor(x))
         w = ag.tensor(rng.normal(size=(3, 2, 3, 3)))
         b = ag.tensor(rng.normal(size=3))
-        rb = build_rulebook(coords, 3, height=7, width=7)
+        rb = build_rulebook(sites, 3)
         out = subm_conv2d(sp, w, b, rb)
         ref = x @ w.data[:, :, 1, 1].T + b.data
         np.testing.assert_allclose(out.features.data, ref, atol=1e-12)
@@ -364,7 +344,7 @@ class TestSubmConv:
             sp = random_sparse(rng, h, w_, int(rng.integers(1, 4)), rng.uniform(0.2, 0.9))
             wt = ag.tensor(rng.normal(size=(int(rng.integers(1, 4)), sp.channels, k, k)))
             bt = ag.tensor(rng.normal(size=wt.shape[0]))
-            rb = build_rulebook(sp.coords, k, height=h, width=w_)
+            rb = build_rulebook(sp.sites, k)
             out = subm_conv2d(sp, wt, bt, rb)
             assert np.abs(out.features.data - self._dense_ref(sp, wt, bt, k)).max() < 1e-10
 
@@ -372,7 +352,7 @@ class TestSubmConv:
         rng = np.random.default_rng(4)
         sp = random_sparse(rng, 8, 8, 2, 0.35)
         coords0 = sp.coords.copy()
-        rb = build_rulebook(coords0, 3, height=8, width=8)
+        rb = build_rulebook(sp.sites, 3)
         w = ag.tensor(rng.normal(size=(2, 2, 3, 3)))
         for _ in range(12):
             sp = subm_conv2d(sp, w, None, rb)
@@ -381,26 +361,27 @@ class TestSubmConv:
     def test_rulebook_identity_mismatch_rejected(self):
         rng = np.random.default_rng(5)
         sp = random_sparse(rng, 5, 5, 1, 0.5)
-        other = build_rulebook([(0, 0)], 3, height=5, width=5)
+        other = build_rulebook(one(5, 5, [(0, 0)]), 3)
+        # an equal copy of the input's set is a different set
+        copy = build_rulebook(ActiveSet(5, 5, sp.coords.copy(), sp.batch.copy()), 3)
         # these two read the input's active set but do not write back onto it
-        strided = build_rulebook(sp, 3, target=sp.coords[:1] // 2, stride=2, padding=1)
-        subset = build_rulebook(sp, 3, target=sp.coords[:1])
-        assert strided.in_key == subset.in_key == sp.active_key()
+        strided = build_rulebook(sp.sites, 3, one(3, 3, sp.coords[:1] // 2), stride=2, padding=1)
+        subset = build_rulebook(sp.sites, 3, one(5, 5, sp.coords[:1]))
+        assert strided.src is subset.src is sp.sites
         w = ag.tensor(rng.normal(size=(1, 1, 3, 3)))
-        for rb in (other, strided, subset):
+        for rb in (other, copy, strided, subset):
             with pytest.raises(ValueError, match="active set"):
                 subm_conv2d(sp, w, None, rb)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
         sp = random_sparse(rng, 5, 5, 2, 0.5)
-        rb = build_rulebook(sp.coords, 3, height=5, width=5)
+        rb = build_rulebook(sp.sites, 3)
         w = ag.tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
         b = ag.tensor(rng.normal(size=3), requires_grad=True)
-        coords = sp.coords
 
         def f(t):
-            s = SparseTensor2D(5, 5, coords, t[0], validate=False)
+            s = SparseTensor2D(sp.sites, t[0])
             return ag.mean_over(ag.square(subm_conv2d(s, t[1], t[2], rb).features))
 
         assert ag.grad_check(f, [sp.features, w, b]) < 1e-6
@@ -409,12 +390,14 @@ class TestSubmConv:
 class TestSparseDownsample:
     def test_fully_active_equals_dense_strided(self):
         rng = np.random.default_rng(7)
-        coords = as_coords([(r, c) for r in range(4) for c in range(4)])
-        sp = SparseTensor2D(4, 4, coords, ag.tensor(rng.normal(size=(16, 2))))
+        sites = one(4, 4, [(r, c) for r in range(4) for c in range(4)])
+        coords = sites.coords
+        sp = SparseTensor2D(sites, ag.tensor(rng.normal(size=(16, 2))))
         w = ag.tensor(rng.normal(size=(3, 2, 2, 2)))
         b = ag.tensor(rng.normal(size=3))
-        target = as_coords([(r, c) for r in range(2) for c in range(2)])
-        out = sparse_downsample(sp, target, w, b, stride=2)
+        dst = one(2, 2, [(r, c) for r in range(2) for c in range(2)])
+        target = dst.coords
+        out = sparse_downsample(sp, w, b, build_rulebook(sites, 2, dst, stride=2, padding=0))
         dense = np.zeros((1, 2, 4, 4))
         dense[0, :, coords[:, 0], coords[:, 1]] = sp.features.data
         ref = ag.conv2d(ag.tensor(dense), w, b, stride=2).data[0]
@@ -423,10 +406,11 @@ class TestSparseDownsample:
 
     def test_single_aligned_patch(self):
         rng = np.random.default_rng(8)
-        coords = as_coords([(2, 2), (2, 3), (3, 2), (3, 3)])  # one 2x2 block on the stride grid
-        sp = SparseTensor2D(4, 4, coords, ag.tensor(rng.normal(size=(4, 2))))
+        sites = one(4, 4, [(2, 2), (2, 3), (3, 2), (3, 3)])  # one 2x2 block on the stride grid
+        coords = sites.coords
+        sp = SparseTensor2D(sites, ag.tensor(rng.normal(size=(4, 2))))
         w = ag.tensor(rng.normal(size=(1, 2, 2, 2)))
-        out = sparse_downsample(sp, as_coords([(1, 1)]), w, stride=2)
+        out = sparse_downsample(sp, w, None, build_rulebook(sites, 2, one(2, 2, [(1, 1)]), stride=2, padding=0))
         dense = np.zeros((1, 2, 4, 4))
         dense[0, :, coords[:, 0], coords[:, 1]] = sp.features.data
         ref = ag.conv2d(ag.tensor(dense), w, stride=2).data[0, :, 1, 1]
@@ -434,21 +418,33 @@ class TestSparseDownsample:
 
     def test_empty_receptive_field_rejected(self):
         rng = np.random.default_rng(9)
-        sp = SparseTensor2D(4, 4, as_coords([(0, 0)]), ag.tensor(rng.normal(size=(1, 1))))
+        sp = SparseTensor2D(one(4, 4, [(0, 0)]), ag.tensor(rng.normal(size=(1, 1))))
         w = ag.tensor(rng.normal(size=(1, 1, 2, 2)))
         with pytest.raises(ValueError, match="empty receptive field"):
-            sparse_downsample(sp, as_coords([(1, 1)]), w, stride=2)
+            sparse_downsample(sp, w, None, build_rulebook(sp.sites, 2, one(2, 2, [(1, 1)]), stride=2, padding=0))
+
+    def test_rulebook_identity_mismatch_rejected(self):
+        rng = np.random.default_rng(9)
+        sp = SparseTensor2D(one(4, 4, [(0, 0), (1, 1), (2, 2)]), ag.tensor(rng.normal(size=(3, 1))))
+        w = ag.tensor(rng.normal(size=(1, 1, 2, 2)))
+        dst = one(2, 2, [(0, 0), (1, 1)])
+        copy = build_rulebook(ActiveSet(4, 4, sp.coords.copy(), sp.batch.copy()), 2, dst, stride=2, padding=0)
+        for rb in (copy, build_rulebook(one(4, 4, [(0, 0)]), 2, one(2, 2, [(0, 0)]), stride=2, padding=0)):
+            with pytest.raises(ValueError, match="active set"):
+                sparse_downsample(sp, w, None, rb)
+        out = sparse_downsample(sp, w, None, build_rulebook(sp.sites, 2, dst, stride=2, padding=0))
+        assert out.sites is dst
 
     def test_gradcheck(self):
         rng = np.random.default_rng(10)
-        coords = as_coords([(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3)])
+        sites = one(4, 4, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3)])
         feats = ag.tensor(rng.normal(size=(6, 2)), requires_grad=True)
         w = ag.tensor(rng.normal(size=(2, 2, 2, 2)), requires_grad=True)
-        target = as_coords([(0, 0), (1, 1)])
+        rb = build_rulebook(sites, 2, one(2, 2, [(0, 0), (1, 1)]), stride=2, padding=0)
 
         def f(t):
-            s = SparseTensor2D(4, 4, coords, t[0], validate=False)
-            return ag.mean_over(ag.square(sparse_downsample(s, target, t[1], stride=2).features))
+            s = SparseTensor2D(sites, t[0])
+            return ag.mean_over(ag.square(sparse_downsample(s, t[1], None, rb).features))
 
         assert ag.grad_check(f, [feats, w]) < 1e-6
 
@@ -457,8 +453,9 @@ class TestSparseBatchNorm:
     def test_all_active_matches_dense(self):
         rng = np.random.default_rng(11)
         x = rng.normal(1.0, 2.0, size=(1, 3, 4, 4))
-        coords = as_coords([(r, c) for r in range(4) for c in range(4)])
-        sp = SparseTensor2D(4, 4, coords, gather_from_dense(ag.tensor(x), coords).features)
+        sites = one(4, 4, [(r, c) for r in range(4) for c in range(4)])
+        coords = sites.coords
+        sp = gather_from_dense(ag.tensor(x), sites)
         g, b = ag.tensor(rng.uniform(0.5, 1.5, 3)), ag.tensor(rng.normal(size=3))
         out = sparse_batchnorm(sp, g, b, ag.BatchNormState(3), mode="train")
         ref = ag.batchnorm2d(ag.tensor(x), g, b, ag.BatchNormState(3), mode="train")
@@ -476,22 +473,22 @@ class TestSparseBatchNorm:
         sps = [random_sparse(rng, 5, 5, 3, 0.5) for _ in range(3)]
         g = ag.tensor(rng.uniform(0.5, 1.5, 3))
         b = ag.tensor(rng.normal(size=3))
-        coords, batch = stack_coords([s.coords for s in sps])
+        sites = ActiveSet.stack(5, 5, [s.coords for s in sps])
         flat = np.concatenate([s.features.data for s in sps], axis=0)
-        batched = SparseTensor2D(5, 5, coords, ag.tensor(flat), batch=batch)
+        batched = SparseTensor2D(sites, ag.tensor(flat))
         out = sparse_batchnorm(batched, g, b, ag.BatchNormState(3), mode="train")
         ref = (flat - flat.mean(0)) / np.sqrt(flat.var(0) + 1e-5) * g.data + b.data
         np.testing.assert_allclose(out.features.data, ref, atol=1e-12)
-        assert np.array_equal(out.batch, batch)
+        assert np.array_equal(out.batch, sites.batch)
 
 
 class TestDensifyGather:
     def test_fully_active_copy_and_zero_fill_grad(self):
         rng = np.random.default_rng(14)
-        coords = as_coords([(r, c) for r in range(3) for c in range(3)])
-        feats = ag.tensor(rng.normal(size=(9, 2)), requires_grad=True)
+        sp = SparseTensor2D(one(3, 3, [(r, c) for r in range(3) for c in range(3)]),
+                            ag.tensor(rng.normal(size=(9, 2)), requires_grad=True))
+        coords, feats = sp.coords, sp.features
         fill = ag.tensor(rng.normal(size=2), requires_grad=True)
-        sp = SparseTensor2D(3, 3, coords, feats)
         d = densify(sp, fill, 1)
         np.testing.assert_array_equal(d.data[0][:, coords[:, 0], coords[:, 1]].T, feats.data)
         ag.backward(ag.sum_over(ag.square(d)))
@@ -499,7 +496,7 @@ class TestDensifyGather:
 
     def test_fully_inactive_constant_field(self):
         fill = ag.tensor(np.array([1.5, -2.0]))
-        sp = SparseTensor2D(3, 3, np.zeros((0, 2), dtype=np.int64), ag.tensor(np.zeros((0, 2))))
+        sp = SparseTensor2D(one(3, 3, []), ag.tensor(np.zeros((0, 2))))
         d = densify(sp, fill, 1)
         np.testing.assert_array_equal(d.data, np.broadcast_to(fill.data[None, :, None, None], (1, 2, 3, 3)))
 
@@ -514,25 +511,26 @@ class TestDensifyGather:
         np.testing.assert_array_equal(d.data, ref)
 
     def test_width_mismatch_rejected(self):
-        sp = SparseTensor2D(2, 2, as_coords([(0, 0)]), ag.tensor(np.zeros((1, 3))))
+        sp = SparseTensor2D(one(2, 2, [(0, 0)]), ag.tensor(np.zeros((1, 3))))
         with pytest.raises(ValueError, match="width"):
             densify(sp, ag.tensor(np.zeros(2)), 1)
 
     def test_batch_equals_per_sample_densify(self):
         # samples 1 and 3 have no active site; only n tells that sample 3 exists
         rng = np.random.default_rng(19)
-        coords, batch = stack_coords([[(0, 1), (2, 2)], [], [(1, 0), (1, 2), (2, 1)], []])
+        sites = ActiveSet.stack(3, 3, [[(0, 1), (2, 2)], [], [(1, 0), (1, 2), (2, 1)], []])
+        coords, batch = sites.coords, sites.batch
         feats = ag.tensor(rng.normal(size=(coords.shape[0], 2)), requires_grad=True)
         fill = ag.tensor(rng.normal(size=2), requires_grad=True)
         g = rng.normal(size=(4, 2, 3, 3))
-        d = densify(SparseTensor2D(3, 3, coords, feats, batch=batch), fill, 4)
+        d = densify(SparseTensor2D(sites, feats), fill, 4)
         assert d.shape == (4, 2, 3, 3)
         ag.backward(ag.sum_over(ag.mul(d, ag.tensor(g))))
         fill_grad = None
         for b in reversed(range(4)):  # the fill gradient sums the samples from the last to the first
             rows = batch == b
             x1, f1 = ag.tensor(feats.data[rows], requires_grad=True), ag.tensor(fill.data, requires_grad=True)
-            d1 = densify(SparseTensor2D(3, 3, coords[rows], x1), f1, 1)
+            d1 = densify(SparseTensor2D(one(3, 3, coords[rows]), x1), f1, 1)
             np.testing.assert_array_equal(d.data[b : b + 1], d1.data)
             ag.backward(ag.sum_over(ag.mul(d1, ag.tensor(g[b : b + 1]))))
             np.testing.assert_array_equal(feats.grad[rows], x1.grad)
@@ -540,19 +538,21 @@ class TestDensifyGather:
         np.testing.assert_array_equal(fill.grad, fill_grad)
 
     def test_sample_index_beyond_batch_rejected(self):
-        coords, batch = stack_coords([[(0, 0)], [(1, 1)]])
-        sp = SparseTensor2D(2, 2, coords, ag.tensor(np.zeros((2, 3))), batch=batch)
+        sites = ActiveSet.stack(2, 2, [[(0, 0)], [(1, 1)]])
+        sp = SparseTensor2D(sites, ag.tensor(np.zeros((2, 3))))
         with pytest.raises(ValueError, match="out of range"):
             densify(sp, ag.tensor(np.zeros(3)), 1)
+        with pytest.raises(ValueError, match="out of range"):
+            gather_from_dense(ag.tensor(np.zeros((1, 3, 2, 2))), sites)
 
     def test_round_trip_and_inactive_grads_zero(self):
         rng = np.random.default_rng(16)
         x = ag.tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-        coords = as_coords([(0, 0), (1, 2), (3, 3)])
-        sp = gather_from_dense(x, coords, batch_index=1)
+        coords = np.array([(0, 0), (1, 2), (3, 3)])
+        sp = gather_from_dense(x, ActiveSet(4, 4, coords, [1, 1, 1]))  # all three sites in sample 1
         np.testing.assert_array_equal(sp.features.data, x.data[1][:, coords[:, 0], coords[:, 1]].T)
-        d = densify(sp, ag.tensor(np.zeros(3)), 1)
-        np.testing.assert_array_equal(d.data[0][:, coords[:, 0], coords[:, 1]].T,
+        d = densify(sp, ag.tensor(np.zeros(3)), 2)
+        np.testing.assert_array_equal(d.data[1][:, coords[:, 0], coords[:, 1]].T,
                                       x.data[1][:, coords[:, 0], coords[:, 1]].T)
         ag.backward(ag.sum_over(ag.square(d)))
         inactive = np.ones((4, 4), dtype=bool)
@@ -561,63 +561,97 @@ class TestDensifyGather:
         assert np.all(x.grad[0] == 0.0)
         assert np.any(x.grad[1][:, ~inactive] != 0.0)
 
-    def test_repeated_positions_sum_gradients(self):
+    def test_gradient_lands_at_each_site(self):
+        # the same position in two samples is two sites, each taking its own row's gradient
         rng = np.random.default_rng(18)
         x = ag.tensor(rng.normal(size=(2, 3, 4, 4)), requires_grad=True)
-        coords = np.array([[1, 2], [0, 0], [1, 2], [1, 2], [3, 1]], dtype=np.int64)
-        batch = np.array([0, 0, 1, 0, 1], dtype=np.int64)
-        g = rng.normal(size=(5, 3))
-        sp = gather_from_dense(x, coords, batch_index=batch)
+        sites = ActiveSet.stack(4, 4, [[(0, 0), (1, 2)], [(1, 2), (3, 1)]])
+        g = rng.normal(size=(4, 3))
+        sp = gather_from_dense(x, sites)
         ag.backward(ag.sum_over(ag.mul(sp.features, ag.tensor(g))))
         want = np.zeros_like(x.data)
-        for (r, c), b, row in zip(coords, batch, g):
+        for (r, c), b, row in zip(sites.coords, sites.batch, g):
             want[b, :, r, c] += row
         np.testing.assert_array_equal(x.grad, want)
 
+    def test_negative_site_or_sample_rejected(self):
+        # neither may wrap around to read the last row, column or sample
+        x = ag.tensor(np.ones((2, 2, 3, 3)))
+        for coords, batch, msg in (([[-1, 0]], [0], "bounds"), ([[0, -1]], [0], "bounds"),
+                                   ([[0, 0]], [-1], "negative sample index")):
+            with pytest.raises(ValueError, match=msg):
+                gather_from_dense(x, ActiveSet(3, 3, coords, batch))
+
+    def test_grid_mismatch_rejected(self):
+        x = ag.tensor(np.ones((1, 2, 3, 3)))
+        for sites in (one(3, 4, [(0, 3)]), one(2, 3, [(0, 0)])):
+            with pytest.raises(ValueError, match="grid"):
+                gather_from_dense(x, sites)
+
     def test_empty_active_set_legal(self):
         x = ag.tensor(np.ones((1, 2, 3, 3)))
-        sp = gather_from_dense(x, np.zeros((0, 2), dtype=np.int64))
+        sp = gather_from_dense(x, one(3, 3, []))
         assert sp.num_active == 0 and sp.features.shape == (0, 2)
 
     def test_full_round_trip_lossless(self):
         rng = np.random.default_rng(17)
         x = ag.tensor(rng.normal(size=(1, 2, 3, 3)))
-        coords = as_coords([(r, c) for r in range(3) for c in range(3)])
-        d = densify(gather_from_dense(x, coords), ag.tensor(rng.normal(size=2)), 1)
+        sites = one(3, 3, [(r, c) for r in range(3) for c in range(3)])
+        d = densify(gather_from_dense(x, sites), ag.tensor(rng.normal(size=2)), 1)
         np.testing.assert_array_equal(d.data, x.data)
 
 
 class TestSparseFlops:
     def test_fully_active_vs_dense_minus_boundary(self):
         coords = [(r, c) for r in range(6) for c in range(6)]
-        rb = build_rulebook(coords, 3, height=6, width=6)
+        rb = build_rulebook(one(6, 6, coords), 3)
         cin, cout = 3, 5
         dense = dense_conv_macs(6, 6, 3, cin, cout)
         boundary_deficit = (6 * 6 * 9 - count_pairs_oracle(coords, 6, 6, 3)) * cin * cout
         assert sparse_flops(rb, cin, cout) == dense - boundary_deficit
 
     def test_single_site(self):
-        rb = build_rulebook([(1, 1)], 3, height=3, width=3)
+        rb = build_rulebook(one(3, 3, [(1, 1)]), 3)
         assert sparse_flops(rb, 7, 11) == 77
 
     def test_flops_bounded_by_active_fraction(self):
         rng = np.random.default_rng(18)
         for _ in range(10):
             sp = random_sparse(rng, 8, 8, 1, rng.uniform(0.2, 0.8))
-            rb = build_rulebook(sp.coords, 3, height=8, width=8)
+            rb = build_rulebook(sp.sites, 3)
             frac = sp.num_active / 64.0
             assert sparse_flops(rb, 2, 3) <= dense_conv_macs(8, 8, 3, 2, 3) * frac + 1e-9
 
 
 class TestSparseTensorValidation:
+    """An active set is checked once, when it is built."""
+
     def test_unsorted_rejected(self):
-        with pytest.raises(ValueError, match="sorted"):
-            SparseTensor2D(3, 3, np.array([[1, 0], [0, 0]]), ag.tensor(np.zeros((2, 1))))
+        for coords, batch in (([[1, 0], [0, 0]], [0, 0]), ([[0, 0], [0, 0]], [0, 0]), ([[0, 0], [0, 0]], [1, 0])):
+            with pytest.raises(ValueError, match="sorted"):
+                ActiveSet(3, 3, coords, batch)
+        assert len(ActiveSet(3, 3, [[0, 0], [0, 0]], [0, 1])) == 2  # one position in two samples
 
     def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError, match="bounds"):
-            SparseTensor2D(2, 2, np.array([[0, 0], [2, 0]]), ag.tensor(np.zeros((2, 1))))
+        for coords in ([[0, 0], [2, 0]], [[-1, 0]], [[0, -1]]):
+            with pytest.raises(ValueError, match="bounds"):
+                ActiveSet(2, 2, coords, np.zeros(len(coords)))
+
+    def test_negative_sample_index_rejected(self):
+        with pytest.raises(ValueError, match="negative sample index"):
+            ActiveSet(2, 2, [[0, 0]], [-1])
+
+    def test_batch_shape_mismatch_rejected(self):
+        for batch in ([0, 0], [], [[0]]):
+            with pytest.raises(ValueError, match="batch index shape"):
+                ActiveSet(2, 2, [[0, 0]], batch)
 
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValueError, match="feature rows"):
-            SparseTensor2D(2, 2, np.array([[0, 0]]), ag.tensor(np.zeros((2, 1))))
+            SparseTensor2D(one(2, 2, [[0, 0]]), ag.tensor(np.zeros((2, 1))))
+
+    def test_stack_orders_rows_by_sample(self):
+        sites = ActiveSet.stack(3, 3, [[(0, 1), (2, 2)], [], [(1, 0)]])
+        assert sites.coords.tolist() == [[0, 1], [2, 2], [1, 0]] and sites.batch.tolist() == [0, 0, 2]
+        assert sites.coords.dtype == sites.batch.dtype == np.int64
+        assert len(ActiveSet.stack(3, 3, [])) == 0
