@@ -352,10 +352,14 @@ def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
     if kw == 1 and ph == pw == 0:
         return x.reshape(n, c, h * w)
     hp, wo = h + 2 * ph, w + 2 * pw - kw + 1
-    m = np.zeros((n, c, kw, hp, wo))
+    m = np.empty((n, c, kw, hp, wo))
     r0, r1 = max(ph, 0), min(hp, h + ph)
+    m[:, :, :, :r0] = 0  # only the pad is zeroed; the copies fill the rest
+    m[:, :, :, r1:] = 0
     for j in range(kw):
         q0, q1 = max(pw - j, 0), min(wo, w + pw - j)
+        m[:, :, j, r0:r1, :q0] = 0
+        m[:, :, j, r0:r1, q1:] = 0
         m[:, :, j, r0:r1, q0:q1] = x[:, :, r0 - ph : r1 - ph, q0 + j - pw : q1 + j - pw]
     return m.reshape(n, c * kw, hp * wo)
 

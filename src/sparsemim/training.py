@@ -271,15 +271,13 @@ class Checkpoint:
 
 def save_checkpoint(path, arrays: "OrderedDict[str, np.ndarray]", config: dict):
     """Write magic, u32 version, u64 header length, JSON header, then the
-    arrays as little-endian f32 in manifest order."""
+    arrays as little-endian f32 in manifest order, each converted as it is written."""
     manifest = []
     offset = 0
-    blobs = []
     for name, arr in arrays.items():
-        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-        manifest.append({"name": name, "shape": list(np.asarray(arr).shape), "offset": offset})
-        offset += len(blob)
-        blobs.append(blob)
+        shape = np.shape(arr)
+        manifest.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 4 * math.prod(shape)
     header = json.dumps({"config": config, "manifest": manifest},
                         sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as f:
@@ -287,8 +285,8 @@ def save_checkpoint(path, arrays: "OrderedDict[str, np.ndarray]", config: dict):
         f.write(struct.pack("<I", VERSION))
         f.write(struct.pack("<Q", len(header)))
         f.write(header)
-        for blob in blobs:
-            f.write(blob)
+        for arr in arrays.values():
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
 
 
 def _is_count(v) -> bool:
@@ -320,14 +318,29 @@ def _check_header(header):
 OPT_PREFIXES = ("opt.m.", "opt.v.")  # the optimizer moments' names, as model_checkpoint_arrays writes them
 
 
+def _runs(entries):
+    """Split (offset, count, ...) entries into runs that lie back to back in the
+    file: lists in byte order, each entry starting where the one before it ends."""
+    runs = []
+    for e in sorted(entries, key=lambda e: e[0]):
+        if runs and e[0] == runs[-1][-1][0] + 4 * runs[-1][-1][1]:
+            runs[-1].append(e)
+        else:
+            runs.append([e])
+    return runs
+
+
 def load_checkpoint(path, model_only: bool = False) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint; raise CheckpointError if it is malformed.
 
-    Each array is read from the file straight into its own buffer, so loading
-    never holds a copy of the whole file. With ``model_only`` the optimizer
-    moments are neither read nor converted: only their manifest shapes are
-    kept, in ``skipped``. Every entry is checked either way, so a file loads
-    with ``model_only`` exactly when it loads without.
+    Every entry is checked against the file before any array is read. The
+    wanted arrays are then grouped into runs that lie back to back in the file,
+    and each run is read with one ``readinto`` into one float32 buffer and
+    converted with one ``astype``: each decoded array is a view of its run's
+    float64 buffer, so loading never holds a copy of the whole file. With
+    ``model_only`` the optimizer moments are neither read nor converted: only
+    their manifest shapes are kept, in ``skipped``. Every entry is checked
+    either way, so a file loads with ``model_only`` exactly when it loads without.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -349,24 +362,42 @@ def load_checkpoint(path, model_only: bool = False) -> Checkpoint:
         _check_header(header)
         base = 16 + hlen
         ckpt = Checkpoint(config=header["config"])
-        for entry in header["manifest"]:
+        wanted = []  # (file offset, count, manifest index, name, shape)
+        representable = set()
+        for i, entry in enumerate(header["manifest"]):
             name, shape = entry["name"], tuple(entry["shape"])
             count = math.prod(shape)  # exact: a huge shape cannot wrap around
-            start = entry["offset"]
-            if base + start + 4 * count > size:
+            start = base + entry["offset"]
+            if start + 4 * count > size:
                 raise CheckpointError(f"truncated checkpoint: array {name!r} ends past end of file")
-            try:
-                np.broadcast_to(np.float32(0), shape)  # a view: checks the shape, allocates nothing
-            except ValueError as e:  # an empty array with a dimension numpy cannot represent
-                raise CheckpointError(f"corrupt checkpoint manifest entry {name!r}: {e}") from e
+            if shape not in representable:
+                try:
+                    np.broadcast_to(np.float32(0), shape)  # a view: checks the shape, allocates nothing
+                except ValueError as e:  # an empty array with a dimension numpy cannot represent
+                    raise CheckpointError(f"corrupt checkpoint manifest entry {name!r}: {e}") from e
+                representable.add(shape)
             if model_only and name.startswith(OPT_PREFIXES):
                 ckpt.skipped[name] = shape
-                continue
-            buf = np.empty(count, dtype="<f4")
-            f.seek(base + start)
-            if f.readinto(buf) != buf.nbytes:
+            else:
+                wanted.append((start, count, i, name, shape))
+        decoded = {}
+        for run in _runs(wanted):
+            start, total = run[0][0], sum(e[1] for e in run)
+            buf = np.empty(total, dtype="<f4")
+            f.seek(start)
+            got = f.readinto(buf)
+            if got != buf.nbytes:  # the file shrank after it was opened
+                end = start + got
+                name = next(e[3] for e in wanted if e[1] and e[0] + 4 * e[1] > end)
                 raise CheckpointError(f"truncated checkpoint: array {name!r} ends past end of file")
-            ckpt.arrays[name] = buf.astype(np.float64).reshape(shape)
+            values = buf.astype(np.float64)
+            del buf
+            at = 0
+            for _, count, i, _, shape in run:
+                decoded[i] = values[at : at + count].reshape(shape)
+                at += count
+        for _, _, i, name, _ in wanted:  # manifest order; a repeated name keeps its last array
+            ckpt.arrays[name] = decoded[i]
     return ckpt
 
 

@@ -210,6 +210,32 @@ class TestConvGradientForms:
             assert np.abs(gw - ref_w).max() < 1e-12
         assert ho * wo > ag._CORR_BLOCK and ho * wo % ag._CORR_BLOCK
 
+    def test_row_shifts_match_zero_filled_lowering(self, monkeypatch):
+        """_row_shifts zeroes only the pad; every other entry comes from a copy of x."""
+
+        def zero_filled(x, kw, ph, pw):
+            n, c, h, w = x.shape
+            hp, wo = h + 2 * ph, w + 2 * pw - kw + 1
+            xp = np.zeros((n, c, h + 2 * max(ph, 0), w + 2 * max(pw, 0)))
+            xp[:, :, max(ph, 0) : max(ph, 0) + h, max(pw, 0) : max(pw, 0) + w] = x
+            xp = xp[:, :, max(-ph, 0) : max(-ph, 0) + hp, max(-pw, 0) :]  # a negative pad crops
+            return np.stack([xp[:, :, :, j : j + wo] for j in range(kw)], axis=2).reshape(n, c * kw, hp * wo)
+
+        # a fresh buffer holds NaN, so an entry that is neither copied nor zeroed shows
+        monkeypatch.setattr(np, "empty", lambda shape, *a, **k: np.full(shape, np.nan, *a, **k))
+        rng = np.random.default_rng(40)
+        cases = 0
+        for h, w in [(5, 6), (3, 2), (1, 4)]:
+            x = rng.normal(size=(2, 3, h, w))
+            for kw in range(1, 5):
+                for ph in range(-1, 4):
+                    for pw in range(-1, 4):
+                        if h + 2 * ph < 1 or w + 2 * pw - kw + 1 < 1:
+                            continue
+                        assert np.array_equal(ag._row_shifts(x, kw, ph, pw), zero_filled(x, kw, ph, pw))
+                        cases += 1
+        assert cases > 200
+
     def test_conv2d_strided_weight_grad_matches_einsum(self):
         rng = np.random.default_rng(30)
         n, cin, cout = 2, 3, 4

@@ -493,3 +493,140 @@ class TestCheckpointHeader:
             with pytest.raises(CheckpointError, match="corrupt checkpoint header"):
                 load_checkpoint(p)
 
+
+
+def save_checkpoint_reference(path, arrays, config):
+    """The writer that collects every array's bytes before the first write."""
+    manifest, offset, blobs = [], 0, []
+    for name, arr in arrays.items():
+        blob = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        manifest.append({"name": name, "shape": list(np.asarray(arr).shape), "offset": offset})
+        offset += len(blob)
+        blobs.append(blob)
+    header = json.dumps({"config": config, "manifest": manifest},
+                        sort_keys=True, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(b"SPRK" + struct.pack("<I", 1) + struct.pack("<Q", len(header)) + header + b"".join(blobs))
+
+
+def load_checkpoint_reference(path, model_only=False):
+    """A per-array reader of a well-formed file: (arrays, skipped) as load_checkpoint gives them."""
+    raw = path.read_bytes()
+    hlen = struct.unpack("<Q", raw[8:16])[0]
+    base = 16 + hlen
+    arrays, skipped = {}, {}
+    for e in json.loads(raw[16:base])["manifest"]:
+        shape = tuple(e["shape"])
+        if model_only and e["name"].startswith(("opt.m.", "opt.v.")):
+            skipped[e["name"]] = shape
+            continue
+        flat = np.frombuffer(raw, "<f4", math.prod(shape), base + e["offset"])
+        arrays[e["name"]] = flat.astype(np.float64).reshape(shape)
+    return arrays, skipped
+
+
+class CountingFile:
+    """A file object that records the byte count of every readinto."""
+
+    def __init__(self, f, reads):
+        self._f, self._reads = f, reads
+
+    def readinto(self, b):
+        n = self._f.readinto(b)
+        self._reads.append(n)
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self._f, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.fixture
+def readintos(monkeypatch):
+    """The byte counts of the readinto calls that training's file objects make."""
+    reads = []
+    monkeypatch.setattr(training, "open", lambda *a, **k: CountingFile(open(*a, **k), reads), raising=False)
+    return reads
+
+
+class TestCheckpointRuns:
+    """load_checkpoint decodes each run of arrays that lie back to back in the
+    file with one read; the result is what a per-array reader gives."""
+
+    # byte order: opt.v.enc.w [0, 24), empty [24, 24), bn.mean [24, 40), enc.w [40, 64),
+    # opt.m.enc.w [64, 88), dec.w [88, 104), a gap [104, 112), dec.b [112, 120)
+    MANIFEST = [
+        {"name": "enc.w", "shape": [2, 3], "offset": 40},
+        {"name": "dec.b", "shape": [2], "offset": 112},
+        {"name": "opt.m.enc.w", "shape": [2, 3], "offset": 64},
+        {"name": "empty", "shape": [0, 3], "offset": 24},
+        {"name": "dec.w", "shape": [4], "offset": 88},
+        {"name": "opt.v.enc.w", "shape": [2, 3], "offset": 0},
+        {"name": "bn.mean", "shape": [4], "offset": 24},
+    ]
+    PAYLOAD = (np.arange(30, dtype="<f4") * np.float32(0.1) - np.float32(1.3)).tobytes()
+
+    def _write(self, path, payload=PAYLOAD):
+        write_raw_checkpoint(path, {"config": {"step": 3}, "manifest": self.MANIFEST}, payload)
+        return path
+
+    @pytest.mark.parametrize("model_only, runs", [(False, 2), (True, 3)])
+    def test_matches_per_array_reader(self, tmp_path, readintos, model_only, runs):
+        p = self._write(tmp_path / "runs.ckpt")
+        ck = load_checkpoint(p, model_only=model_only)
+        arrays, skipped = load_checkpoint_reference(p, model_only)
+        assert list(ck.arrays) == list(arrays) and ck.skipped == skipped
+        for name, ref in arrays.items():
+            got = ck.arrays[name]
+            assert got.dtype == np.float64 and got.shape == ref.shape and got.tobytes() == ref.tobytes()
+        assert len(readintos) == runs  # the zero-size array joins its neighbour's run
+
+    @pytest.mark.parametrize("model_only", [False, True])
+    def test_truncation_inside_a_run_reads_nothing(self, tmp_path, readintos, model_only):
+        # the file ends inside dec.w; dec.b, listed earlier in the manifest, is named
+        p = self._write(tmp_path / "cut.ckpt", self.PAYLOAD[:100])
+        with pytest.raises(CheckpointError, match=r"truncated checkpoint: array 'dec.b' ends past end of file"):
+            load_checkpoint(p, model_only=model_only)
+        assert readintos == []
+
+    def test_arrays_of_a_run_do_not_alias(self, tmp_path):
+        ck = load_checkpoint(self._write(tmp_path / "runs.ckpt"))
+        before = {name: arr.copy() for name, arr in ck.arrays.items()}
+        assert ck.arrays["enc.w"].base is ck.arrays["bn.mean"].base  # one buffer per run
+        ck.arrays["enc.w"][...] = 7.0
+        for name, arr in ck.arrays.items():
+            if name != "enc.w":
+                assert np.array_equal(arr, before[name])
+
+    def test_model_only_load_is_one_read(self, tmp_path, readintos):
+        model = desk_model(seed=2)
+        opt = OptimizerState([p.shape for _, p in model.named_parameters()])
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model_checkpoint_arrays(model, opt), {"kind": "spark", "model": model.cfg.to_dict()})
+        ck = load_checkpoint(p, model_only=True)
+        values = sum(arr.size for arr in model.state_arrays().values())
+        assert readintos == [4 * values] and len(ck.arrays) == len(model.state_arrays())
+
+    def test_model_keeps_the_decoded_views(self, tmp_path):
+        model = desk_model(seed=2)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model_checkpoint_arrays(model), {"kind": "spark", "model": model.cfg.to_dict()})
+        ck = load_checkpoint(p, model_only=True)
+        m2, _ = model_from_checkpoint(ck)
+        assert all(m2.param(name).data is ck.arrays[name] for name in m2.params)
+
+    def test_save_matches_reference_writer(self, tmp_path):
+        model = desk_model(seed=2)
+        arrays = model_checkpoint_arrays(model, OptimizerState([p.shape for _, p in model.named_parameters()]))
+        arrays["fortran"] = np.asfortranarray(np.arange(12.0).reshape(3, 4) / 7)
+        arrays["f32"] = np.linspace(-1, 1, 5, dtype=np.float32)
+        arrays["empty"] = np.zeros((0, 3))
+        arrays["scalar"] = np.float64(2.5)
+        cfg = {"kind": "spark", "step": 1}
+        save_checkpoint(tmp_path / "a.ckpt", arrays, cfg)
+        save_checkpoint_reference(tmp_path / "b.ckpt", arrays, cfg)
+        assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
