@@ -588,7 +588,9 @@ def _batchnorm(x, gamma, beta, state, mode, clamp):
     """Per-channel batch norm of ``x`` (channels on axis 1), clipped to [0, clamp]
     unless ``clamp`` is None; one tape node.
 
-    The clamp is folded in as in In-Place Activated BatchNorm (Rota Bulo et al.,
+    Train mode normalises with the batch statistics and updates the running
+    ones in ``state``; eval mode normalises with the running ones. The clamp
+    is folded in as in In-Place Activated BatchNorm (Rota Bulo et al.,
     arXiv:1712.02616): the output is clipped in place and the subgradient mask
     ``0 < y < clamp`` read back from it (zero at a kink). With ``g`` so masked,
     the train-mode backward is the closed form (Ioffe & Szegedy,
@@ -606,21 +608,19 @@ def _batchnorm(x, gamma, beta, state, mode, clamp):
     bb = beta.data.reshape(bshape)
 
     m = x.data.size // c
+    mean = np.einsum(csum, x.data) / m if mode == "train" else state.running_mean
+    xhat = x.data - mean.reshape(bshape)
     if mode == "train":
-        mu = np.einsum(csum, x.data) / m
-        xhat = x.data - mu.reshape(bshape)
         var = np.einsum(cdot, xhat, xhat) / m
         unbiased = var * (m / (m - 1)) if m > 1 else var
-        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mu
+        state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
         state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased
-        inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
-        xhat *= inv
-        y = xhat * gb
-        y += bb
     else:
-        inv = 1.0 / np.sqrt(state.running_var.reshape(bshape) + BN_EPS)
-        xhat = (x.data - state.running_mean.reshape(bshape)) * inv
-        y = gb * xhat + bb
+        var = state.running_var
+    inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
+    xhat *= inv
+    y = xhat * gb
+    y += bb
     if clamp == np.inf:
         np.maximum(y, 0.0, out=y)
     elif clamp is not None:

@@ -258,13 +258,12 @@ def cmd_reconstruct(args) -> int:
         raise UsageError(f"--mask-ratio must be in [0, 1), got {ratio}")
     grid = cfg.image_size // cfg.patch_size
     mask = generate_mask(grid, grid, ratio, np.random.default_rng(args.seed), patch_size=cfg.patch_size)
+    img = _center_crop(load_ppm(args.image), cfg.image_size)[None]
 
     os.makedirs(args.out, exist_ok=True)
     _echo_config({"command": "reconstruct", "ckpt": args.ckpt, "image": args.image,
                   "out": args.out, "mask_ratio": ratio, "seed": args.seed,
                   "model": cfg.to_dict()}, args.out)
-
-    img = _center_crop(load_ppm(args.image), cfg.image_size)[None]
 
     with ag.no_grad():
         recon, _, _ = spark_forward(model, img, mask, mode="eval")

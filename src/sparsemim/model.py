@@ -207,6 +207,7 @@ class SparkConfig:
             raise ValueError(f"SparkConfig: unknown masking mode {self.masking!r}")
         if self.loss_on not in ("masked", "all"):
             raise ValueError(f"SparkConfig: unknown loss_on {self.loss_on!r}")
+        self.decoder  # LightDecoderConfig checks the decoder's width schedule
 
     @property
     def decoder(self) -> LightDecoderConfig:
@@ -336,12 +337,13 @@ class SparkModel:
 # ---------------------------------------------------------------------------
 
 
-def _normalize_masks(masks, n: int):
-    if isinstance(masks, PatchMask):
-        return [masks] * n
-    masks = list(masks)
+def _normalize_masks(masks, n: int, patch_size: int):
+    masks = [masks] * n if isinstance(masks, PatchMask) else list(masks)
     if len(masks) != n:
         raise ValueError(f"expected {n} masks for batch of {n}, got {len(masks)}")
+    for m in masks:
+        if m.patch_size != patch_size:
+            raise ValueError(f"mask patch size {m.patch_size} != model patch size {patch_size}")
     return masks
 
 
@@ -362,7 +364,7 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
         raise ValueError(f"encoder_forward: image {h}x{w} not divisible by total stride {enc.total_stride}")
     if h % cfg.patch_size or w % cfg.patch_size:
         raise ValueError(f"encoder_forward: image {h}x{w} not divisible by patch size {cfg.patch_size}")
-    masks = _normalize_masks(masks, n)
+    masks = _normalize_masks(masks, n, cfg.patch_size)
     for m in masks:
         if m.image_hw != (h, w):
             raise ValueError(f"encoder_forward: mask geometry {m.image_hw} != image {(h, w)}")
@@ -520,7 +522,7 @@ def spark_forward(model: SparkModel, images, masks, mode: str = "train"):
     cfg = model.cfg
     images = images if isinstance(images, DiffTensor) else DiffTensor(images)
     n = images.shape[0]
-    masks = _normalize_masks(masks, n)
+    masks = _normalize_masks(masks, n, cfg.patch_size)
     targets = per_patch_normalize(images, cfg.patch_size)
     masked_maps = np.stack([masked_pixel_map(m) for m in masks])
 

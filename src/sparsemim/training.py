@@ -167,9 +167,10 @@ def count_steps(cfg: TrainConfig, n_data: int) -> int:
 def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=None):
     """Pre-train ``model`` on ``dataset`` (anything with __len__ and pixels(i)).
 
-    Per step: draw the next batch of the shuffled epoch order, augment each
-    image, sample a fresh mask per image, run the masked forward/backward,
-    and take one optimizer step under the cosine schedule. Returns the list
+    Step s takes batch s mod steps-per-epoch of epoch s // steps-per-epoch's
+    shuffled order, augments each image and samples its mask from
+    (seed, epoch, index) alone, runs the masked forward/backward, and takes
+    one optimizer step under the cosine schedule. Returns the list
     of {step, lr, loss} rows (also written as CSV when ``metrics_path``
     is given). A non-finite loss aborts with a diagnostic.
     """
@@ -198,43 +199,34 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
         writer.write("step,lr,loss\n")
     model.zero_grad()  # a gradient the model brings in is not summed into step 0
     try:
-        gstep = 0
-        for epoch in range(cfg.epochs):
-            order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch])).permutation(n_data)
-            for b in range(steps_per_epoch):
-                if gstep >= total_steps:
-                    break
-                idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-                batch = np.empty((cfg.batch_size, 3, size, size))
-                masks = []
-                for slot, di in enumerate(idxs):
-                    srng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, int(di)]))
-                    batch[slot] = augment(dataset.pixels(int(di)), size, srng)
-                    masks.append(generate_mask(grid, grid, cfg.mask_ratio, srng,
-                                               patch_size=model.cfg.patch_size))
-                recon, targets, mmaps = spark_forward(model, batch, masks, mode="train")
-                loss = spark_loss(recon, targets, mmaps, loss_on=model.cfg.loss_on)
-                loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    ag.active_tape().clear()  # no backward will run: drop the step's graph
-                    raise TrainingDiverged(
-                        f"non-finite loss {loss_val} at step {gstep} (epoch {epoch}); "
-                        f"lr={cosine_lr(gstep, total_steps, peak, warmup):.3e}"
-                    )
-                ag.backward(loss)
-                lr = cosine_lr(gstep, total_steps, peak, warmup)
-                step_fn(params, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in tensors],
-                        opt, lr, weight_decay=cfg.weight_decay, decay_mask=decay_mask)
-                model.zero_grad()  # the step's gradients are dead once the update is taken
-                row = {"step": gstep, "lr": lr, "loss": loss_val}
-                rows.append(row)
-                if writer:
-                    writer.write(f"{gstep},{lr:.10g},{loss_val:.17g}\n")
-                if log:
-                    log(row)
-                gstep += 1
-            if gstep >= total_steps:
-                break
+        for step in range(total_steps):
+            epoch, b = divmod(step, steps_per_epoch)
+            if b == 0:
+                order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch])).permutation(n_data)
+            lr = cosine_lr(step, total_steps, peak, warmup)
+            idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+            batch = np.empty((cfg.batch_size, 3, size, size))
+            masks = []
+            for slot, di in enumerate(idxs):
+                srng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, int(di)]))
+                batch[slot] = augment(dataset.pixels(int(di)), size, srng)
+                masks.append(generate_mask(grid, grid, cfg.mask_ratio, srng, patch_size=model.cfg.patch_size))
+            recon, targets, mmaps = spark_forward(model, batch, masks, mode="train")
+            loss = spark_loss(recon, targets, mmaps, loss_on=model.cfg.loss_on)
+            loss_val = loss.item()
+            if not math.isfinite(loss_val):
+                ag.active_tape().clear()  # no backward will run: drop the step's graph
+                raise TrainingDiverged(f"non-finite loss {loss_val} at step {step} (epoch {epoch}); lr={lr:.3e}")
+            ag.backward(loss)
+            step_fn(params, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in tensors],
+                    opt, lr, weight_decay=cfg.weight_decay, decay_mask=decay_mask)
+            model.zero_grad()  # the step's gradients are dead once the update is taken
+            row = {"step": step, "lr": lr, "loss": loss_val}
+            rows.append(row)
+            if writer:
+                writer.write(f"{step},{lr:.10g},{loss_val:.17g}\n")
+            if log:
+                log(row)
     finally:
         if writer:
             writer.close()
@@ -364,8 +356,12 @@ def load_checkpoint(path, model_only: bool = False) -> Checkpoint:
         ckpt = Checkpoint(config=header["config"])
         wanted = []  # (file offset, count, manifest index, name, shape)
         representable = set()
+        seen = set()
         for i, entry in enumerate(header["manifest"]):
             name, shape = entry["name"], tuple(entry["shape"])
+            if name in seen:
+                raise CheckpointError(f"corrupt checkpoint manifest: array {name!r} is listed twice")
+            seen.add(name)
             count = math.prod(shape)  # exact: a huge shape cannot wrap around
             start = base + entry["offset"]
             if start + 4 * count > size:
@@ -396,7 +392,7 @@ def load_checkpoint(path, model_only: bool = False) -> Checkpoint:
             for _, count, i, _, shape in run:
                 decoded[i] = values[at : at + count].reshape(shape)
                 at += count
-        for _, _, i, name, _ in wanted:  # manifest order; a repeated name keeps its last array
+        for _, _, i, name, _ in wanted:  # manifest order
             ckpt.arrays[name] = decoded[i]
     return ckpt
 

@@ -38,7 +38,7 @@ from sparsemim.sparse import (
     subm_conv2d,
 )
 from sparsemim.training import TrainConfig, train
-from sparsemim.verify import suite_gradcheck, suite_oracle
+from sparsemim.verify import suite_gradcheck, suite_leakage, suite_oracle
 
 
 def _announce(num, text):
@@ -106,53 +106,8 @@ class TestAcceptance:
         _announce(3, f"ratio-0 sparse forward equals dense conversion, per-stage max abs diff {worst:.2e}")
 
     def test_c04_information_leak_guard(self):
-        enc = EncoderConfig(stages=3, widths=(8, 16, 32))
-        cfg = SparkConfig(encoder=enc, image_size=64, patch_size=16, dec_fea_dim=32)
-        model = SparkModel(cfg, np.random.default_rng(31))
-        rng = np.random.default_rng(32)
-        img = rng.random((1, 3, 64, 64))
-        mask = generate_mask(4, 4, 0.6, np.random.default_rng(33), patch_size=16)
-        mm = masked_pixel_map(mask)
-
-        with ag.no_grad():
-            feats_a = encoder_forward(model, img, mask, mode="eval")
-            recon_a, targets, maps = spark_forward(model, img, mask, mode="eval")
-            loss_a = spark_loss(recon_a, targets, maps).item()
-
-            img_b = img.copy()
-            img_b[0][:, mm] = rng.random((int(mm.sum()), 3)).T
-            feats_b = encoder_forward(model, img_b, mask, mode="eval")
-            recon_b, _, _ = spark_forward(model, img_b, mask, mode="eval")
-            loss_b = spark_loss(recon_b, targets, maps).item()
-
-            assert all(
-                np.array_equal(sa.features.data, sb.features.data) for sa, sb in zip(feats_a, feats_b)
-            ), "sparse encoder features changed"
-            assert np.array_equal(recon_a.data, recon_b.data)
-            assert loss_a == loss_b
-
-            # complement: a visible pixel must matter
-            img_c = img.copy()
-            vr, vc = np.argwhere(~mm)[0]
-            img_c[0, 0, vr, vc] += 0.17
-            recon_c, _, _ = spark_forward(model, img_c, mask, mode="eval")
-            assert spark_loss(recon_c, targets, maps).item() != loss_a
-
-            # zero-out baseline: the dense encoder computes at masked sites,
-            # so noise placed there moves the loss
-            model.cfg.masking = "zero_out"
-            recon_z, _, _ = spark_forward(model, img, mask, mode="eval")
-            loss_z = spark_loss(recon_z, targets, maps).item()
-            from sparsemim.model import _project_dense
-
-            noisy = img * (~mm)[None, None]
-            noisy[0][:, mm] = rng.random((int(mm.sum()), 3)).T
-            dense_feats = to_dense_encoder(model).forward(noisy, mode="eval")
-            to_dec = [None] * cfg.decoder.n_stages
-            for k in range(enc.stages):
-                to_dec[k] = _project_dense(model, enc.stages - 1 - k, dense_feats[enc.stages - 1 - k])
-            loss_zn = spark_loss(decoder_forward(model, to_dec, mode="eval"), targets, maps).item()
-            assert loss_zn != loss_z, "zero-out masking should read masked positions"
+        ok, lines = suite_leakage()
+        assert ok, "\n".join(lines)
         _announce(4, "masked-pixel noise: features and loss bit-identical (sparse); loss moves under zero-out")
 
     def test_c05_gradient_suite(self):

@@ -120,6 +120,21 @@ class TestPretrain:
         assert "--config" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("width", [0, 4])  # TINY's total stride 8 halves the width 3 times
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_decoder_width_that_cannot_halve_rejected_before_any_write(self, tmp_path, capsys, width, via_config):
+        if via_config:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"dec_width": width}))
+            extra = ["--config", str(cfg_file)]
+        else:
+            extra = ["--dec-width", str(width)]
+        out = tmp_path / "bad"
+        assert run_pretrain(out, extra=extra) == 1
+        err = capsys.readouterr().err
+        assert f"fea_dim {width} too small" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_config_accepts_int_for_float_and_null_where_default_is_null(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"lr": 1, "weight_decay": 0, "dec_width": None, "steps": None}))
@@ -271,6 +286,20 @@ def test_reconstruct_ratio0_reports_no_masked_patch(trained, tmp_path, capsys):
     assert main(["reconstruct", "--ckpt", str(trained / "final.ckpt"), "--image", str(img),
                  "--out", str(tmp_path / "bad"), "--mask-ratio", "0.9"]) == 1
     assert "rounds to 4" in capsys.readouterr().err and not (tmp_path / "bad").exists()
+
+
+@pytest.mark.parametrize("image", ["missing", "malformed", "too-small"])
+def test_reconstruct_bad_image_rejected_before_any_write(trained, tmp_path, capsys, image):
+    img = tmp_path / "x.ppm"
+    if image == "malformed":
+        img.write_bytes(b"P5\n16 16\n255\n" + bytes(256))
+    elif image == "too-small":
+        save_ppm(img, np.zeros((3, 8, 16)))
+    out = tmp_path / "o"
+    assert main(["reconstruct", "--ckpt", str(trained / "final.ckpt"), "--image", str(img), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sparsemim reconstruct: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_reconstruct_without_train_section_uses_0_6(trained, tmp_path, capsys):

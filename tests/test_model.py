@@ -319,6 +319,16 @@ class TestSparkForwardAndLoss:
         with pytest.raises(ValueError, match="empty"):
             spark_loss(x, x, np.zeros((1, 4, 4), dtype=bool), "masked")
 
+    @pytest.mark.parametrize("masking", ["sparse", "zero_out"])
+    def test_mask_of_another_patch_size_rejected(self, masking):
+        model = tiny_model(image=32, patch=16, masking=masking)
+        img = np.random.default_rng(26).random((1, 3, 32, 32))
+        mask = generate_mask(4, 4, 0.5, np.random.default_rng(27), patch_size=8)  # same 32x32 image
+        with pytest.raises(ValueError, match="mask patch size 8 != model patch size 16"):
+            spark_forward(model, img, mask, mode="train")
+        with pytest.raises(ValueError, match="mask patch size 8 != model patch size 16"):
+            encoder_forward(model, img, [mask], mode="train")
+
     def test_targets_are_per_patch_normalized(self):
         model = tiny_model()
         img = np.random.default_rng(24).random((1, 3, 16, 16))

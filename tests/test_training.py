@@ -486,6 +486,16 @@ class TestCheckpointHeader:
         entry = {**self.ENTRY, "shape": [0, 2**63]}  # zero elements, but no numpy array has that dimension
         self._rejected(tmp_path / "bad.ckpt", {"config": {}, "manifest": [entry]}, "corrupt checkpoint manifest")
 
+    @pytest.mark.parametrize("name", ["a", "opt.m.a"])
+    @pytest.mark.parametrize("model_only", [False, True])
+    def test_repeated_name_rejected_before_any_read(self, tmp_path, readintos, name, model_only):
+        p = tmp_path / "twice.ckpt"
+        manifest = [{"name": name, "shape": [2], "offset": 0}, {"name": name, "shape": [2], "offset": 8}]
+        write_raw_checkpoint(p, {"config": {}, "manifest": manifest}, np.arange(4, dtype="<f4").tobytes())
+        with pytest.raises(CheckpointError, match=f"array '{name}' is listed twice"):
+            load_checkpoint(p, model_only=model_only)
+        assert readintos == []
+
     def test_unparseable_json_numbers_and_nesting(self, tmp_path):
         for blob in (b"1" * 5000, b"[" * 100_000):
             p = tmp_path / "bad.ckpt"
