@@ -184,6 +184,7 @@ def cmd_pretrain(args) -> int:
         flags = VARIANTS[resolved["variant"]]
         model_cfg = SparkConfig(encoder=enc, image_size=resolved["image_size"],
                                 patch_size=resolved["patch"], dec_fea_dim=resolved["dec_width"], **flags)
+        model_cfg.decoder  # LightDecoderConfig checks the decoder's width schedule
     except ValueError as e:
         raise UsageError(str(e)) from e
     grid = model_cfg.image_size // model_cfg.patch_size

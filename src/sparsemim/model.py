@@ -207,7 +207,6 @@ class SparkConfig:
             raise ValueError(f"SparkConfig: unknown masking mode {self.masking!r}")
         if self.loss_on not in ("masked", "all"):
             raise ValueError(f"SparkConfig: unknown loss_on {self.loss_on!r}")
-        self.decoder  # LightDecoderConfig checks the decoder's width schedule
 
     @property
     def decoder(self) -> LightDecoderConfig:

@@ -218,13 +218,17 @@ def suite_erosion(max_layers: int = 20):
 
 
 def suite_leakage():
-    """Masked pixels can never influence sparse features or the masked loss."""
-    enc = EncoderConfig(stages=2, widths=(6, 12), blocks_per_stage=1)
-    cfg = SparkConfig(encoder=enc, image_size=32, patch_size=8, dec_fea_dim=16)
-    model = SparkModel(cfg, np.random.default_rng(11))
-    rng = np.random.default_rng(12)
-    images = rng.random((1, 3, 32, 32))
-    mask = generate_mask(4, 4, 0.5, np.random.default_rng(13), patch_size=8)
+    """Masked pixels can never influence sparse features or the masked loss.
+
+    Three stages, so the guard covers a second downsample and the stage-2
+    features and skip as well as the first.
+    """
+    enc = EncoderConfig(stages=3, widths=(8, 16, 32), blocks_per_stage=1)
+    cfg = SparkConfig(encoder=enc, image_size=64, patch_size=16, dec_fea_dim=32)
+    model = SparkModel(cfg, np.random.default_rng(31))
+    rng = np.random.default_rng(32)
+    images = rng.random((1, 3, 64, 64))
+    mask = generate_mask(4, 4, 0.6, np.random.default_rng(33), patch_size=16)
     mm = masked_pixel_map(mask)
 
     with ag.no_grad():
@@ -233,7 +237,7 @@ def suite_leakage():
         feats_a = encoder_forward(model, images, mask, mode="eval")
 
         perturbed = images.copy()
-        perturbed[:, :, mm] = rng.random((1, 3, int(mm.sum())))
+        perturbed[0][:, mm] = rng.random((int(mm.sum()), 3)).T
         recon_b, _, _ = spark_forward(model, perturbed, mask, mode="eval")
         loss_b = spark_loss(recon_b, targets, maps).item()
         feats_b = encoder_forward(model, perturbed, mask, mode="eval")
@@ -242,23 +246,29 @@ def suite_leakage():
         recon_same = np.array_equal(recon_a.data, recon_b.data)
 
         visible = images.copy()
-        vis_pix = np.argwhere(~mm)
-        r, c = vis_pix[0]
-        visible[0, 0, r, c] += 0.123
+        vr, vc = np.argwhere(~mm)[0]
+        visible[0, 0, vr, vc] += 0.17
         recon_c, _, _ = spark_forward(model, visible, mask, mode="eval")
         loss_c = spark_loss(recon_c, targets, maps).item()
 
-        # zero-out baseline: the dense encoder computes at masked positions,
-        # so noise injected there changes the loss
+        # zero-out baseline (same seed, same parameters): the dense encoder
+        # computes at masked positions, so noise injected there changes the loss.
+        # spark_forward zeroes masked pixels itself, so the noisy input takes the
+        # same dense path by hand, checked first against spark_forward on the clean image.
+        zmodel = SparkModel(SparkConfig(encoder=enc, image_size=64, patch_size=16, dec_fea_dim=32,
+                                        masking="zero_out"), np.random.default_rng(31))
+        recon_z, _, _ = spark_forward(zmodel, images, mask, mode="eval")
+        loss_z = spark_loss(recon_z, targets, maps).item()
+
         def zero_out_loss(dense_input):
-            feats = to_dense_encoder(model).forward(dense_input, mode="eval")
-            to_dec = [_project_dense(model, s, feats[s]) for s in reversed(range(enc.stages))]
-            return spark_loss(decoder_forward(model, to_dec, mode="eval"), targets, maps).item()
+            feats = to_dense_encoder(zmodel).forward(dense_input, mode="eval")
+            to_dec = [_project_dense(zmodel, s, feats[s]) for s in reversed(range(enc.stages))]
+            return spark_loss(decoder_forward(zmodel, to_dec, mode="eval"), targets, maps).item()
 
         zeroed = images * (~mm)[None, None]
-        loss_z = zero_out_loss(zeroed)
+        loss_zh = zero_out_loss(zeroed)
         noisy = zeroed.copy()
-        noisy[:, :, mm] = rng.random((1, 3, int(mm.sum())))  # dense input differs at masked sites
+        noisy[0][:, mm] = rng.random((int(mm.sum()), 3)).T  # dense input differs at masked sites
         loss_zn = zero_out_loss(noisy)
 
     lines = [
@@ -266,9 +276,11 @@ def suite_leakage():
         f"  sparse: reconstruction bit-identical: {recon_same}",
         f"  sparse: masked loss bit-identical: {loss_a == loss_b}",
         f"  sparse: visible-pixel perturbation changes loss: {loss_a != loss_c}",
+        f"  zero-out: dense path by hand equals spark_forward: {loss_zh == loss_z}",
         f"  zero-out: masked-site noise changes loss: {loss_z != loss_zn}",
     ]
-    ok = feats_same and recon_same and loss_a == loss_b and loss_a != loss_c and loss_z != loss_zn
+    ok = (feats_same and recon_same and loss_a == loss_b and loss_a != loss_c
+          and loss_zh == loss_z and loss_z != loss_zn)
     return bool(ok), lines
 
 

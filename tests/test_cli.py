@@ -365,6 +365,13 @@ class TestFlops:
         text = (tmp_path / "flops.csv").read_text()
         assert text.startswith("layer,scale,sparse_macs,dense_macs,ratio")
 
+    def test_encoder_whose_width_cannot_feed_a_decoder(self, capsys):
+        # the table counts encoder MACs only, so a deepest width of 8 that cannot
+        # halve log2(32) = 5 times into a decoder is no reason to refuse it
+        assert main(["flops", "--image-size", "64", "--patch", "32", "--stages", "4", "--widths", "4,8,16,8"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        enc = EncoderConfig(stages=4, widths=(4, 8, 16, 8))
+        assert [line.split(",")[0] for line in lines[1:]] == [layer.name for layer in encoder_layers(enc)]
 
     @pytest.mark.parametrize("blocks", [1, 2])
     @pytest.mark.parametrize("down_kernel", [2, 3])
