@@ -596,6 +596,9 @@ def _batchnorm(x, gamma, beta, state, mode, clamp):
     the train-mode backward is the closed form (Ioffe & Szegedy,
     arXiv:1502.03167) ``gx = gamma * inv * (g - (sum(g) + xhat * sum(g * xhat)) / m)``.
     """
+    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
+        raise ValueError(f"batchnorm: gamma/beta must have shape ({x.shape[1]},), "
+                         f"got {tuple(gamma.shape)} and {tuple(beta.shape)}")
     if mode not in ("train", "eval"):
         raise ValueError(f"batchnorm: unknown mode {mode!r}")
     if clamp is not None and not clamp > 0:
@@ -662,11 +665,6 @@ def batchnorm2d(
     [0, clamp] unless ``clamp`` is None (``np.inf``: ReLU, ``6.0``: ReLU6)."""
     if x.ndim != 4:
         raise ValueError(f"batchnorm2d: input must be 4-d, got {x.ndim}-d")
-    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-        raise ValueError(
-            f"batchnorm2d: gamma/beta must have shape ({x.shape[1]},), "
-            f"got {tuple(gamma.shape)} and {tuple(beta.shape)}"
-        )
     return _batchnorm(x, gamma, beta, state, mode, clamp)
 
 
@@ -684,8 +682,6 @@ def batchnorm_rows(
         raise ValueError(f"batchnorm_rows: input must be 2-d, got {x.ndim}-d")
     if x.shape[0] == 0:
         raise ValueError("batchnorm_rows: no rows to normalize")
-    if gamma.shape != (x.shape[1],) or beta.shape != (x.shape[1],):
-        raise ValueError(f"batchnorm_rows: gamma/beta must have shape ({x.shape[1]},)")
     return _batchnorm(x, gamma, beta, state, mode, clamp)
 
 

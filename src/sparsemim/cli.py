@@ -27,7 +27,6 @@ from .model import (
     SparkModel,
     encoder_flops_table,
     spark_forward,
-    to_dense_encoder,
 )
 from .training import (
     CheckpointError,
@@ -199,6 +198,8 @@ def cmd_pretrain(args) -> int:
         raise UsageError(f"--lr must be finite and positive, got {resolved['lr']}")
     if not (0.0 <= resolved["weight_decay"] < math.inf):
         raise UsageError(f"--weight-decay must be finite and non-negative, got {resolved['weight_decay']}")
+    if resolved["seed"] < 0:
+        raise UsageError(f"--seed must be non-negative, got {resolved['seed']}")
 
     train_cfg = TrainConfig(
         epochs=resolved["epochs"], batch_size=resolved["batch"], lr_peak=resolved["lr"],
@@ -284,14 +285,14 @@ def cmd_reconstruct(args) -> int:
 def cmd_convert(args) -> int:
     ckpt = load_checkpoint(args.ckpt, model_only=True)
     model, _ = model_from_checkpoint(ckpt)
-    dense = to_dense_encoder(model)
+    arrays = model.encoder.state_arrays()
     cfg = {"kind": "dense_encoder", "encoder": model.cfg.to_dict()["encoder"],
            "ape": model.cfg.ape, "image_size": model.cfg.image_size}
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    save_checkpoint(args.out, dense.state_arrays(), cfg)
+    save_checkpoint(args.out, arrays, cfg)
     _echo_config({"command": "convert", "ckpt": args.ckpt, "out": args.out, **cfg})
-    print(f"wrote dense encoder ({len(dense.state_arrays())} arrays) to {args.out}")
+    print(f"wrote dense encoder ({len(arrays)} arrays) to {args.out}")
     return 0
 
 
@@ -358,7 +359,8 @@ def main(argv=None) -> int:
     except (TrainingDiverged, CheckpointError) as e:
         print(f"sparsemim {args.command}: {e}", file=sys.stderr)
         return 2
-    except (UsageError, ValueError, FileNotFoundError) as e:
+    except (UsageError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            FileExistsError) as e:
         print(f"sparsemim {args.command}: {e}", file=sys.stderr)
         return 1
     except OSError as e:

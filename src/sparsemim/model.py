@@ -54,7 +54,6 @@ __all__ = [
     "decoder_forward",
     "spark_forward",
     "spark_loss",
-    "to_dense_encoder",
     "encoder_flops_table",
 ]
 
@@ -223,38 +222,20 @@ class SparkConfig:
         return from_fields(cls, d)
 
 
-def _state_arrays(params, bn_states) -> "OrderedDict[str, np.ndarray]":
-    out = OrderedDict((name, p.data) for name, p in params.items())
-    for name, st in bn_states.items():
-        out[f"{name}.running_mean"] = st.running_mean
-        out[f"{name}.running_var"] = st.running_var
-    return out
-
-
 def _normal(rng, std, shape) -> np.ndarray:
     return np.zeros(shape) if rng is None else rng.normal(0.0, std, size=shape)
 
 
-class SparkModel:
-    """Parameter store plus the wiring between encoder, embeddings, and decoder.
+class _Store:
+    """Parameter store: an insertion-ordered name -> DiffTensor map (the
+    checkpoint manifest order), batch-norm running stats alongside in
+    ``bn_states``, and the names under ``decay``, which receive weight decay
+    (conv and projection weights only)."""
 
-    Parameters live in an insertion-ordered name -> DiffTensor map (the
-    checkpoint manifest order); batch-norm running stats live alongside in
-    ``bn_states``. Names under ``decay`` receive weight decay (conv and
-    projection weights only).
-    """
-
-    def __init__(self, cfg: SparkConfig, rng: np.random.Generator | None):
-        """Draw the initial parameters from ``rng``. With ``rng`` None nothing is
-        drawn: the would-be random parameters are zeros, for a caller that loads
-        every array (``model_from_checkpoint``)."""
-        self.cfg = cfg
+    def __init__(self):
         self.params: "OrderedDict[str, DiffTensor]" = OrderedDict()
         self.bn_states: "OrderedDict[str, BatchNormState]" = OrderedDict()
         self.decay: set[str] = set()
-        self._build(rng)
-
-    # -- construction -------------------------------------------------------
 
     def _conv_param(self, name, cout, cin, kh, kw, rng):
         t = DiffTensor(_normal(rng, math.sqrt(2.0 / (cin * kh * kw)), (cout, cin, kh, kw)), requires_grad=True)
@@ -272,15 +253,47 @@ class SparkModel:
         self._vec_param(f"{prefix}.beta", np.zeros(channels))
         self.bn_states[prefix] = BatchNormState(channels)
 
-    def _build(self, rng):
-        cfg = self.cfg
+    def named_parameters(self):
+        return self.params.items()
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.zero_grad()
+
+    def state_arrays(self) -> "OrderedDict[str, np.ndarray]":
+        """All persistent arrays (parameters + BN running stats) in manifest order."""
+        out = OrderedDict((name, p.data) for name, p in self.params.items())
+        for name, st in self.bn_states.items():
+            out[f"{name}.running_mean"] = st.running_mean
+            out[f"{name}.running_var"] = st.running_var
+        return out
+
+    def load_state_arrays(self, arrays: dict):
+        """Take every array of ``state_arrays``, by name, from ``arrays``; the
+        caller checks their names and shapes."""
+        for name, p in self.params.items():
+            p.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
+        for name, st in self.bn_states.items():
+            st.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=np.float64).copy()
+            st.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=np.float64).copy()
+
+
+class SparkModel(_Store):
+    """The encoder (``self.encoder``), the per-scale embeddings and
+    projections, and the decoder, in one store whose order is the checkpoint
+    manifest's: the encoder's arrays first."""
+
+    def __init__(self, cfg: SparkConfig, rng: np.random.Generator | None):
+        """Draw the initial parameters from ``rng``. With ``rng`` None nothing is
+        drawn: the would-be random parameters are zeros, for a caller that loads
+        every array (``model_from_checkpoint``)."""
+        super().__init__()
+        self.cfg = cfg
         enc = cfg.encoder
-        for i, layer in enumerate(encoder_layers(enc)):
-            self._conv_param(layer.weight, layer.cout, layer.cin, layer.kernel, layer.kernel, rng)
-            self._bn_param(layer.bn, layer.cout)
-            if i == 0 and cfg.ape:  # a learnable embedding per stem output site
-                h4 = cfg.image_size // STEM_STRIDE
-                self._vec_param("ape", np.zeros((1, layer.cout, h4, h4)))
+        self.encoder = DenseEncoder(enc, cfg.image_size if cfg.ape else None, rng)
+        self.params.update(self.encoder.params)
+        self.bn_states.update(self.encoder.bn_states)
+        self.decay.update(self.encoder.decay)
 
         chans = cfg.decoder.channels
         for i in range(enc.stages):
@@ -301,34 +314,6 @@ class SparkModel:
             self._bn_param(f"{pre}.bn1", cout)
         self._conv_param("decoder.proj.w", 3, chans[-1], 1, 1, rng)
         self._vec_param("decoder.proj.b", np.zeros(3))
-
-    # -- access --------------------------------------------------------------
-
-    def param(self, name: str) -> DiffTensor:
-        return self.params[name]
-
-    def bn(self, name: str) -> BatchNormState:
-        return self.bn_states[name]
-
-    def named_parameters(self):
-        return self.params.items()
-
-    def zero_grad(self):
-        for p in self.params.values():
-            p.zero_grad()
-
-    def state_arrays(self) -> "OrderedDict[str, np.ndarray]":
-        """All persistent arrays (parameters + BN running stats) in manifest order."""
-        return _state_arrays(self.params, self.bn_states)
-
-    def load_state_arrays(self, arrays: dict):
-        """Take every array of ``state_arrays``, by name, from ``arrays``; the
-        caller checks their names and shapes."""
-        for name, p in self.params.items():
-            p.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
-        for name, st in self.bn_states.items():
-            st.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=np.float64).copy()
-            st.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=np.float64).copy()
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +361,7 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
     outputs = [None] * enc.stages
     sp = block_in = rb = None
     for layer in encoder_layers(enc):
-        w = model.param(layer.weight)
+        w = model.params[layer.weight]
         x_in = sp
         if sp is None:
             # stem: dense strided conv, then gather the visible sites. Patch edges are
@@ -384,7 +369,7 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
             # entirely inside a visible patch and masked pixels never contribute.
             stem = ag.conv2d(images, w, stride=layer.stride, padding=layer.padding)
             if cfg.ape:
-                stem = ag.add_broadcast(stem, model.param("ape"))
+                stem = ag.add_broadcast(stem, model.params["ape"])
             sp = gather_from_dense(stem, sites[0])
         elif layer.stride != 1:
             rb = build_rulebook(sp.sites, layer.kernel, sites[layer.stage], stride=layer.stride,
@@ -394,8 +379,8 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
             if rb is None or rb.dst is not rb.src:  # one rulebook serves every stride-1 layer of a stage
                 rb = build_rulebook(sp.sites, layer.kernel)
             sp = subm_conv2d(sp, w, None, rb)
-        sp = sparse_batchnorm(sp, model.param(f"{layer.bn}.gamma"), model.param(f"{layer.bn}.beta"),
-                              model.bn(layer.bn), mode=mode, clamp=np.inf)
+        sp = sparse_batchnorm(sp, model.params[f"{layer.bn}.gamma"], model.params[f"{layer.bn}.beta"],
+                              model.bn_states[layer.bn], mode=mode, clamp=np.inf)
         if layer.residual:
             sp = sp.with_features(ag.add(sp.features, block_in.features))
         block_in = x_in
@@ -403,19 +388,28 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
     return outputs
 
 
-class DenseEncoder:
-    """The same encoder weights applied as ordinary dense convolutions.
+class DenseEncoder(_Store):
+    """The encoder's parameters, applied as ordinary dense convolutions.
 
     Valid on any input whose dims are divisible by the total stride (no mask
     or patch constraint); on fully visible inputs it reproduces the sparse
-    encoder's features.
+    encoder's features. ``SparkModel`` builds its encoder as one of these and
+    shares every tensor and running-stat object with it.
     """
 
-    def __init__(self, enc_cfg: EncoderConfig, params: dict, bn_states: dict, ape: DiffTensor | None = None):
+    def __init__(self, enc_cfg: EncoderConfig, ape_size: int | None, rng: np.random.Generator | None):
+        """Build every layer of ``encoder_layers(enc_cfg)``: its weight drawn from
+        ``rng`` (zeros with ``rng`` None), then its batch norm. With ``ape_size``
+        an image size, a learnable embedding per stem output site of that image
+        follows the stem's batch norm."""
+        super().__init__()
         self.cfg = enc_cfg
-        self.params = params
-        self.bn_states = bn_states
-        self.ape = ape
+        for i, layer in enumerate(encoder_layers(enc_cfg)):
+            self._conv_param(layer.weight, layer.cout, layer.cin, layer.kernel, layer.kernel, rng)
+            self._bn_param(layer.bn, layer.cout)
+            if i == 0 and ape_size is not None:
+                h4 = ape_size // STEM_STRIDE
+                self._vec_param("ape", np.zeros((1, layer.cout, h4, h4)))
 
     def forward(self, images, mode: str = "eval"):
         enc = self.cfg
@@ -424,15 +418,16 @@ class DenseEncoder:
         if h % enc.total_stride or w % enc.total_stride:
             raise ValueError(f"DenseEncoder: image {h}x{w} not divisible by total stride {enc.total_stride}")
 
+        ape = self.params.get("ape")
         stages = [None] * enc.stages
         x, block_in = images, None
         for i, layer in enumerate(encoder_layers(enc)):
             x_in = x
             x = ag.conv2d(x, self.params[layer.weight], stride=layer.stride, padding=layer.padding)
-            if i == 0 and self.ape is not None:
-                if self.ape.shape[2:] != x.shape[2:]:
+            if i == 0 and ape is not None:
+                if ape.shape[2:] != x.shape[2:]:
                     raise ValueError("DenseEncoder: positional embedding size does not match input")
-                x = ag.add_broadcast(x, self.ape)
+                x = ag.add_broadcast(x, ape)
             x = ag.batchnorm2d(x, self.params[f"{layer.bn}.gamma"], self.params[f"{layer.bn}.beta"],
                                self.bn_states[layer.bn], mode=mode, clamp=np.inf)
             if layer.residual:
@@ -440,17 +435,6 @@ class DenseEncoder:
             block_in = x_in
             stages[layer.stage] = x
         return stages
-
-    def state_arrays(self) -> "OrderedDict[str, np.ndarray]":
-        return _state_arrays({**self.params, **({} if self.ape is None else {"ape": self.ape})}, self.bn_states)
-
-
-def to_dense_encoder(model: SparkModel) -> DenseEncoder:
-    """Reinterpret the sparse encoder weights as a dense encoder (shared tensors)."""
-    params = {k: v for k, v in model.params.items() if k.startswith("encoder.")}
-    bns = {k: v for k, v in model.bn_states.items() if k.startswith("encoder.")}
-    ape = model.params.get("ape") if model.cfg.ape else None
-    return DenseEncoder(model.cfg.encoder, params, bns, ape)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +449,11 @@ def project_and_densify(model: SparkModel, scale: int, sp, n: int) -> DiffTensor
     for that scale; returns a dense [n, dec_width, h, w] tensor ready to enter
     the decoder.
     """
-    return _project_dense(model, scale, densify(sp, model.param(f"embed.scale{scale}"), n))
+    return _project_dense(model, scale, densify(sp, model.params[f"embed.scale{scale}"], n))
 
 
 def _project_dense(model: SparkModel, scale: int, x: DiffTensor) -> DiffTensor:
-    return ag.conv2d(x, model.param(f"proj.scale{scale}.w"), model.param(f"proj.scale{scale}.b"))
+    return ag.conv2d(x, model.params[f"proj.scale{scale}.w"], model.params[f"proj.scale{scale}.b"])
 
 
 def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTensor:
@@ -488,8 +472,8 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
         raise ValueError("decoder_forward: the deepest input to_dec[0] is required")
 
     def bn(x, prefix, clamp):
-        return ag.batchnorm2d(x, model.param(f"{prefix}.gamma"), model.param(f"{prefix}.beta"),
-                              model.bn(prefix), mode=mode, clamp=clamp)
+        return ag.batchnorm2d(x, model.params[f"{prefix}.gamma"], model.params[f"{prefix}.beta"],
+                              model.bn_states[prefix], mode=mode, clamp=clamp)
 
     x = None
     for k in range(n_stages):
@@ -505,10 +489,10 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
                 )
             x = skip if x is None else ag.add(x, skip)
         pre = f"decoder.stage{k}"
-        x = ag.conv_transpose2d(x, model.param(f"{pre}.up.w"), model.param(f"{pre}.up.b"))
-        x = bn(ag.conv2d(x, model.param(f"{pre}.conv0.w"), stride=1, padding=1), f"{pre}.bn0", 6.0)
-        x = bn(ag.conv2d(x, model.param(f"{pre}.conv1.w"), stride=1, padding=1), f"{pre}.bn1", None)
-    return ag.conv2d(x, model.param("decoder.proj.w"), model.param("decoder.proj.b"))
+        x = ag.conv_transpose2d(x, model.params[f"{pre}.up.w"], model.params[f"{pre}.up.b"])
+        x = bn(ag.conv2d(x, model.params[f"{pre}.conv0.w"], stride=1, padding=1), f"{pre}.bn0", 6.0)
+        x = bn(ag.conv2d(x, model.params[f"{pre}.conv1.w"], stride=1, padding=1), f"{pre}.bn1", None)
+    return ag.conv2d(x, model.params["decoder.proj.w"], model.params["decoder.proj.b"])
 
 
 def spark_forward(model: SparkModel, images, masks, mode: str = "train"):
@@ -531,7 +515,7 @@ def spark_forward(model: SparkModel, images, masks, mode: str = "train"):
         def project(s):
             return project_and_densify(model, s, feats[s], n)
     else:
-        feats = to_dense_encoder(model).forward(zero_out_image(images, masks), mode=mode)
+        feats = model.encoder.forward(zero_out_image(images, masks), mode=mode)
 
         def project(s):
             return _project_dense(model, s, feats[s])

@@ -14,12 +14,10 @@ import numpy as np
 from . import autograd as ag
 from .masking import generate_mask
 from .model import (
-    STEM_STRIDE,
     DenseEncoder,
     EncoderConfig,
     SparkConfig,
     SparkModel,
-    encoder_layers,
     spark_forward,
     spark_loss,
 )
@@ -183,7 +181,7 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
     peak = cfg.peak_lr()
 
     names = [n for n, _ in model.named_parameters()]
-    tensors = [model.param(n) for n in names]
+    tensors = [model.params[n] for n in names]
     params = [p.data for p in tensors]
     decay_mask = [n in model.decay for n in names]
     opt = OptimizerState([p.shape for p in params])
@@ -408,7 +406,7 @@ def model_checkpoint_arrays(model: SparkModel, opt: OptimizerState | None = None
 
 def _check_arrays(ckpt: Checkpoint, shapes: dict):
     """Raise CheckpointError unless ``ckpt`` holds every named array at its shape,
-    decoded or not."""
+    decoded or not, and no other array."""
     held = ckpt.shapes
     for name, shape in shapes.items():
         if name not in held:
@@ -416,12 +414,14 @@ def _check_arrays(ckpt: Checkpoint, shapes: dict):
         if held[name] != tuple(shape):
             raise CheckpointError(f"checkpoint array {name!r} has shape {list(held[name])}, "
                                   f"expected {list(shape)}")
+    if len(held) != len(shapes):
+        raise CheckpointError(f"checkpoint has unexpected arrays {sorted(set(held) - set(shapes))}")
 
 
 def _decode_config(decode, d, what: str):
     try:
         return decode(d)
-    except (ValueError, TypeError) as e:  # a missing, unknown or ill-typed key
+    except (ValueError, TypeError, MemoryError) as e:  # a missing, unknown or ill-typed key, or no room for the store
         raise CheckpointError(f"bad {what} config in checkpoint: {e}") from e
 
 
@@ -431,17 +431,17 @@ def model_from_checkpoint(ckpt: Checkpoint):
     Stored optimizer moments are checked for presence and shape either way."""
     if ckpt.config.get("kind") != "spark":
         raise CheckpointError(f"not a model checkpoint (kind={ckpt.config.get('kind')!r})")
-    cfg = _decode_config(SparkConfig.from_dict, ckpt.config.get("model"), "model")
-    model = SparkModel(cfg, None)  # no init draws: load_state_arrays replaces every array
+    # no init draws: load_state_arrays replaces every array
+    model = _decode_config(lambda d: SparkModel(SparkConfig.from_dict(d), None), ckpt.config.get("model"), "model")
     names = list(model.params.keys())
     shapes = {name: arr.shape for name, arr in model.state_arrays().items()}
     if f"opt.m.{names[0]}" in ckpt.shapes:
-        shapes.update({f"opt.{k}.{n}": model.param(n).shape for k in "mv" for n in names})
+        shapes.update({f"opt.{k}.{n}": model.params[n].shape for k in "mv" for n in names})
     _check_arrays(ckpt, shapes)
     model.load_state_arrays(ckpt.arrays)
     opt = None
     if f"opt.m.{names[0]}" in ckpt.arrays:  # stored and decoded
-        opt = OptimizerState([model.param(n).shape for n in names])
+        opt = OptimizerState([model.params[n].shape for n in names])
         opt.m = [np.ascontiguousarray(ckpt.arrays[f"opt.m.{n}"]) for n in names]
         opt.v = [np.ascontiguousarray(ckpt.arrays[f"opt.v.{n}"]) for n in names]
         opt.t = ckpt.config.get("opt_t", 0)
@@ -449,31 +449,18 @@ def model_from_checkpoint(ckpt: Checkpoint):
 
 
 def dense_encoder_from_checkpoint(ckpt: Checkpoint) -> DenseEncoder:
-    """Rebuild the DenseEncoder that ``sparsemim convert`` wrote.
-
-    The file must hold exactly the arrays that ``encoder_layers`` names (plus
-    ``ape`` when the header says so), each at its layer's shape.
-    """
+    """Rebuild the DenseEncoder that ``sparsemim convert`` wrote. The file must
+    hold exactly that encoder's arrays, each at its shape."""
     if ckpt.config.get("kind") != "dense_encoder":
         raise CheckpointError(f"not a dense-encoder checkpoint (kind={ckpt.config.get('kind')!r})")
-    enc = _decode_config(EncoderConfig.from_dict, ckpt.config.get("encoder"), "encoder")
-    layers = encoder_layers(enc)
-    shapes = {}
-    for layer in layers:
-        shapes[layer.weight] = (layer.cout, layer.cin, layer.kernel, layer.kernel)
-        shapes.update({f"{layer.bn}.{k}": (layer.cout,) for k in ("gamma", "beta", "running_mean", "running_var")})
+    size = None
     if ckpt.config.get("ape"):
         size = ckpt.config.get("image_size")
-        if not isinstance(size, int):
-            raise CheckpointError(f"dense-encoder checkpoint with ape has no integer image_size ({size!r})")
-        shapes["ape"] = (1, enc.widths[0], size // STEM_STRIDE, size // STEM_STRIDE)
-    _check_arrays(ckpt, shapes)
-    if len(ckpt.shapes) != len(shapes):
-        raise CheckpointError(f"dense-encoder checkpoint has unexpected arrays {sorted(set(ckpt.shapes) - set(shapes))}")
-    arrays = ckpt.arrays
-    bn_states = {layer.bn: ag.BatchNormState(layer.cout) for layer in layers}
-    for prefix, st in bn_states.items():
-        st.running_mean, st.running_var = arrays[f"{prefix}.running_mean"].copy(), arrays[f"{prefix}.running_var"].copy()
-    params = {n: ag.DiffTensor(arrays[n], requires_grad=True) for n in shapes if not n.endswith(("_mean", "_var"))}
-    ape = params.pop("ape", None)
-    return DenseEncoder(enc, params, bn_states, ape)
+        if not _is_count(size):
+            raise CheckpointError(f"dense-encoder checkpoint with ape has no non-negative integer image_size "
+                                  f"({size!r})")
+    dense = _decode_config(lambda d: DenseEncoder(EncoderConfig.from_dict(d), size, None),
+                           ckpt.config.get("encoder"), "encoder")
+    _check_arrays(ckpt, {name: arr.shape for name, arr in dense.state_arrays().items()})
+    dense.load_state_arrays(ckpt.arrays)
+    return dense

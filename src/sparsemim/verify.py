@@ -12,7 +12,7 @@ import numpy as np
 from . import autograd as ag
 from .masking import PatchMask, erosion_profile, generate_mask, masked_pixel_map
 from .model import (EncoderConfig, SparkConfig, SparkModel, _project_dense, decoder_forward, encoder_forward,
-                    spark_forward, spark_loss, to_dense_encoder)
+                    spark_forward, spark_loss)
 from .sparse import ActiveSet, SparseTensor2D, build_rulebook, sparse_downsample, subm_conv2d
 
 __all__ = ["suite_gradcheck", "suite_oracle", "suite_erosion", "suite_leakage", "run_suites", "SUITES"]
@@ -112,7 +112,7 @@ def end_to_end_gradcheck(lines=None) -> bool:
     masks = [generate_mask(2, 2, 0.5, np.random.default_rng(50 + i), patch_size=8) for i in range(2)]
 
     names = list(model.params.keys())
-    tensors = [model.param(n) for n in names]
+    tensors = [model.params[n] for n in names]
 
     def f(_):
         recon, targets, mmaps = spark_forward(model, images, masks, mode="train")
@@ -261,7 +261,7 @@ def suite_leakage():
         loss_z = spark_loss(recon_z, targets, maps).item()
 
         def zero_out_loss(dense_input):
-            feats = to_dense_encoder(zmodel).forward(dense_input, mode="eval")
+            feats = zmodel.encoder.forward(dense_input, mode="eval")
             to_dec = [_project_dense(zmodel, s, feats[s]) for s in reversed(range(enc.stages))]
             return spark_loss(decoder_forward(zmodel, to_dec, mode="eval"), targets, maps).item()
 

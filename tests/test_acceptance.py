@@ -27,7 +27,6 @@ from sparsemim.model import (
     encoder_forward,
     spark_forward,
     spark_loss,
-    to_dense_encoder,
 )
 from sparsemim.sparse import (
     ActiveSet,
@@ -98,7 +97,7 @@ class TestAcceptance:
         with ag.no_grad():
             for mode in ("eval", "train"):
                 sparse_feats = encoder_forward(model, img, [mask0, mask0], mode=mode)
-                dense_feats = to_dense_encoder(model).forward(img, mode=mode)
+                dense_feats = model.encoder.forward(img, mode=mode)
                 for sp, fd in zip(sparse_feats, dense_feats):
                     ref = fd.data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
                     worst = max(worst, float(np.abs(sp.features.data - ref).max()))
@@ -223,8 +222,8 @@ class TestAcceptance:
             recon_a, targets, mm = spark_forward(model, img, mask, mode="eval")
             loss_a = spark_loss(recon_a, targets, mm).item()
             for scale in (0, 1):  # shallow scales feed only the decoder skips
-                model.param(f"proj.scale{scale}.w").data += 3.0
-                model.param(f"embed.scale{scale}").data -= 2.0
+                model.params[f"proj.scale{scale}.w"].data += 3.0
+                model.params[f"embed.scale{scale}"].data -= 2.0
             recon_b, _, _ = spark_forward(model, img, mask, mode="eval")
             loss_b = spark_loss(recon_b, targets, mm).item()
         assert loss_a == loss_b, "no-hierarchy variant still reads shallow scales"

@@ -135,6 +135,21 @@ class TestPretrain:
         assert f"fea_dim {width} too small" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_seed_rejected_before_any_write(self, tmp_path, capsys, via_config):
+        i = TINY.index("--seed")
+        argv = ["pretrain", "--synth", "12", "--out", str(tmp_path / "bad"), *TINY[:i], *TINY[i + 2:]]
+        if via_config:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(cfg_file)]
+        else:
+            argv += ["--seed", "-1"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / "bad").exists()
+
     def test_config_accepts_int_for_float_and_null_where_default_is_null(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"lr": 1, "weight_decay": 0, "dec_width": None, "steps": None}))
@@ -300,6 +315,29 @@ def test_reconstruct_bad_image_rejected_before_any_write(trained, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("sparsemim reconstruct: ") and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["reconstruct --image dir", "reconstruct --ckpt dir", "pretrain --data file",
+                                  "pretrain --out file", "reconstruct --out file", "convert --out dir"])
+def test_path_of_the_wrong_kind_is_a_usage_error(trained, tmp_path, capsys, case):
+    img, a_dir, a_file = tmp_path / "x.ppm", tmp_path / "dir", tmp_path / "file"
+    save_ppm(img, np.zeros((3, 16, 16)))
+    a_dir.mkdir()
+    a_file.write_bytes(b"kept")
+    ckpt, out = str(trained / "final.ckpt"), str(tmp_path / "o")
+    argv = {
+        "reconstruct --image dir": ["reconstruct", "--ckpt", ckpt, "--image", str(a_dir), "--out", out],
+        "reconstruct --ckpt dir": ["reconstruct", "--ckpt", str(a_dir), "--image", str(img), "--out", out],
+        "pretrain --data file": ["pretrain", "--data", str(img), "--out", out, *TINY],
+        "pretrain --out file": ["pretrain", "--synth", "12", "--out", str(a_file), *TINY],
+        "reconstruct --out file": ["reconstruct", "--ckpt", ckpt, "--image", str(img), "--out", str(a_file)],
+        "convert --out dir": ["convert", "--ckpt", ckpt, "--out", str(a_dir)],
+    }[case]
+    before = sorted(os.listdir(tmp_path))
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sparsemim {argv[0]}: ") and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before and not os.listdir(a_dir) and a_file.read_bytes() == b"kept"
 
 
 def test_reconstruct_without_train_section_uses_0_6(trained, tmp_path, capsys):

@@ -71,7 +71,7 @@ class TestLegacyHeaders:
         ck.config["encoder"].update(self.LEGACY)
         dense = dense_encoder_from_checkpoint(ck)
         assert dense.cfg == EncoderConfig(stages=2, widths=(4, 8))
-        assert dense.ape is not None and dense.state_arrays().keys() == ck.arrays.keys()
+        assert "ape" in dense.params and dense.state_arrays().keys() == ck.arrays.keys()
 
     @pytest.mark.parametrize("change", [{"stem_stride": 8}, {"stage_stride": 3}, {"pad": 1}, {"down_kernel": None}],
                              ids=["stem_stride_8", "stage_stride_3", "unknown_key", "missing_key"])
@@ -147,6 +147,31 @@ class TestMalformedCheckpointExits2:
         assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
         assert "truncated checkpoint: array 'opt." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", ["an unknown array", "second moments without first"])
+    def test_unexpected_array(self, tmp_path, image, capsys, extra):
+        model = tiny_model()
+        arrays = model_checkpoint_arrays(model, OptimizerState([p.shape for p in model.params.values()]))
+        if extra == "an unknown array":
+            arrays["encoder.extra"] = np.zeros(3)
+        else:
+            arrays = {n: a for n, a in arrays.items() if not n.startswith("opt.m.")}
+        ckpt = write_spark(tmp_path / "m.ckpt", model, arrays=arrays)
+        with pytest.raises(CheckpointError, match="unexpected arrays"):
+            model_from_checkpoint(load_checkpoint(ckpt))
+        assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
+        assert "unexpected arrays" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change", [{"dec_fea_dim": 0}, {"encoder": {"widths": [4, 10 ** 6]}}],
+                             ids=["decoder_width_0", "width_too_large_to_allocate"])
+    def test_model_config_no_store_can_hold(self, tmp_path, image, capsys, change):
+        model = tiny_model()
+        header = spark_header(model)
+        for key, value in change.items():
+            header["model"][key] = {**header["model"][key], **value} if isinstance(value, dict) else value
+        ckpt = write_spark(tmp_path / "m.ckpt", model, header=header)
+        assert self._exit_codes(tmp_path, image, ckpt) == (2, 2)
+        assert "bad model config in checkpoint" in capsys.readouterr().err
+
     def test_model_config_without_image_size(self, tmp_path, image, capsys):
         model = tiny_model()
         header = spark_header(model)
@@ -180,3 +205,37 @@ class TestDenseLoader:
         arrays["ape"] = np.zeros((1, 4, 4, 4))  # the header says ape is off
         with pytest.raises(CheckpointError, match="unexpected arrays \\['ape'\\]"):
             dense_encoder_from_checkpoint(converted)
+
+    def test_width_too_large_to_allocate(self, converted):
+        converted.config["encoder"]["widths"] = [4, 10 ** 6]
+        with pytest.raises(CheckpointError, match="bad encoder config in checkpoint"):
+            dense_encoder_from_checkpoint(converted)
+
+    @pytest.mark.parametrize("size", [None, "16", True, -4])
+    def test_ape_without_a_usable_image_size(self, tmp_path, size):
+        src, out = write_spark(tmp_path / "m.ckpt", tiny_model(ape=True)), tmp_path / "enc.ckpt"
+        assert main(["convert", "--ckpt", str(src), "--out", str(out)]) == 0
+        ck = load_checkpoint(out)
+        ck.config["image_size"] = size
+        with pytest.raises(CheckpointError, match="image_size"):
+            dense_encoder_from_checkpoint(ck)
+
+    def test_ape_loads_from_either_manifest_order(self, tmp_path):
+        src, out = write_spark(tmp_path / "m.ckpt", tiny_model(ape=True)), tmp_path / "enc.ckpt"
+        assert main(["convert", "--ckpt", str(src), "--out", str(out)]) == 0
+        ck = load_checkpoint(out)
+        names = list(ck.arrays)
+        assert names.index("ape") == names.index("encoder.stem.bn.beta") + 1
+        ck.arrays["ape"] = np.random.default_rng(1).random(ck.arrays["ape"].shape)
+        # the older order: every parameter, then ape, then the running stats
+        params = [n for n in names if n != "ape" and not n.endswith(("running_mean", "running_var"))]
+        older = {n: ck.arrays[n] for n in [*params, "ape", *names[len(params) + 1:]]}
+        assert list(older) != names and set(older) == set(names)
+        save_checkpoint(tmp_path / "new.ckpt", ck.arrays, ck.config)
+        save_checkpoint(tmp_path / "old.ckpt", older, ck.config)
+        img = np.random.default_rng(2).random((1, 3, 16, 16))
+        with ag.no_grad():
+            new, old = (dense_encoder_from_checkpoint(load_checkpoint(tmp_path / f"{k}.ckpt")).forward(img)
+                        for k in ("new", "old"))
+            for a, b in zip(new, old, strict=True):
+                np.testing.assert_array_equal(a.data, b.data)

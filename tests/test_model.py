@@ -20,7 +20,6 @@ from sparsemim.model import (
     project_and_densify,
     spark_forward,
     spark_loss,
-    to_dense_encoder,
 )
 from sparsemim.verify import end_to_end_gradcheck
 
@@ -193,7 +192,7 @@ class TestDenseConversion:
         mask0 = generate_mask(2, 2, 0.0, np.random.default_rng(13), patch_size=16)
         with ag.no_grad():
             sparse_feats = encoder_forward(model, img, [mask0, mask0], mode=mode)
-            dense_feats = to_dense_encoder(model).forward(img, mode=mode)
+            dense_feats = model.encoder.forward(img, mode=mode)
         worst = 0.0
         for sp, fd in zip(sparse_feats, dense_feats):
             ref = fd.data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
@@ -208,15 +207,15 @@ class TestDenseConversion:
 
     def test_running_stats_shared(self):
         model = tiny_model()
-        dense = to_dense_encoder(model)
-        st = model.bn("encoder.stem.bn")
+        dense = model.encoder
+        st = model.bn_states["encoder.stem.bn"]
         assert dense.bn_states["encoder.stem.bn"] is st
 
     def test_accepts_non_patch_multiple(self):
         # 24x40 is stride-divisible (total stride 8) but not a multiple of the
         # 16px training patch: conversion drops the mask constraint
         model = tiny_model(stages=2, widths=(4, 8), image=32, patch=16, dec=8)
-        dense = to_dense_encoder(model)
+        dense = model.encoder
         with ag.no_grad():
             out = dense.forward(np.random.default_rng(14).random((1, 3, 40, 24)), mode="eval")
         assert out[-1].shape == (1, 8, 5, 3)
@@ -235,7 +234,7 @@ class TestDenseConversion:
             assert [(f.height, f.width) for f in feats] == [(8, 8), (4, 4), (2, 2)]
             # ratio-0 equivalence holds for the 3x3 stride-2 pad-1 downsample too
             sparse0 = encoder_forward(model, img, mask0, mode="eval")
-            dense0 = to_dense_encoder(model).forward(img, mode="eval")
+            dense0 = model.encoder.forward(img, mode="eval")
         for sp, fd in zip(sparse0, dense0):
             ref = fd.data[0][:, sp.coords[:, 0], sp.coords[:, 1]].T
             assert np.abs(sp.features.data - ref).max() < 1e-6
@@ -249,7 +248,7 @@ class TestProjectAndDensify:
         feats = encoder_forward(model, img, mask0, mode="eval")
         out = project_and_densify(model, 1, feats[1], 1)
         ag.backward(ag.sum_over(ag.square(out)))
-        np.testing.assert_array_equal(model.param("embed.scale1").grad, 0.0)
+        np.testing.assert_array_equal(model.params["embed.scale1"].grad, 0.0)
 
     def test_fully_inactive_constant_field(self):
         model = tiny_model()
@@ -257,7 +256,7 @@ class TestProjectAndDensify:
 
         empty = SparseTensor2D(ActiveSet(2, 2, np.zeros((0, 2), dtype=np.int64), np.zeros(0, dtype=np.int64)),
                                ag.tensor(np.zeros((0, 8))))
-        fill = model.param("embed.scale1")
+        fill = model.params["embed.scale1"]
         d = densify(empty, fill, 1)
         np.testing.assert_array_equal(d.data, np.broadcast_to(fill.data[None, :, None, None], (1, 8, 2, 2)))
 
@@ -270,7 +269,7 @@ class TestProjectAndDensify:
             feats = encoder_forward(model, img, mask, mode="eval")
             return ag.mean_over(ag.square(project_and_densify(model, 1, feats[1], 1)))
 
-        embed = model.param("embed.scale1")
+        embed = model.params["embed.scale1"]
         assert ag.grad_check(f, [embed]) < 1e-6
 
 
@@ -347,11 +346,11 @@ class TestAblations:
             recon_a, targets, mm = spark_forward(model, img, mask, mode="eval")
             loss_a = spark_loss(recon_a, targets, mm).item()
             # shallow-scale projection and embedding are unused when hierarchy is off
-            model.param("proj.scale0.w").data += 7.0
-            model.param("embed.scale0").data += 3.0
+            model.params["proj.scale0.w"].data += 7.0
+            model.params["embed.scale0"].data += 3.0
             recon_b, _, _ = spark_forward(model, img, mask, mode="eval")
             loss_b = spark_loss(recon_b, targets, mm).item()
-            model.param("proj.scale1.w").data += 0.1  # the deep scale is used
+            model.params["proj.scale1.w"].data += 0.1  # the deep scale is used
             recon_c, _, _ = spark_forward(model, img, mask, mode="eval")
             loss_c = spark_loss(recon_c, targets, mm).item()
         assert loss_a == loss_b
@@ -381,7 +380,7 @@ class TestApe:
         b = tiny_model(ape=True, seed=33)
         # copy shared parameters so only the (zero) embedding differs
         for name, p in a.params.items():
-            b.param(name).data = p.data.copy()
+            b.params[name].data = p.data.copy()
         img = np.random.default_rng(34).random((1, 3, 16, 16))
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(35), patch_size=8)
         with ag.no_grad():
@@ -398,7 +397,7 @@ class TestApe:
             recon, targets, mm = spark_forward(model, img, mask, mode="train")
             return spark_loss(recon, targets, mm)
 
-        ape = model.param("ape")
+        ape = model.params["ape"]
         err = ag.grad_check(f, [ape], max_entries_per_input=6, rng=np.random.default_rng(38))
         assert err < 1e-4
         model.zero_grad()

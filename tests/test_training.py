@@ -194,7 +194,7 @@ class TestInPlaceOptimizer:
     def _check(kind, model, opt, weight_decay, steps=3, seed=0):
         step = {"adam": adam_step, "lamb": lamb_step}[kind]
         names = [n for n, _ in model.named_parameters()]
-        params, decay_mask = [model.param(n).data for n in names], [n in model.decay for n in names]
+        params, decay_mask = [model.params[n].data for n in names], [n in model.decay for n in names]
         # backward leaves every gradient C-contiguous; the optimizer must not depend on
         # that, so the conv weights' gradients come in Fortran order
         base = [np.asfortranarray(g) if g.ndim == 4 else g for g in backward_grads(model, seed)]
@@ -627,7 +627,7 @@ class TestCheckpointRuns:
         save_checkpoint(p, model_checkpoint_arrays(model), {"kind": "spark", "model": model.cfg.to_dict()})
         ck = load_checkpoint(p, model_only=True)
         m2, _ = model_from_checkpoint(ck)
-        assert all(m2.param(name).data is ck.arrays[name] for name in m2.params)
+        assert all(m2.params[name].data is ck.arrays[name] for name in m2.params)
 
     def test_save_matches_reference_writer(self, tmp_path):
         model = desk_model(seed=2)
