@@ -191,10 +191,6 @@ def tensor(data, requires_grad: bool = False) -> DiffTensor:
     return DiffTensor(data, requires_grad=requires_grad)
 
 
-def _as_dt(x) -> DiffTensor:
-    return x if isinstance(x, DiffTensor) else DiffTensor(x)
-
-
 # ---------------------------------------------------------------------------
 # pointwise and reduction ops
 # ---------------------------------------------------------------------------
@@ -205,8 +201,7 @@ def _check_same_shape(op, a, b):
         raise ValueError(f"{op}: shape mismatch {tuple(a.shape)} vs {tuple(b.shape)}")
 
 
-def add(a, b) -> DiffTensor:
-    a, b = _as_dt(a), _as_dt(b)
+def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     _check_same_shape("add", a, b)
     out = DiffTensor(a.data + b.data)
 
@@ -243,8 +238,7 @@ def add_broadcast(x: DiffTensor, p: DiffTensor) -> DiffTensor:
     return record_op(out, (x, p), backward_fn)
 
 
-def sub(a, b) -> DiffTensor:
-    a, b = _as_dt(a), _as_dt(b)
+def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     _check_same_shape("sub", a, b)
     out = DiffTensor(a.data - b.data)
 
@@ -255,8 +249,7 @@ def sub(a, b) -> DiffTensor:
     return record_op(out, (a, b), backward_fn)
 
 
-def mul(a, b) -> DiffTensor:
-    a, b = _as_dt(a), _as_dt(b)
+def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
     _check_same_shape("mul", a, b)
     out = DiffTensor(a.data * b.data)
 
@@ -268,7 +261,6 @@ def mul(a, b) -> DiffTensor:
 
 
 def mul_scalar(x: DiffTensor, s: float) -> DiffTensor:
-    x = _as_dt(x)
     s = float(s)
     out = DiffTensor(x.data * s)
 
@@ -279,7 +271,6 @@ def mul_scalar(x: DiffTensor, s: float) -> DiffTensor:
 
 
 def square(x: DiffTensor) -> DiffTensor:
-    x = _as_dt(x)
     out = DiffTensor(x.data * x.data)
 
     def backward_fn(g):
@@ -290,7 +281,6 @@ def square(x: DiffTensor) -> DiffTensor:
 
 def sum_over(x: DiffTensor) -> DiffTensor:
     """Sum of every entry of ``x``."""
-    x = _as_dt(x)
     out = DiffTensor(x.data.sum())
 
     def backward_fn(g):
@@ -302,7 +292,6 @@ def sum_over(x: DiffTensor) -> DiffTensor:
 def mean_over(x: DiffTensor, over=None) -> DiffTensor:
     """Mean of every entry of ``x``, or (``over`` a boolean array broadcastable
     to ``x``'s shape) the scalar mean of the selected entries."""
-    x = _as_dt(x)
     if over is not None:
         if not (isinstance(over, np.ndarray) and over.dtype == bool):
             raise ValueError(f"mean_over: over must be None or a boolean mask, got {type(over).__name__}")

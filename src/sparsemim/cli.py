@@ -1,9 +1,10 @@
 """Command-line surface: pre-train, reconstruct, convert, count FLOPs, verify.
 
-Exit codes: 0 success, 1 usage/config error, 2 runtime failure. Every run
-echoes its fully resolved configuration to stdout, and commands taking an
---out directory write config.json plus their artifacts there. Given the same
---seed, every command is deterministic.
+Exit codes: 0 success, 1 usage/config error (a size the machine cannot
+allocate included), 2 runtime failure. Every run echoes its fully resolved
+configuration to stdout, and commands taking an --out directory write
+config.json plus their artifacts there. Given the same --seed, every command
+is deterministic.
 """
 
 from __future__ import annotations
@@ -183,7 +184,6 @@ def cmd_pretrain(args) -> int:
         flags = VARIANTS[resolved["variant"]]
         model_cfg = SparkConfig(encoder=enc, image_size=resolved["image_size"],
                                 patch_size=resolved["patch"], dec_fea_dim=resolved["dec_width"], **flags)
-        model_cfg.decoder  # LightDecoderConfig checks the decoder's width schedule
     except ValueError as e:
         raise UsageError(str(e)) from e
     grid = model_cfg.image_size // model_cfg.patch_size
@@ -214,6 +214,11 @@ def cmd_pretrain(args) -> int:
     else:
         dataset = DirectoryDataset(args.data)
     count_steps(train_cfg, len(dataset))  # the size checks train makes, before anything is written
+    # the model (which checks the decoder's widths) and one step's batch are built
+    # before anything is written, so a size the machine cannot allocate fails first;
+    # np.empty touches no page of the batch
+    model = SparkModel(model_cfg, np.random.default_rng(np.random.SeedSequence([resolved["seed"], 1])))
+    np.empty((train_cfg.batch_size, 3, model_cfg.image_size, model_cfg.image_size))
 
     os.makedirs(args.out, exist_ok=True)
     full = {"command": "pretrain", "data": args.data, "synth": args.synth, "out": args.out,
@@ -221,7 +226,6 @@ def cmd_pretrain(args) -> int:
             "model": model_cfg.to_dict(), "train": train_cfg.to_dict()}
     _echo_config(full, args.out)
 
-    model = SparkModel(model_cfg, np.random.default_rng(np.random.SeedSequence([resolved["seed"], 1])))
     rows, opt = train(model, dataset, train_cfg, metrics_path=os.path.join(args.out, "metrics.csv"))
 
     ckpt_cfg = {"kind": "spark", "model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
@@ -274,7 +278,7 @@ def cmd_reconstruct(args) -> int:
     mm = masked_pixel_map(mask)
     composite = np.where(mm, pred[0], img[0])
 
-    save_ppm(os.path.join(args.out, "masked_input.ppm"), zero_out_image(img[0][None], mask).data[0])
+    save_ppm(os.path.join(args.out, "masked_input.ppm"), zero_out_image(img, mask)[0])
     save_ppm(os.path.join(args.out, "reconstruction.ppm"), pred[0])
     save_ppm(os.path.join(args.out, "composite.ppm"), composite)
     error = f"masked-region mse {((pred[0] - img[0]) ** 2)[:, mm].mean():.6f}" if mm.any() else "no patch masked"
@@ -360,7 +364,7 @@ def main(argv=None) -> int:
         print(f"sparsemim {args.command}: {e}", file=sys.stderr)
         return 2
     except (UsageError, ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            FileExistsError) as e:
+            FileExistsError, MemoryError) as e:
         print(f"sparsemim {args.command}: {e}", file=sys.stderr)
         return 1
     except OSError as e:

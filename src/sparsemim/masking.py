@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import DiffTensor, mul
+from .autograd import DiffTensor
 
 __all__ = [
     "PatchMask",
@@ -12,7 +12,6 @@ __all__ = [
     "generate_mask",
     "active_set_at_scale",
     "masked_pixel_map",
-    "visible_pixel_map",
     "per_patch_normalize",
     "patch_stats",
     "denormalize_patches",
@@ -110,10 +109,6 @@ def masked_pixel_map(mask: PatchMask) -> np.ndarray:
     return np.repeat(np.repeat(~mask.visible, p, axis=0), p, axis=1)
 
 
-def visible_pixel_map(mask: PatchMask) -> np.ndarray:
-    return ~masked_pixel_map(mask)
-
-
 # std floor: a patch is divided by sqrt(var + EPS_STD^2), so near-constant
 # patches map to ~0 while ordinary patches keep |std - 1| well under 1e-5
 EPS_STD = 1e-6
@@ -132,13 +127,13 @@ def patch_stats(img: np.ndarray, patch_size: int):
     return mean, denom  # both [N, gh, gw]
 
 
-def per_patch_normalize(img, patch_size: int) -> DiffTensor:
+def per_patch_normalize(img: np.ndarray, patch_size: int) -> DiffTensor:
     """Standardize each patch of a [N,3,H,W] image to mean 0, std 1 (targets).
 
     All 3*p*p values of a patch are pooled. The result is a constant tensor:
     reconstruction targets do not carry gradients.
     """
-    data = img.data if isinstance(img, DiffTensor) else np.asarray(img, dtype=np.float64)
+    data = np.asarray(img, dtype=np.float64)
     mean, denom = patch_stats(data, patch_size)
     tiles = data.reshape(data.shape[0], data.shape[1], mean.shape[1], patch_size, mean.shape[2], patch_size)
     out = (tiles - mean[:, None, :, None, :, None]) / denom[:, None, :, None, :, None]
@@ -159,13 +154,13 @@ def denormalize_patches(pred: np.ndarray, mean: np.ndarray, denom: np.ndarray, p
     return out.reshape(pred.shape)
 
 
-def zero_out_image(img: DiffTensor, masks) -> DiffTensor:
+def zero_out_image(img: np.ndarray, masks) -> np.ndarray:
     """Set all masked pixels to zero (the dense baseline's input).
 
     ``masks`` is one PatchMask for every sample, or a sequence holding one
     PatchMask per sample of an [N,C,H,W] image batch.
     """
-    data = img.data if isinstance(img, DiffTensor) else np.asarray(img, dtype=np.float64)
+    data = np.asarray(img, dtype=np.float64)
     single = isinstance(masks, PatchMask)
     masks = [masks] if single else list(masks)
     if not single and (data.ndim != 4 or len(masks) != data.shape[0]):
@@ -173,11 +168,8 @@ def zero_out_image(img: DiffTensor, masks) -> DiffTensor:
     for m in masks:
         if data.shape[-2:] != m.image_hw:
             raise ValueError(f"zero_out_image: image {data.shape[-2:]} != mask geometry {m.image_hw}")
-    keep = np.stack([visible_pixel_map(m) for m in masks]).astype(np.float64)
-    keep = np.broadcast_to(keep[0] if single else keep[:, None], data.shape)
-    if isinstance(img, DiffTensor):
-        return mul(img, DiffTensor(keep.copy()))
-    return DiffTensor(data * keep)
+    keep = np.stack([~masked_pixel_map(m) for m in masks]).astype(np.float64)
+    return data * np.broadcast_to(keep[0] if single else keep[:, None], data.shape)
 
 
 def _dilate3x3(support: np.ndarray) -> np.ndarray:
@@ -200,7 +192,7 @@ def erosion_profile(mask: PatchMask, n_convs: int) -> list[int]:
     one cell per side, eroding the masked region until the pattern vanishes.
     Submanifold convolution leaves the count at entry 0 forever.
     """
-    support = visible_pixel_map(mask)
+    support = ~masked_pixel_map(mask)
     total = support.size
     profile = [total - int(support.sum())]
     for _ in range(n_convs):

@@ -45,7 +45,6 @@ __all__ = [
     "EncoderConfig",
     "EncoderLayer",
     "encoder_layers",
-    "LightDecoderConfig",
     "SparkConfig",
     "SparkModel",
     "DenseEncoder",
@@ -154,29 +153,6 @@ def encoder_layers(enc: EncoderConfig) -> list[EncoderLayer]:
 
 
 @dataclass
-class LightDecoderConfig:
-    """Decoder width schedule: channels halve every x2 upsampling stage."""
-
-    fea_dim: int = 768
-    upsample_ratio: int = 32
-
-    def __post_init__(self):
-        n = round(math.log2(self.upsample_ratio))
-        if 2 ** n != self.upsample_ratio:
-            raise ValueError(f"LightDecoderConfig: upsample ratio {self.upsample_ratio} is not a power of two")
-        if self.fea_dim // 2 ** n < 1:
-            raise ValueError(f"LightDecoderConfig: fea_dim {self.fea_dim} too small for ratio {self.upsample_ratio}")
-
-    @property
-    def n_stages(self) -> int:
-        return round(math.log2(self.upsample_ratio))
-
-    @property
-    def channels(self) -> list[int]:
-        return [self.fea_dim // 2 ** i for i in range(self.n_stages + 1)]
-
-
-@dataclass
 class SparkConfig:
     """Full model configuration, including the ablation switches."""
 
@@ -208,9 +184,15 @@ class SparkConfig:
             raise ValueError(f"SparkConfig: unknown loss_on {self.loss_on!r}")
 
     @property
-    def decoder(self) -> LightDecoderConfig:
+    def decoder_channels(self) -> list[int]:
+        """The decoder's widths, deepest first: ``dec_fea_dim`` halved at each x2
+        upsampling stage, one stage per factor 2 of the encoder's total stride
+        (a power of two), so one more entry than there are stages."""
         fea = self.dec_fea_dim if self.dec_fea_dim is not None else self.encoder.widths[-1]
-        return LightDecoderConfig(fea, self.encoder.total_stride)
+        ratio = self.encoder.total_stride
+        if fea // ratio < 1:
+            raise ValueError(f"SparkConfig: decoder fea_dim {fea} too small for ratio {ratio}")
+        return [fea // 2 ** i for i in range(ratio.bit_length())]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -295,7 +277,7 @@ class SparkModel(_Store):
         self.bn_states.update(self.encoder.bn_states)
         self.decay.update(self.encoder.decay)
 
-        chans = cfg.decoder.channels
+        chans = cfg.decoder_channels
         for i in range(enc.stages):
             # mask-fill embedding and width-matching projection for scale i
             self._vec_param(f"embed.scale{i}", _normal(rng, 0.02, enc.widths[i]))
@@ -303,7 +285,7 @@ class SparkModel(_Store):
             self._conv_param(f"proj.scale{i}.w", dec_w, enc.widths[i], 1, 1, rng)
             self._vec_param(f"proj.scale{i}.b", np.zeros(dec_w))
 
-        for k in range(cfg.decoder.n_stages):
+        for k in range(len(chans) - 1):
             cin, cout = chans[k], chans[k + 1]
             pre = f"decoder.stage{k}"
             self._conv_param(f"{pre}.up.w", cin, cin, 4, 4, rng)
@@ -331,8 +313,8 @@ def _normalize_masks(masks, n: int, patch_size: int):
     return masks
 
 
-def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
-    """Sparse hierarchical encoding of a batch.
+def encoder_forward(model: SparkModel, images: np.ndarray, masks, mode: str = "train"):
+    """Sparse hierarchical encoding of a batch of [N,3,H,W] images.
 
     The whole batch runs as one batched SparseTensor2D per scale, with one
     rulebook per stage. Returns one batched SparseTensor2D per stage (shallow
@@ -342,7 +324,6 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
     """
     cfg = model.cfg
     enc = cfg.encoder
-    images = images if isinstance(images, DiffTensor) else DiffTensor(images)
     n, c, h, w = images.shape
     if h % enc.total_stride or w % enc.total_stride:
         raise ValueError(f"encoder_forward: image {h}x{w} not divisible by total stride {enc.total_stride}")
@@ -367,18 +348,18 @@ def encoder_forward(model: SparkModel, images, masks, mode: str = "train"):
             # stem: dense strided conv, then gather the visible sites. Patch edges are
             # multiples of the stem stride, so every gathered site's window lies
             # entirely inside a visible patch and masked pixels never contribute.
-            stem = ag.conv2d(images, w, stride=layer.stride, padding=layer.padding)
+            stem = ag.conv2d(DiffTensor(images), w, stride=layer.stride, padding=layer.padding)
             if cfg.ape:
                 stem = ag.add_broadcast(stem, model.params["ape"])
             sp = gather_from_dense(stem, sites[0])
         elif layer.stride != 1:
             rb = build_rulebook(sp.sites, layer.kernel, sites[layer.stage], stride=layer.stride,
                                 padding=layer.padding)
-            sp = sparse_downsample(sp, w, None, rb)
+            sp = sparse_downsample(sp, w, rb)
         else:
             if rb is None or rb.dst is not rb.src:  # one rulebook serves every stride-1 layer of a stage
                 rb = build_rulebook(sp.sites, layer.kernel)
-            sp = subm_conv2d(sp, w, None, rb)
+            sp = subm_conv2d(sp, w, rb)
         sp = sparse_batchnorm(sp, model.params[f"{layer.bn}.gamma"], model.params[f"{layer.bn}.beta"],
                               model.bn_states[layer.bn], mode=mode, clamp=np.inf)
         if layer.residual:
@@ -411,16 +392,16 @@ class DenseEncoder(_Store):
                 h4 = ape_size // STEM_STRIDE
                 self._vec_param("ape", np.zeros((1, layer.cout, h4, h4)))
 
-    def forward(self, images, mode: str = "eval"):
+    def forward(self, images: np.ndarray, mode: str = "eval"):
+        """Every stage's output, shallow to deep, for a batch of [N,3,H,W] images."""
         enc = self.cfg
-        images = images if isinstance(images, DiffTensor) else DiffTensor(images)
         h, w = images.shape[2], images.shape[3]
         if h % enc.total_stride or w % enc.total_stride:
             raise ValueError(f"DenseEncoder: image {h}x{w} not divisible by total stride {enc.total_stride}")
 
         ape = self.params.get("ape")
         stages = [None] * enc.stages
-        x, block_in = images, None
+        x, block_in = DiffTensor(images), None
         for i, layer in enumerate(encoder_layers(enc)):
             x_in = x
             x = ag.conv2d(x, self.params[layer.weight], stride=layer.stride, padding=layer.padding)
@@ -463,9 +444,8 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
     upsamples x2 with a transposed conv and applies two 3x3 conv + BN layers
     with ReLU6 between; a final 1x1 conv maps to 3 channels.
     """
-    cfg = model.cfg.decoder
-    chans = cfg.channels
-    n_stages = cfg.n_stages
+    chans = model.cfg.decoder_channels
+    n_stages = len(chans) - 1
     if len(to_dec) > n_stages:
         raise ValueError(f"decoder_forward: {len(to_dec)} skip inputs for {n_stages} stages")
     if not to_dec or to_dec[0] is None:
@@ -495,15 +475,15 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
     return ag.conv2d(x, model.params["decoder.proj.w"], model.params["decoder.proj.b"])
 
 
-def spark_forward(model: SparkModel, images, masks, mode: str = "train"):
-    """Full forward pass: returns (reconstruction, targets, masked pixel maps).
+def spark_forward(model: SparkModel, images: np.ndarray, masks, mode: str = "train"):
+    """Full forward pass over [N,3,H,W] images: returns (reconstruction,
+    targets, masked pixel maps).
 
     Skip inputs are assembled deepest first; the hierarchy flag drops all but
     the deepest scale, and the zero-out flag replaces sparse gathering with a
     dense encoder over the zero-filled image.
     """
     cfg = model.cfg
-    images = images if isinstance(images, DiffTensor) else DiffTensor(images)
     n = images.shape[0]
     masks = _normalize_masks(masks, n, cfg.patch_size)
     targets = per_patch_normalize(images, cfg.patch_size)
@@ -520,7 +500,7 @@ def spark_forward(model: SparkModel, images, masks, mode: str = "train"):
         def project(s):
             return _project_dense(model, s, feats[s])
     stages = cfg.encoder.stages
-    to_dec: list = [None] * cfg.decoder.n_stages
+    to_dec: list = [None] * (len(cfg.decoder_channels) - 1)
     for k in range(stages if cfg.hierarchy else 1):
         to_dec[k] = project(stages - 1 - k)
 

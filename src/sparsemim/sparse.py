@@ -15,7 +15,8 @@ convolution is one gather of the neighbour rows followed by one GEMM over
 all kernel offsets at once (backward: one gather-GEMM for each gradient,
 the input gradient along the inverse table). All feature math runs
 through the autograd engine and is differentiable with respect to
-features, weights, biases, and fill values.
+features, weights and fill values. The convs carry no bias: every encoder
+conv feeds a batch norm, whose shift does that job.
 """
 
 from __future__ import annotations
@@ -136,7 +137,7 @@ class Rulebook:
 
     __slots__ = ("kernel", "fwd", "src", "dst", "_inv")
 
-    def __init__(self, kernel, fwd, src: ActiveSet, dst: ActiveSet):
+    def __init__(self, kernel: int, fwd, src: ActiveSet, dst: ActiveSet):
         self.kernel = kernel
         self.fwd = fwd
         self.src = src
@@ -176,33 +177,32 @@ class Rulebook:
         return self._inv
 
 
-def build_rulebook(src: ActiveSet, kernel, dst: ActiveSet | None = None, stride: int = 1,
+def build_rulebook(src: ActiveSet, kernel: int, dst: ActiveSet | None = None, stride: int = 1,
                    padding: int | None = None) -> Rulebook:
     """The neighbour table of a sparse convolution, filled by direct lookup.
 
-    Output site q at kernel tap (i, j) reads input site q * stride - padding
-    + (i, j) of its own sample. Input rows are scattered into a dense index
-    grid [samples, height + 2 * padding, width + 2 * padding] that holds
-    ``num_in`` at every inactive site, and each tap reads that grid at the
-    output sites. ``dst`` is a strided conv's output set, on its output
+    Output site q at tap (i, j) of the ``kernel`` x ``kernel`` kernel reads
+    input site q * stride - padding + (i, j) of its own sample. Input rows
+    are scattered into a dense index grid [samples, height + 2 * padding,
+    width + 2 * padding] that holds ``num_in`` at every inactive site, and
+    each tap reads that grid at the output sites. ``dst`` is a strided conv's output set, on its output
     grid; every dst site must see an active input of its sample, since an
     empty field means the set and the stride geometry disagree (a mask
     alignment bug upstream). With no ``dst`` the output set is ``src``: a
     submanifold conv, which needs an odd kernel, stride 1 and the default
     padding kernel // 2.
     """
-    kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-    ph, pw = (kh // 2, kw // 2) if padding is None else (padding, padding)
-    if ph < 0:
-        raise ValueError(f"build_rulebook: negative padding {ph}")
+    k, p = kernel, kernel // 2 if padding is None else padding
+    if p < 0:
+        raise ValueError(f"build_rulebook: negative padding {p}")
     if dst is None:
-        if kh % 2 == 0 or kw % 2 == 0:
-            raise ValueError(f"build_rulebook: even kernel {kh}x{kw} is invalid in submanifold mode")
-        if stride != 1 or (ph, pw) != (kh // 2, kw // 2):
+        if k % 2 == 0:
+            raise ValueError(f"build_rulebook: even kernel {k}x{k} is invalid in submanifold mode")
+        if stride != 1 or p != k // 2:
             raise ValueError("build_rulebook: a submanifold rulebook has stride 1 and padding kernel // 2")
         dst = src
-    h_out = (src.height + 2 * ph - kh) // stride + 1
-    w_out = (src.width + 2 * pw - kw) // stride + 1
+    h_out = (src.height + 2 * p - k) // stride + 1
+    w_out = (src.width + 2 * p - k) // stride + 1
     if (dst.height, dst.width) != (h_out, w_out):
         raise ValueError(f"build_rulebook: output set on a {dst.height}x{dst.width} grid, "
                          f"but the conv's output grid is {h_out}x{w_out}")
@@ -210,11 +210,11 @@ def build_rulebook(src: ActiveSet, kernel, dst: ActiveSet | None = None, stride:
     num_in, coords, target = len(src), src.coords, dst.coords
     samples = int(max(src.batch.max(initial=-1), dst.batch.max(initial=-1))) + 1
     # a tap of an on-grid output site stays inside the padded grid, so no index wraps
-    index = np.full((samples, src.height + 2 * ph, src.width + 2 * pw), num_in, dtype=np.int64)
-    index[src.batch, coords[:, 0] + ph, coords[:, 1] + pw] = np.arange(num_in)
-    rows = target[:, 0, None] * stride + np.arange(kh)  # [m, kh]
-    cols = target[:, 1, None] * stride + np.arange(kw)  # [m, kw]
-    fwd = index[dst.batch[:, None, None], rows[:, :, None], cols[:, None, :]].reshape(-1, kh * kw)
+    index = np.full((samples, src.height + 2 * p, src.width + 2 * p), num_in, dtype=np.int64)
+    index[src.batch, coords[:, 0] + p, coords[:, 1] + p] = np.arange(num_in)
+    rows = target[:, 0, None] * stride + np.arange(k)  # [m, k]
+    cols = target[:, 1, None] * stride + np.arange(k)  # [m, k]
+    fwd = index[dst.batch[:, None, None], rows[:, :, None], cols[:, None, :]].reshape(-1, k * k)
     seen = (fwd != num_in).any(axis=1)
     if not seen.all():
         bad = target[int(np.argmin(seen))]
@@ -222,7 +222,7 @@ def build_rulebook(src: ActiveSet, kernel, dst: ActiveSet | None = None, stride:
             f"build_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
             f"receptive field (mask/stride misalignment)"
         )
-    return Rulebook((kh, kw), fwd, src, dst)
+    return Rulebook(k, fwd, src, dst)
 
 
 def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -231,7 +231,7 @@ def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     return np.take(padded, table, axis=0).reshape(table.shape[0], table.shape[1] * a.shape[1])
 
 
-def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rulebook) -> DiffTensor:
+def _apply_rulebook(x: DiffTensor, w: DiffTensor, rb: Rulebook) -> DiffTensor:
     """One gather-GEMM along the rulebook's neighbour tables; differentiable.
 
     Forward: ``x_pad[fwd].reshape(M, K*Cin) @ W`` with ``W[(o, ci), co] =
@@ -243,10 +243,8 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
         raise ValueError(f"sparse conv: feature channel dim {x.shape[1]} != weight in-channel dim {cin}")
-    if (kh, kw) != rb.kernel:
-        raise ValueError(f"sparse conv: weight kernel {kh}x{kw} != rulebook kernel {rb.kernel}")
-    if b is not None and b.shape != (cout,):
-        raise ValueError(f"sparse conv: bias shape {tuple(b.shape)} != out-channel dim ({cout},)")
+    if (kh, kw) != (rb.kernel, rb.kernel):
+        raise ValueError(f"sparse conv: weight kernel {kh}x{kw} != rulebook kernel {rb.kernel}x{rb.kernel}")
     fwd = rb.fwd
     k = kh * kw
     wk = w.data.reshape(cout, cin, k)
@@ -256,10 +254,7 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
         # of the weight and copies several times faster than building W itself
         return wk.transpose(0, 2, 1).reshape(cout, k * cin)
 
-    out_data = _gather_rows(x.data, fwd) @ w_rows().T
-    if b is not None:
-        out_data += b.data
-    out = DiffTensor(out_data)
+    out = DiffTensor(_gather_rows(x.data, fwd) @ w_rows().T)
 
     def backward_fn(g):
         if x.requires_grad:
@@ -268,24 +263,22 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, b: DiffTensor | None, rb: Rule
         if w.requires_grad:
             gw = g.T @ _gather_rows(x.data, fwd)  # [cout, (o, ci)]
             accumulate_grad(w, np.ascontiguousarray(gw.reshape(cout, k, cin).transpose(0, 2, 1)).reshape(w.shape))
-        if b is not None and b.requires_grad:
-            accumulate_grad(b, g.sum(axis=0))
 
-    return record_op(out, (x, w, b), backward_fn)
+    return record_op(out, (x, w), backward_fn)
 
 
-def subm_conv2d(sp: SparseTensor2D, w: DiffTensor, b: DiffTensor | None, rb: Rulebook) -> SparseTensor2D:
+def subm_conv2d(sp: SparseTensor2D, w: DiffTensor, rb: Rulebook) -> SparseTensor2D:
     """Submanifold sparse convolution: computes only at (and from) active sites."""
     if rb.src is not sp.sites or rb.dst is not rb.src:
         raise ValueError("subm_conv2d: rulebook does not map the input's active set onto itself")
-    return sp.with_features(_apply_rulebook(sp.features, w, b, rb))
+    return sp.with_features(_apply_rulebook(sp.features, w, rb))
 
 
-def sparse_downsample(sp: SparseTensor2D, w: DiffTensor, b: DiffTensor | None, rb: Rulebook) -> SparseTensor2D:
+def sparse_downsample(sp: SparseTensor2D, w: DiffTensor, rb: Rulebook) -> SparseTensor2D:
     """Strided sparse convolution onto the rulebook's mask-derived output set."""
     if rb.src is not sp.sites:
         raise ValueError("sparse_downsample: rulebook does not read the input's active set")
-    return SparseTensor2D(rb.dst, _apply_rulebook(sp.features, w, b, rb))
+    return SparseTensor2D(rb.dst, _apply_rulebook(sp.features, w, rb))
 
 
 def sparse_batchnorm(
@@ -372,7 +365,6 @@ def sparse_flops(rb: Rulebook, cin: int, cout: int) -> int:
     return rb.total_pairs * cin * cout
 
 
-def dense_conv_macs(h_out: int, w_out: int, kernel, cin: int, cout: int) -> int:
-    """MACs of the zero-padded dense counterpart (all kernel taps counted)."""
-    kh, kw = (kernel, kernel) if isinstance(kernel, int) else tuple(kernel)
-    return h_out * w_out * kh * kw * cin * cout
+def dense_conv_macs(h_out: int, w_out: int, kernel: int, cin: int, cout: int) -> int:
+    """MACs of the zero-padded dense counterpart (all kernel x kernel taps counted)."""
+    return h_out * w_out * kernel * kernel * cin * cout

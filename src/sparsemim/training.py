@@ -261,10 +261,18 @@ class Checkpoint:
 
 def save_checkpoint(path, arrays: "OrderedDict[str, np.ndarray]", config: dict):
     """Write magic, u32 version, u64 header length, JSON header, then the
-    arrays as little-endian f32 in manifest order, each converted as it is written."""
+    arrays as little-endian f32 in manifest order, each converted as it is written.
+
+    Raise CheckpointError, before the file is opened, if any array holds a value
+    that is not finite once cast to float32 (such as a float64 value beyond the
+    float32 range). Each array is cast once for that check and again as it is
+    written, so no float32 copy of the whole file is held."""
     manifest = []
     offset = 0
     for name, arr in arrays.items():
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is reported by name, not warned
+            if not np.isfinite(np.asarray(arr, dtype="<f4")).all():
+                raise CheckpointError(f"array {name!r} is not finite in float32; nothing written to {path}")
         shape = np.shape(arr)
         manifest.append({"name": name, "shape": list(shape), "offset": offset})
         offset += 4 * math.prod(shape)
@@ -406,7 +414,7 @@ def model_checkpoint_arrays(model: SparkModel, opt: OptimizerState | None = None
 
 def _check_arrays(ckpt: Checkpoint, shapes: dict):
     """Raise CheckpointError unless ``ckpt`` holds every named array at its shape,
-    decoded or not, and no other array."""
+    decoded or not, and no other array, and every decoded array is finite."""
     held = ckpt.shapes
     for name, shape in shapes.items():
         if name not in held:
@@ -416,6 +424,9 @@ def _check_arrays(ckpt: Checkpoint, shapes: dict):
                                   f"expected {list(shape)}")
     if len(held) != len(shapes):
         raise CheckpointError(f"checkpoint has unexpected arrays {sorted(set(held) - set(shapes))}")
+    for name, arr in ckpt.arrays.items():
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"checkpoint array {name!r} holds a non-finite value")
 
 
 def _decode_config(decode, d, what: str):

@@ -166,23 +166,21 @@ def suite_oracle(instances: int = 200, seed: int = 123):
         sp, has_empty = _random_batch(rng, n, h, w, cin)
         with_empty += has_empty
         wt = ag.tensor(rng.normal(size=(cout, cin, k, k)))
-        bt = ag.tensor(rng.normal(size=cout))
-        out = subm_conv2d(sp, wt, bt, build_rulebook(sp.sites, k))
+        out = subm_conv2d(sp, wt, build_rulebook(sp.sites, k))
         preserved &= np.array_equal(out.coords, sp.coords) and np.array_equal(out.batch, sp.batch)
         dense = _zero_fill(sp, n, sp.features.data)
-        ref = ag.conv2d(dense, wt, bt, stride=1, padding=k // 2).data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
+        ref = ag.conv2d(dense, wt, stride=1, padding=k // 2).data[sp.batch, :, sp.coords[:, 0], sp.coords[:, 1]]
         worst_subm = max(worst_subm, float(np.abs(out.features.data - ref).max(initial=0.0)))
 
         kd = int(rng.choice([2, 3]))
         pad = 1 if kd == 3 else 0
         wd = ag.tensor(rng.normal(size=(cout, cin, kd, kd)))
-        bd = ag.tensor(rng.normal(size=cout))
         reach = ag.conv2d(_zero_fill(sp, n, np.ones((sp.num_active, 1))), ag.tensor(np.ones((1, 1, kd, kd))),
                           stride=2, padding=pad).data[:, 0]
         target = np.argwhere((reach > 0) & (rng.random(reach.shape) < 0.8))  # (sample, row, col)
         dst = ActiveSet(reach.shape[1], reach.shape[2], target[:, 1:], target[:, 0])
-        down = sparse_downsample(sp, wd, bd, build_rulebook(sp.sites, kd, dst, stride=2, padding=pad))
-        ref = ag.conv2d(dense, wd, bd, stride=2, padding=pad).data[target[:, 0], :, target[:, 1], target[:, 2]]
+        down = sparse_downsample(sp, wd, build_rulebook(sp.sites, kd, dst, stride=2, padding=pad))
+        ref = ag.conv2d(dense, wd, stride=2, padding=pad).data[target[:, 0], :, target[:, 1], target[:, 2]]
         worst_down = max(worst_down, float(np.abs(down.features.data - ref).max(initial=0.0)))
     lines = [f"  {instances} random batched instances ({with_empty} with an empty sample)",
              f"  submanifold: max abs diff {worst_subm:.3e} (tol 1e-9)",
@@ -211,7 +209,7 @@ def suite_erosion(max_layers: int = 20):
     zero_cells = 12 * 12 - len(sites)
     constant = True
     for _ in range(max_layers):
-        sp = subm_conv2d(sp, wt, None, rb)
+        sp = subm_conv2d(sp, wt, rb)
         constant &= (sp.height * sp.width - sp.num_active) == zero_cells
     lines.append(f"  submanifold stack keeps zero-cell count at {zero_cells}: {constant}")
     return bool(ok and constant), lines

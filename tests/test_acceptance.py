@@ -19,7 +19,6 @@ from sparsemim.masking import (
 )
 from sparsemim.model import (
     EncoderConfig,
-    LightDecoderConfig,
     SparkConfig,
     SparkModel,
     decoder_forward,
@@ -76,7 +75,7 @@ class TestAcceptance:
         w = ag.tensor(rng.normal(size=(3, 3, 3, 3)))
         with ag.no_grad():
             for depth in range(1, 21):
-                sp = subm_conv2d(sp, w, None, rb)
+                sp = subm_conv2d(sp, w, rb)
                 assert np.array_equal(sp.coords, coords), f"active set changed at depth {depth}"
 
         visible = np.ones((3, 3), dtype=bool)
@@ -231,7 +230,8 @@ class TestAcceptance:
                       "no-hierarchy ignores shallow-scale inputs")
 
     def test_c11_decoder_conformance(self):
-        assert LightDecoderConfig(768, 32).channels == [768, 384, 192, 96, 48, 24]
+        paper = SparkConfig(encoder=EncoderConfig(stages=4, widths=(96, 192, 384, 768)), dec_fea_dim=768)
+        assert paper.decoder_channels == [768, 384, 192, 96, 48, 24]
         rng = np.random.default_rng(111)
         for ratio, stages, widths, image, patch in [
             (4, 1, (8,), 16, 4),
@@ -241,14 +241,14 @@ class TestAcceptance:
         ]:
             enc = EncoderConfig(stages=stages, widths=widths)
             cfg = SparkConfig(encoder=enc, image_size=image, patch_size=patch, dec_fea_dim=32)
-            dec = cfg.decoder
+            chans = cfg.decoder_channels
             n = int(np.log2(ratio))
-            assert dec.upsample_ratio == ratio
-            assert dec.n_stages == n
-            assert dec.channels == [32 // 2 ** i for i in range(n + 1)]
+            assert cfg.encoder.total_stride == ratio
+            assert len(chans) - 1 == n
+            assert chans == [32 // 2 ** i for i in range(n + 1)]
             model = SparkModel(cfg, rng)
             deep = image // ratio
-            x = ag.tensor(np.random.default_rng(5).normal(size=(1, dec.channels[0], deep, deep)))
+            x = ag.tensor(np.random.default_rng(5).normal(size=(1, chans[0], deep, deep)))
             with ag.no_grad():
                 out = decoder_forward(model, [x] + [None] * (n - 1), mode="eval")
             assert out.shape == (1, 3, image, image)

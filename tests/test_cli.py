@@ -195,6 +195,28 @@ class TestPretrain:
         after = {f: (data_dir / f).read_bytes() for f in os.listdir(data_dir)}
         assert before == after
 
+    # LAMB's trust ratio bounds a weight-decay step by the weight's own norm, so a
+    # huge decay leaves the float32 range only under Adam
+    @pytest.mark.parametrize("argv", [["--lr", "1e300"], ["--optimizer", "adam", "--weight-decay", "1e300"]])
+    def test_update_beyond_float32_range_writes_no_checkpoint(self, tmp_path, capsys, argv):
+        out = tmp_path / "run"
+        assert main(["pretrain", "--synth", "8", "--steps", "1", "--image-size", "32", "--patch", "16",
+                     "--batch", "4", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "not finite in float32" in err and "Traceback" not in err
+        assert not (out / "final.ckpt").exists()
+
+    # Each size makes its first dependent array larger than 128 TiB, beyond any
+    # address space, so numpy refuses it without touching memory.
+    @pytest.mark.parametrize("argv", [["--image-size", "4194304"],  # a 1.5 PiB batch
+                                      ["--stages", "2", "--widths", "4,10000000000000"]])  # a 1.1 PiB weight
+    def test_size_the_machine_cannot_allocate_rejected_before_any_write(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        assert main(["pretrain", "--synth", "8", "--steps", "1", "--patch", "16", "--batch", "4", *argv,
+                     "--out", str(out)]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture()
 def trained(tmp_path_factory):
@@ -286,6 +308,24 @@ def test_reconstruct_malformed_train_section_exits_2(trained, tmp_path, capsys, 
     save_ppm(img, np.zeros((3, 16, 16)))
     assert main(["reconstruct", "--ckpt", str(bad), "--image", str(img), "--out", str(tmp_path / "o")]) == 2
     assert "train" in capsys.readouterr().err
+
+
+def test_non_finite_model_array_exits_2_and_writes_nothing(trained, tmp_path, capsys):
+    ckpt = trained / "final.ckpt"
+    data = bytearray(ckpt.read_bytes())
+    hlen = struct.unpack("<Q", data[8:16])[0]
+    entry = next(e for e in json.loads(data[16 : 16 + hlen])["manifest"] if e["name"] == "encoder.stem.w")
+    at = 16 + hlen + entry["offset"]
+    data[at : at + 4] = struct.pack("<f", float("nan"))
+    bad = tmp_path / "nan.ckpt"
+    bad.write_bytes(bytes(data))
+    img = tmp_path / "x.ppm"
+    save_ppm(img, np.zeros((3, 16, 16)))
+    assert main(["reconstruct", "--ckpt", str(bad), "--image", str(img), "--out", str(tmp_path / "o")]) == 2
+    assert main(["convert", "--ckpt", str(bad), "--out", str(tmp_path / "enc.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("'encoder.stem.w' holds a non-finite value") == 2 and "Traceback" not in err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "enc.ckpt").exists()
 
 
 def test_reconstruct_ratio0_reports_no_masked_patch(trained, tmp_path, capsys):

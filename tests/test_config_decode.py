@@ -206,6 +206,14 @@ class TestDenseLoader:
         with pytest.raises(CheckpointError, match="unexpected arrays \\['ape'\\]"):
             dense_encoder_from_checkpoint(converted)
 
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    def test_non_finite_array(self, converted, value):
+        name = "encoder.stage1.block0.bn1.running_var"
+        converted.arrays[name] = converted.arrays[name].copy()
+        converted.arrays[name][0] = value
+        with pytest.raises(CheckpointError, match=f"'{name}' holds a non-finite value"):
+            dense_encoder_from_checkpoint(converted)
+
     def test_width_too_large_to_allocate(self, converted):
         converted.config["encoder"]["widths"] = [4, 10 ** 6]
         with pytest.raises(CheckpointError, match="bad encoder config in checkpoint"):

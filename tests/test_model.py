@@ -10,7 +10,6 @@ from sparsemim import autograd as ag
 from sparsemim.masking import generate_mask, masked_pixel_map, per_patch_normalize
 from sparsemim.model import (
     EncoderConfig,
-    LightDecoderConfig,
     SparkConfig,
     SparkModel,
     decoder_forward,
@@ -30,28 +29,29 @@ def tiny_model(stages=2, widths=(4, 8), image=16, patch=8, dec=8, seed=5, **flag
     return SparkModel(cfg, np.random.default_rng(seed))
 
 
+def decoder_channels(fea, stages):
+    """The decoder widths of a SparkConfig with ``stages`` encoder stages and ``dec_fea_dim=fea``."""
+    return SparkConfig(encoder=EncoderConfig(stages=stages, widths=(4,) * stages), dec_fea_dim=fea).decoder_channels
+
+
 class TestDecoderConfig:
     def test_reference_channel_list(self):
-        assert LightDecoderConfig(768, 32).channels == [768, 384, 192, 96, 48, 24]
-        assert LightDecoderConfig(768, 32).n_stages == 5
+        assert decoder_channels(768, 4) == [768, 384, 192, 96, 48, 24]
+        assert len(decoder_channels(768, 4)) - 1 == 5
 
     def test_small_ratios(self):
-        assert LightDecoderConfig(64, 4).channels == [64, 32, 16]
-        assert LightDecoderConfig(64, 4).n_stages == 2
+        assert decoder_channels(64, 1) == [64, 32, 16]
+        assert len(decoder_channels(64, 1)) - 1 == 2
 
     @pytest.mark.parametrize("ratio", [4, 8, 16, 32])
     def test_formula_all_ratios(self, ratio):
         import math
 
         fea = 64
-        cfg = LightDecoderConfig(fea, ratio)
         n = int(math.log2(ratio))
-        assert cfg.n_stages == n
-        assert cfg.channels == [fea // 2 ** i for i in range(n + 1)]
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
-            LightDecoderConfig(64, 24)
+        chans = decoder_channels(fea, n - 1)  # total stride 4 * 2**(stages - 1)
+        assert len(chans) - 1 == n
+        assert chans == [fea // 2 ** i for i in range(n + 1)]
 
 
 class TestDecoderForward:
@@ -60,19 +60,19 @@ class TestDecoderForward:
         for stages, widths, image, patch in [(1, (8,), 8, 4), (2, (4, 8), 16, 8),
                                              (3, (4, 8, 8), 32, 16), (4, (4, 4, 8, 8), 64, 32)]:
             model = tiny_model(stages=stages, widths=widths, image=image, patch=patch, dec=32)
-            dec = model.cfg.decoder
-            assert dec.upsample_ratio == model.cfg.encoder.total_stride
+            chans = model.cfg.decoder_channels
+            assert 2 ** (len(chans) - 1) == model.cfg.encoder.total_stride
             deep = image // model.cfg.encoder.total_stride
-            x = ag.tensor(rng.normal(size=(1, dec.channels[0], deep, deep)))
-            to_dec = [x] + [None] * (dec.n_stages - 1)
+            x = ag.tensor(rng.normal(size=(1, chans[0], deep, deep)))
+            to_dec = [x] + [None] * (len(chans) - 2)
             out = decoder_forward(model, to_dec, mode="eval")
             assert out.shape == (1, 3, image, image)
 
     def test_hierarchy_off_input_list_runs(self):
         model = tiny_model(dec=16)
-        dec = model.cfg.decoder
+        chans = model.cfg.decoder_channels
         rng = np.random.default_rng(1)
-        x = ag.tensor(rng.normal(size=(2, dec.channels[0], 2, 2)))
+        x = ag.tensor(rng.normal(size=(2, chans[0], 2, 2)))
         out = decoder_forward(model, [x, None, None], mode="eval")
         assert out.shape == (2, 3, 16, 16)
 

@@ -276,17 +276,16 @@ class TestBatchedGradients:
         k = int(kind[-1])
         stride, pad = (1, k // 2) if kind.startswith("subm") else (2, k - 2)
         wt = rng.normal(size=(cout, cin, k, k))
-        bt = rng.normal(size=cout)
 
         feats = ag.tensor(x, requires_grad=True)
-        ws, bs = ag.tensor(wt, requires_grad=True), ag.tensor(bt, requires_grad=True)
+        ws = ag.tensor(wt, requires_grad=True)
         sp = SparseTensor2D(sites, feats)
         dense_x = np.zeros((n, cin, h, w))
         dense_x[batch, :, coords[:, 0], coords[:, 1]] = x
         xd = ag.tensor(dense_x, requires_grad=True)
-        wd, bd = ag.tensor(wt, requires_grad=True), ag.tensor(bt, requires_grad=True)
+        wd = ag.tensor(wt, requires_grad=True)
         if stride == 1:
-            out = subm_conv2d(sp, ws, bs, build_rulebook(sites, k))
+            out = subm_conv2d(sp, ws, build_rulebook(sites, k))
             tb, tc = batch, coords
         else:
             reach = ag.conv2d(ag.tensor((dense_x != 0).any(axis=1, keepdims=True).astype(float)),
@@ -294,24 +293,23 @@ class TestBatchedGradients:
             t = np.argwhere(reach > 0)
             tb, tc = t[:, 0], t[:, 1:]
             dst = ActiveSet(reach.shape[1], reach.shape[2], tc, tb)
-            out = sparse_downsample(sp, ws, bs, build_rulebook(sites, k, dst, stride=2, padding=pad))
+            out = sparse_downsample(sp, ws, build_rulebook(sites, k, dst, stride=2, padding=pad))
         gout = rng.normal(size=out.features.shape)
         ag.backward(ag.sum_over(ag.mul(out.features, ag.tensor(gout))))
-        yd = ag.conv2d(xd, wd, bd, stride=stride, padding=pad)  # backward() clears the tape, so record after
+        yd = ag.conv2d(xd, wd, stride=stride, padding=pad)  # backward() clears the tape, so record after
         gdense = np.zeros(yd.shape)
         gdense[tb, :, tc[:, 0], tc[:, 1]] = gout
         ag.backward(ag.sum_over(ag.mul(yd, ag.tensor(gdense))))
         np.testing.assert_allclose(out.features.data, yd.data[tb, :, tc[:, 0], tc[:, 1]], rtol=0, atol=1e-12)
         np.testing.assert_allclose(feats.grad, xd.grad[batch, :, coords[:, 0], coords[:, 1]], rtol=0, atol=1e-12)
         np.testing.assert_allclose(ws.grad, wd.grad, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(bs.grad, bd.grad, rtol=0, atol=1e-12)
 
 
 class TestSubmConv:
-    def _dense_ref(self, sp, w, b, k):
+    def _dense_ref(self, sp, w, k):
         dense = np.zeros((1, sp.channels, sp.height, sp.width))
         dense[0, :, sp.coords[:, 0], sp.coords[:, 1]] = sp.features.data
-        y = ag.conv2d(ag.tensor(dense), w, b, stride=1, padding=k // 2)
+        y = ag.conv2d(ag.tensor(dense), w, stride=1, padding=k // 2)
         return y.data[0][:, sp.coords[:, 0], sp.coords[:, 1]].T
 
     def test_fully_active_equals_dense(self):
@@ -319,10 +317,9 @@ class TestSubmConv:
         sites = one(5, 5, [(r, c) for r in range(5) for c in range(5)])
         sp = SparseTensor2D(sites, ag.tensor(rng.normal(size=(25, 3))))
         w = ag.tensor(rng.normal(size=(4, 3, 3, 3)))
-        b = ag.tensor(rng.normal(size=4))
         rb = build_rulebook(sites, 3)
-        out = subm_conv2d(sp, w, b, rb)
-        np.testing.assert_allclose(out.features.data, self._dense_ref(sp, w, b, 3), atol=1e-12)
+        out = subm_conv2d(sp, w, rb)
+        np.testing.assert_allclose(out.features.data, self._dense_ref(sp, w, 3), atol=1e-12)
 
     def test_isolated_site_center_tap_only(self):
         rng = np.random.default_rng(2)
@@ -330,10 +327,9 @@ class TestSubmConv:
         x = rng.normal(size=(1, 2))
         sp = SparseTensor2D(sites, ag.tensor(x))
         w = ag.tensor(rng.normal(size=(3, 2, 3, 3)))
-        b = ag.tensor(rng.normal(size=3))
         rb = build_rulebook(sites, 3)
-        out = subm_conv2d(sp, w, b, rb)
-        ref = x @ w.data[:, :, 1, 1].T + b.data
+        out = subm_conv2d(sp, w, rb)
+        ref = x @ w.data[:, :, 1, 1].T
         np.testing.assert_allclose(out.features.data, ref, atol=1e-12)
 
     def test_arbitrary_masks_vs_zero_fill_oracle(self):
@@ -343,10 +339,9 @@ class TestSubmConv:
             k = int(rng.choice([1, 3, 5]))
             sp = random_sparse(rng, h, w_, int(rng.integers(1, 4)), rng.uniform(0.2, 0.9))
             wt = ag.tensor(rng.normal(size=(int(rng.integers(1, 4)), sp.channels, k, k)))
-            bt = ag.tensor(rng.normal(size=wt.shape[0]))
             rb = build_rulebook(sp.sites, k)
-            out = subm_conv2d(sp, wt, bt, rb)
-            assert np.abs(out.features.data - self._dense_ref(sp, wt, bt, k)).max() < 1e-10
+            out = subm_conv2d(sp, wt, rb)
+            assert np.abs(out.features.data - self._dense_ref(sp, wt, k)).max() < 1e-10
 
     def test_active_set_preserved_under_stacking(self):
         rng = np.random.default_rng(4)
@@ -355,7 +350,7 @@ class TestSubmConv:
         rb = build_rulebook(sp.sites, 3)
         w = ag.tensor(rng.normal(size=(2, 2, 3, 3)))
         for _ in range(12):
-            sp = subm_conv2d(sp, w, None, rb)
+            sp = subm_conv2d(sp, w, rb)
             assert np.array_equal(sp.coords, coords0)
 
     def test_rulebook_identity_mismatch_rejected(self):
@@ -371,20 +366,19 @@ class TestSubmConv:
         w = ag.tensor(rng.normal(size=(1, 1, 3, 3)))
         for rb in (other, copy, strided, subset):
             with pytest.raises(ValueError, match="active set"):
-                subm_conv2d(sp, w, None, rb)
+                subm_conv2d(sp, w, rb)
 
     def test_gradcheck(self):
         rng = np.random.default_rng(6)
         sp = random_sparse(rng, 5, 5, 2, 0.5)
         rb = build_rulebook(sp.sites, 3)
         w = ag.tensor(rng.normal(size=(3, 2, 3, 3)), requires_grad=True)
-        b = ag.tensor(rng.normal(size=3), requires_grad=True)
 
         def f(t):
             s = SparseTensor2D(sp.sites, t[0])
-            return ag.mean_over(ag.square(subm_conv2d(s, t[1], t[2], rb).features))
+            return ag.mean_over(ag.square(subm_conv2d(s, t[1], rb).features))
 
-        assert ag.grad_check(f, [sp.features, w, b]) < 1e-6
+        assert ag.grad_check(f, [sp.features, w]) < 1e-6
 
 
 class TestSparseDownsample:
@@ -394,13 +388,12 @@ class TestSparseDownsample:
         coords = sites.coords
         sp = SparseTensor2D(sites, ag.tensor(rng.normal(size=(16, 2))))
         w = ag.tensor(rng.normal(size=(3, 2, 2, 2)))
-        b = ag.tensor(rng.normal(size=3))
         dst = one(2, 2, [(r, c) for r in range(2) for c in range(2)])
         target = dst.coords
-        out = sparse_downsample(sp, w, b, build_rulebook(sites, 2, dst, stride=2, padding=0))
+        out = sparse_downsample(sp, w, build_rulebook(sites, 2, dst, stride=2, padding=0))
         dense = np.zeros((1, 2, 4, 4))
         dense[0, :, coords[:, 0], coords[:, 1]] = sp.features.data
-        ref = ag.conv2d(ag.tensor(dense), w, b, stride=2).data[0]
+        ref = ag.conv2d(ag.tensor(dense), w, stride=2).data[0]
         np.testing.assert_allclose(out.features.data, ref[:, target[:, 0], target[:, 1]].T, atol=1e-12)
         assert (out.height, out.width) == (2, 2)
 
@@ -410,7 +403,7 @@ class TestSparseDownsample:
         coords = sites.coords
         sp = SparseTensor2D(sites, ag.tensor(rng.normal(size=(4, 2))))
         w = ag.tensor(rng.normal(size=(1, 2, 2, 2)))
-        out = sparse_downsample(sp, w, None, build_rulebook(sites, 2, one(2, 2, [(1, 1)]), stride=2, padding=0))
+        out = sparse_downsample(sp, w, build_rulebook(sites, 2, one(2, 2, [(1, 1)]), stride=2, padding=0))
         dense = np.zeros((1, 2, 4, 4))
         dense[0, :, coords[:, 0], coords[:, 1]] = sp.features.data
         ref = ag.conv2d(ag.tensor(dense), w, stride=2).data[0, :, 1, 1]
@@ -421,7 +414,7 @@ class TestSparseDownsample:
         sp = SparseTensor2D(one(4, 4, [(0, 0)]), ag.tensor(rng.normal(size=(1, 1))))
         w = ag.tensor(rng.normal(size=(1, 1, 2, 2)))
         with pytest.raises(ValueError, match="empty receptive field"):
-            sparse_downsample(sp, w, None, build_rulebook(sp.sites, 2, one(2, 2, [(1, 1)]), stride=2, padding=0))
+            sparse_downsample(sp, w, build_rulebook(sp.sites, 2, one(2, 2, [(1, 1)]), stride=2, padding=0))
 
     def test_rulebook_identity_mismatch_rejected(self):
         rng = np.random.default_rng(9)
@@ -431,8 +424,8 @@ class TestSparseDownsample:
         copy = build_rulebook(ActiveSet(4, 4, sp.coords.copy(), sp.batch.copy()), 2, dst, stride=2, padding=0)
         for rb in (copy, build_rulebook(one(4, 4, [(0, 0)]), 2, one(2, 2, [(0, 0)]), stride=2, padding=0)):
             with pytest.raises(ValueError, match="active set"):
-                sparse_downsample(sp, w, None, rb)
-        out = sparse_downsample(sp, w, None, build_rulebook(sp.sites, 2, dst, stride=2, padding=0))
+                sparse_downsample(sp, w, rb)
+        out = sparse_downsample(sp, w, build_rulebook(sp.sites, 2, dst, stride=2, padding=0))
         assert out.sites is dst
 
     def test_gradcheck(self):
@@ -444,7 +437,7 @@ class TestSparseDownsample:
 
         def f(t):
             s = SparseTensor2D(sites, t[0])
-            return ag.mean_over(ag.square(sparse_downsample(s, t[1], None, rb).features))
+            return ag.mean_over(ag.square(sparse_downsample(s, t[1], rb).features))
 
         assert ag.grad_check(f, [feats, w]) < 1e-6
 

@@ -391,6 +391,27 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(bad)
 
+    @pytest.mark.parametrize("value", [1e300, -np.inf, np.nan])
+    def test_array_not_finite_in_float32_refused_before_the_file_opens(self, tmp_path, value):
+        arrays = model_checkpoint_arrays(desk_model(seed=2))
+        arrays["decoder.proj.b"] = arrays["decoder.proj.b"].copy()
+        arrays["decoder.proj.b"][1] = value
+        p = tmp_path / "m.ckpt"
+        p.write_bytes(b"old")
+        with pytest.raises(CheckpointError, match="'decoder.proj.b' is not finite in float32"):
+            save_checkpoint(p, arrays, {"kind": "spark"})
+        assert p.read_bytes() == b"old"
+
+    def test_non_finite_optimizer_moment_refused_on_a_full_load(self, tmp_path):
+        model = desk_model(seed=2)
+        opt = OptimizerState([p.shape for p in model.params.values()])
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model_checkpoint_arrays(model, opt), {"kind": "spark", "model": model.cfg.to_dict()})
+        ck = load_checkpoint(p)
+        ck.arrays["opt.v.decoder.proj.b"][0] = np.inf
+        with pytest.raises(CheckpointError, match="'opt.v.decoder.proj.b' holds a non-finite value"):
+            model_from_checkpoint(ck)
+
     def test_optimizer_state_round_trip(self, tmp_path):
         model = desk_model(seed=2)
         rows, opt = train(model, synth_dataset(8, 16, seed=1),
