@@ -1,6 +1,10 @@
 """Dense tensor engine with reverse-mode automatic differentiation.
 
-Values are float64 numpy arrays wrapped in :class:`DiffTensor`. Every
+Values are float64 numpy arrays wrapped in :class:`DiffTensor`, or float32
+ones: each array keeps its dtype, every op computes and allocates in the
+dtype of its operands (numpy's promotion where they differ) and every
+gradient takes the dtype of its tensor, so float32 data runs end to end in
+float32. Training and every verification run in float64. Every
 differentiable operation records a node on the ambient :class:`Tape`;
 ``backward`` replays the tape in reverse creation order (a valid reverse
 topological order, since parents are always created before children) and
@@ -39,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "DiffTensor",
+    "as_data",
     "Tape",
     "BatchNormState",
     "tensor",
@@ -62,15 +67,23 @@ __all__ = [
 ]
 
 
+def as_data(data) -> np.ndarray:
+    """``data`` as an engine array: float32 stays float32, anything else becomes
+    float64; C-contiguous unless 0-d (no copy if it already is one)."""
+    arr = np.asarray(data)
+    if arr.dtype != np.float32:
+        arr = arr.astype(np.float64, copy=False)
+    # ascontiguousarray would promote 0-d scalars to shape (1,)
+    return np.ascontiguousarray(arr) if arr.ndim else arr
+
+
 class DiffTensor:
-    """N-d float64 value with an optional gradient of the same shape."""
+    """N-d float64 or float32 value with an optional gradient of the same shape and dtype."""
 
     __slots__ = ("data", "grad", "requires_grad", "tape_node")
 
     def __init__(self, data, requires_grad: bool = False):
-        arr = np.asarray(data, dtype=np.float64)
-        # ascontiguousarray would promote 0-d scalars to shape (1,)
-        self.data = np.ascontiguousarray(arr) if arr.ndim else arr
+        self.data = as_data(data)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self.tape_node = None
@@ -176,15 +189,14 @@ def record_op(out: DiffTensor, parents, backward_fn):
 def accumulate_grad(t: DiffTensor, g: np.ndarray):
     """Add ``g`` into ``t.grad``; tensors not requiring grad never accumulate.
 
-    The first gradient is stored as given (it may be a view, or shared with
-    other tensors); later ones are summed out of place.
+    Each gradient is taken in ``t``'s dtype. The first is stored as given (it
+    may be a view, or shared with other tensors); later ones are summed out of
+    place.
     """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.asarray(g, dtype=np.float64)
-    else:
-        t.grad = t.grad + g
+    g = np.asarray(g, dtype=t.data.dtype)
+    t.grad = g if t.grad is None else t.grad + g
 
 
 def tensor(data, requires_grad: bool = False) -> DiffTensor:
@@ -341,7 +353,7 @@ def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
     if kw == 1 and ph == pw == 0:
         return x.reshape(n, c, h * w)
     hp, wo = h + 2 * ph, w + 2 * pw - kw + 1
-    m = np.empty((n, c, kw, hp, wo))
+    m = np.empty((n, c, kw, hp, wo), dtype=x.dtype)
     r0, r1 = max(ph, 0), min(hp, h + ph)
     m[:, :, :, :r0] = 0  # only the pad is zeroed; the copies fill the rest
     m[:, :, :, r1:] = 0
@@ -367,7 +379,7 @@ def _corr_rows(m: np.ndarray, wr: np.ndarray, ho: int, wo: int) -> np.ndarray:
     """
     kh, cout, _ = wr.shape
     cols = ho * wo
-    out = np.empty((m.shape[0], cout, cols))
+    out = np.empty((m.shape[0], cout, cols), dtype=np.result_type(m, wr))
     for s in range(0, cols, _CORR_BLOCK):
         e = min(s + _CORR_BLOCK, cols)
         blk = out[:, :, s:e]
@@ -406,7 +418,7 @@ def _corr_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int, need_
     gx = gw = None
     if need_w:
         xf = x.reshape(n, c, h * wd)
-        gr = np.zeros((kh, c, cout * kw))
+        gr = np.zeros((kh, c, cout * kw), dtype=np.result_type(x, gm))
         for s in range(0, h * wd, _CORR_BLOCK):
             e = min(s + _CORR_BLOCK, h * wd)
             for i in range(kh):
@@ -444,7 +456,7 @@ def _s2d(x: np.ndarray, s: int, p: int, hb: int, wb: int) -> np.ndarray:
     if p == 0 and (h, w) == (hb * s, wb * s):  # the grid tiles x: one transposed copy, a view at s = 1
         out = np.ascontiguousarray(x.reshape(n, c, hb, s, wb, s).transpose(0, 1, 3, 5, 2, 4))
         return out.reshape(n, c * s * s, hb, wb)
-    out = np.zeros((n, c, s, s, hb, wb))
+    out = np.zeros((n, c, s, s, hb, wb), dtype=x.dtype)
     for a, b, blk, pix in _phases(s, p, (h, w), (hb, wb)):
         out[:, :, a, b, blk[0], blk[1]] = x[:, :, pix[0], pix[1]]
     return out.reshape(n, c * s * s, hb, wb)
@@ -458,7 +470,7 @@ def _d2s(y: np.ndarray, s: int, p: int, h: int, w: int) -> np.ndarray:
     y = y.reshape(n, c, s, s, hb, wb)
     if p == 0 and (h, w) == (hb * s, wb * s):
         return np.ascontiguousarray(y.transpose(0, 1, 4, 2, 5, 3)).reshape(n, c, h, w)
-    out = np.zeros((n, c, h, w))
+    out = np.zeros((n, c, h, w), dtype=y.dtype)
     for a, b, blk, pix in _phases(s, p, (h, w), (hb, wb)):
         out[:, :, pix[0], pix[1]] = y[:, :, a, b, blk[0], blk[1]]
     return out
@@ -600,7 +612,8 @@ def _batchnorm(x, gamma, beta, state, mode, clamp):
     bb = beta.data.reshape(bshape)
 
     m = x.data.size // c
-    mean = np.einsum(csum, x.data) / m if mode == "train" else state.running_mean
+    # eval reads the float64 running stats in x's dtype
+    mean = np.einsum(csum, x.data) / m if mode == "train" else np.asarray(state.running_mean, dtype=x.data.dtype)
     xhat = x.data - mean.reshape(bshape)
     if mode == "train":
         var = np.einsum(cdot, xhat, xhat) / m
@@ -608,7 +621,7 @@ def _batchnorm(x, gamma, beta, state, mode, clamp):
         state.running_mean = (1 - BN_MOMENTUM) * state.running_mean + BN_MOMENTUM * mean
         state.running_var = (1 - BN_MOMENTUM) * state.running_var + BN_MOMENTUM * unbiased
     else:
-        var = state.running_var
+        var = np.asarray(state.running_var, dtype=x.data.dtype)
     inv = (1.0 / np.sqrt(var + BN_EPS)).reshape(bshape)
     xhat *= inv
     y = xhat * gb

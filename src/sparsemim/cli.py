@@ -19,9 +19,8 @@ import sys
 import numpy as np
 
 from . import autograd as ag
-from .data import DirectoryDataset, load_ppm, save_ppm, synth_dataset
-from .masking import (denormalize_patches, generate_mask, masked_patch_count, masked_pixel_map, patch_stats,
-                      zero_out_image)
+from .data import DirectoryDataset, load_ppm, ppm_size, save_ppm, synth_dataset
+from .masking import denormalize_patches, generate_mask, masked_patch_count, patch_stats, zero_out_image
 from .model import (
     EncoderConfig,
     SparkConfig,
@@ -213,6 +212,12 @@ def cmd_pretrain(args) -> int:
         dataset = synth_dataset(args.synth, resolved["image_size"], resolved["seed"])
     else:
         dataset = DirectoryDataset(args.data)
+        size = model_cfg.image_size
+        for name in dataset.names:  # from the headers, so a file too small to crop fails before any write
+            path = os.path.join(dataset.root, name)
+            h, w = ppm_size(path)
+            if h < size or w < size:
+                raise UsageError(f"{path}: image {h}x{w} smaller than the {size}x{size} training crop")
     count_steps(train_cfg, len(dataset))  # the size checks train makes, before anything is written
     # the model (which checks the decoder's widths) and one step's batch are built
     # before anything is written, so a size the machine cannot allocate fails first;
@@ -241,7 +246,7 @@ def _center_crop(img: np.ndarray, size: int) -> np.ndarray:
     if h < size or w < size:
         raise UsageError(f"image {h}x{w} smaller than the model's {size}x{size} input")
     oy, ox = (h - size) // 2, (w - size) // 2
-    return np.ascontiguousarray(img[:, oy : oy + size, ox : ox + size])
+    return img[:, oy : oy + size, ox : ox + size]
 
 
 def _trained_mask_ratio(config: dict) -> float:
@@ -256,7 +261,8 @@ def _trained_mask_ratio(config: dict) -> float:
 
 
 def cmd_reconstruct(args) -> int:
-    ckpt = load_checkpoint(args.ckpt, model_only=True)
+    # the forward runs in float32 on the checkpoint's float32 weights; what follows it is float64
+    ckpt = load_checkpoint(args.ckpt, model_only=True, dtype=np.float32)
     model, _ = model_from_checkpoint(ckpt)
     cfg = model.cfg
     ratio = args.mask_ratio if args.mask_ratio is not None else _trained_mask_ratio(ckpt.config)
@@ -272,16 +278,23 @@ def cmd_reconstruct(args) -> int:
                   "model": cfg.to_dict()}, args.out)
 
     with ag.no_grad():
-        recon, _, _ = spark_forward(model, img, mask, mode="eval")
+        recon, _, mmaps = spark_forward(model, img.astype(np.float32), mask, mode="eval")
     mean, denom = patch_stats(img, cfg.patch_size)
-    pred = np.clip(denormalize_patches(recon.data, mean, denom, cfg.patch_size), 0.0, 1.0)
-    mm = masked_pixel_map(mask)
-    composite = np.where(mm, pred[0], img[0])
+    pred = denormalize_patches(recon.data, mean, denom, cfg.patch_size)[0]
+    np.clip(pred, 0.0, 1.0, out=pred)
+    mm = mmaps[0]
 
     save_ppm(os.path.join(args.out, "masked_input.ppm"), zero_out_image(img, mask)[0])
-    save_ppm(os.path.join(args.out, "reconstruction.ppm"), pred[0])
+    save_ppm(os.path.join(args.out, "reconstruction.ppm"), pred)
+    # once written, pred's buffer becomes the composite and then the masked error, zero where visible
+    composite = pred
+    np.copyto(composite, img[0], where=~mm)
     save_ppm(os.path.join(args.out, "composite.ppm"), composite)
-    error = f"masked-region mse {((pred[0] - img[0]) ** 2)[:, mm].mean():.6f}" if mm.any() else "no patch masked"
+    if mm.any():
+        err = np.subtract(composite, img[0], out=composite)
+        error = f"masked-region mse {np.vdot(err, err) / (err.shape[0] * np.count_nonzero(mm)):.6f}"
+    else:
+        error = "no patch masked"
     print(f"{error}; wrote 3 images to {args.out}")
     return 0
 

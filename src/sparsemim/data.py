@@ -9,6 +9,7 @@ import numpy as np
 __all__ = [
     "PpmError",
     "load_ppm",
+    "ppm_size",
     "save_ppm",
     "SynthDataset",
     "DirectoryDataset",
@@ -41,10 +42,8 @@ def _read_token(buf: bytes, pos: int):
     return buf[start:pos], pos
 
 
-def load_ppm(path) -> np.ndarray:
-    """Decode a binary P6 PPM with maxval 255 to a [3,H,W] float array in [0,1]."""
-    with open(path, "rb") as f:
-        buf = f.read()
+def _read_header(buf: bytes, path):
+    """(width, height, payload offset) of the P6 header that starts ``buf``."""
     if buf[:2] != b"P6":
         raise PpmError(f"{path}: bad magic {buf[:2]!r}, expected b'P6'")
     pos = 2
@@ -58,11 +57,44 @@ def load_ppm(path) -> np.ndarray:
     width, height, maxval = fields
     if maxval != 255:
         raise PpmError(f"{path}: maxval {maxval} unsupported, expected 255")
-    pos += 1  # single whitespace byte after maxval
-    need = width * height * 3
-    body = buf[pos : pos + need]
-    if len(body) < need:
-        raise PpmError(f"{path}: truncated payload, {len(body)} of {need} bytes")
+    return width, height, pos + 1  # single whitespace byte after maxval
+
+
+def _check_payload(path, got: int, width: int, height: int):
+    if got < width * height * 3:
+        raise PpmError(f"{path}: truncated payload, {got} of {width * height * 3} bytes")
+
+
+_HEADER_PEEK = 4096  # bytes read for a header; one longer than that (long comments) is read whole
+
+
+def ppm_size(path) -> tuple[int, int]:
+    """(height, width) of a P6 PPM that :func:`load_ppm` would decode, checked
+    from its header and file size without reading the pixels."""
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        buf = f.read(_HEADER_PEEK)
+        try:
+            width, height, pos = _read_header(buf, path)
+            complete = pos <= len(buf)  # a token cut at the end of buf would read short
+        except PpmError:
+            complete = len(buf) == size
+            if complete:
+                raise
+        if not complete:
+            buf += f.read()
+            width, height, pos = _read_header(buf, path)
+    _check_payload(path, max(size - pos, 0), width, height)
+    return height, width
+
+
+def load_ppm(path) -> np.ndarray:
+    """Decode a binary P6 PPM with maxval 255 to a [3,H,W] float array in [0,1]."""
+    with open(path, "rb") as f:
+        buf = f.read()
+    width, height, pos = _read_header(buf, path)
+    body = buf[pos : pos + width * height * 3]
+    _check_payload(path, len(body), width, height)
     arr = np.frombuffer(body, dtype=np.uint8).reshape(height, width, 3)
     return np.ascontiguousarray(arr.transpose(2, 0, 1).astype(np.float64) / 255.0)
 

@@ -121,10 +121,10 @@ def patch_stats(img: np.ndarray, patch_size: int):
         raise ValueError(f"patch_stats: image {h}x{w} not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
     tiles = img.reshape(n, c, gh, patch_size, gw, patch_size)
-    mean = tiles.mean(axis=(1, 3, 5))
-    var = tiles.var(axis=(1, 3, 5))
+    mean = tiles.mean(axis=(1, 3, 5), keepdims=True)
+    var = tiles.var(axis=(1, 3, 5), mean=mean)  # reuses the mean rather than summing the tiles again
     denom = np.sqrt(var + EPS_STD * EPS_STD)
-    return mean, denom  # both [N, gh, gw]
+    return mean.reshape(denom.shape), denom  # both [N, gh, gw]
 
 
 def per_patch_normalize(img: np.ndarray, patch_size: int) -> DiffTensor:
@@ -146,21 +146,28 @@ def per_patch_normalize(img: np.ndarray, patch_size: int) -> DiffTensor:
 
 
 def denormalize_patches(pred: np.ndarray, mean: np.ndarray, denom: np.ndarray, patch_size: int) -> np.ndarray:
-    """Invert per-patch normalization using stored (mean, denom) statistics."""
+    """Invert per-patch normalization using stored (mean, denom) statistics, in float64."""
     n, c, h, w = pred.shape
     gh, gw = mean.shape[1], mean.shape[2]
-    tiles = pred.reshape(n, c, gh, patch_size, gw, patch_size)
-    out = tiles * denom[:, None, :, None, :, None] + mean[:, None, :, None, :, None]
-    return out.reshape(pred.shape)
+
+    def per_pixel(stats):  # [N, gh, gw] -> [N, 1, gh, p, gw, p]: contiguous, so the update runs in long rows
+        return np.repeat(np.repeat(stats[:, None, :, None, :, None], patch_size, axis=3), patch_size, axis=5)
+
+    out = pred.astype(np.float64)
+    tiles = out.reshape(n, c, gh, patch_size, gw, patch_size)
+    tiles *= per_pixel(denom)
+    tiles += per_pixel(mean)
+    return out
 
 
 def zero_out_image(img: np.ndarray, masks) -> np.ndarray:
-    """Set all masked pixels to zero (the dense baseline's input).
+    """Set all masked pixels to zero (the dense baseline's input), in float32
+    for a float32 image and in float64 otherwise.
 
     ``masks`` is one PatchMask for every sample, or a sequence holding one
     PatchMask per sample of an [N,C,H,W] image batch.
     """
-    data = np.asarray(img, dtype=np.float64)
+    data = np.asarray(img)
     single = isinstance(masks, PatchMask)
     masks = [masks] if single else list(masks)
     if not single and (data.ndim != 4 or len(masks) != data.shape[0]):
@@ -168,7 +175,8 @@ def zero_out_image(img: np.ndarray, masks) -> np.ndarray:
     for m in masks:
         if data.shape[-2:] != m.image_hw:
             raise ValueError(f"zero_out_image: image {data.shape[-2:]} != mask geometry {m.image_hw}")
-    keep = np.stack([~masked_pixel_map(m) for m in masks]).astype(np.float64)
+    keep = np.stack([~masked_pixel_map(m) for m in masks])
+    keep = keep.astype(np.float32 if data.dtype == np.float32 else np.float64)
     return data * np.broadcast_to(keep[0] if single else keep[:, None], data.shape)
 
 

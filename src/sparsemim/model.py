@@ -252,9 +252,10 @@ class _Store:
 
     def load_state_arrays(self, arrays: dict):
         """Take every array of ``state_arrays``, by name, from ``arrays``; the
-        caller checks their names and shapes."""
+        caller checks their names and shapes. Parameters keep a float32 array's
+        dtype (the model then computes in float32); running stats are float64."""
         for name, p in self.params.items():
-            p.data = np.ascontiguousarray(arrays[name], dtype=np.float64)
+            p.data = ag.as_data(arrays[name])
         for name, st in self.bn_states.items():
             st.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=np.float64).copy()
             st.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=np.float64).copy()

@@ -227,7 +227,7 @@ def build_rulebook(src: ActiveSet, kernel: int, dst: ActiveSet | None = None, st
 
 def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
     """Rows of ``a`` plus one zero row, gathered along ``table`` into [rows, K * channels]."""
-    padded = np.concatenate([a, np.zeros((1, a.shape[1]))])
+    padded = np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])
     return np.take(padded, table, axis=0).reshape(table.shape[0], table.shape[1] * a.shape[1])
 
 
@@ -314,7 +314,7 @@ def densify(sp: SparseTensor2D, fill: DiffTensor, n: int) -> DiffTensor:
     if sp.num_active and sp.batch[-1] >= n:
         raise ValueError(f"densify: sample index {sp.batch[-1]} out of range for a batch of {n}")
     h, w = sp.height, sp.width
-    dense = np.empty((n, c, h, w))
+    dense = np.empty((n, c, h, w), dtype=np.result_type(sp.features.data, fill.data))
     dense[:] = fill.data[:, None, None]
     batch, rows, cols = sp.batch, sp.coords[:, 0], sp.coords[:, 1]
     dense[batch, :, rows, cols] = sp.features.data  # [batch,:,rows,cols] indexes as [m, C]

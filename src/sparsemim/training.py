@@ -135,11 +135,17 @@ def adam_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_
 def lamb_step(params, grads, state: OptimizerState, lr, weight_decay=0.0, decay_mask=None):
     """Layer-wise adaptive Adam: each tensor's update is rescaled by the trust
     ratio ||w|| / ||update||, clamped to TRUST_CLIP; decoupled weight decay
-    enters the update before the ratio is taken."""
+    enters the update before the ratio is taken. An update whose norm
+    overflows float64 only in its sum of squares keeps its true norm."""
     lo, hi = TRUST_CLIP
     for p, update in _updates(params, grads, state, weight_decay, decay_mask):
         wn = float(np.linalg.norm(p))
-        un = float(np.linalg.norm(update))
+        with np.errstate(over="ignore"):
+            un = float(np.linalg.norm(update))
+        if not math.isfinite(un):  # the sum of squares may have overflowed: scale the update to max 1 first
+            s = float(np.abs(update).max())
+            if math.isfinite(s):
+                un = s * float(np.linalg.norm(update / s))
         trust = wn / un if (wn > 0.0 and un > 0.0) else 1.0
         trust = min(max(trust, lo), hi)
         update *= lr * trust
@@ -328,14 +334,15 @@ def _runs(entries):
     return runs
 
 
-def load_checkpoint(path, model_only: bool = False) -> Checkpoint:
+def load_checkpoint(path, model_only: bool = False, dtype=np.float64) -> Checkpoint:
     """Read a checkpoint written by save_checkpoint; raise CheckpointError if it is malformed.
 
     Every entry is checked against the file before any array is read. The
     wanted arrays are then grouped into runs that lie back to back in the file,
-    and each run is read with one ``readinto`` into one float32 buffer and
-    converted with one ``astype``: each decoded array is a view of its run's
-    float64 buffer, so loading never holds a copy of the whole file. With
+    and each run is read with one ``readinto`` into one float32 buffer. With
+    ``dtype`` float64 the buffer is converted with one ``astype``; with float32
+    it is used as it is. Each decoded array is a view of its run's buffer in
+    ``dtype``, so loading never holds a copy of the whole file. With
     ``model_only`` the optimizer moments are neither read nor converted: only
     their manifest shapes are kept, in ``skipped``. Every entry is checked
     either way, so a file loads with ``model_only`` exactly when it loads without.
@@ -392,7 +399,7 @@ def load_checkpoint(path, model_only: bool = False) -> Checkpoint:
                 end = start + got
                 name = next(e[3] for e in wanted if e[1] and e[0] + 4 * e[1] > end)
                 raise CheckpointError(f"truncated checkpoint: array {name!r} ends past end of file")
-            values = buf.astype(np.float64)
+            values = buf.astype(dtype, copy=False)
             del buf
             at = 0
             for _, count, i, _, shape in run:

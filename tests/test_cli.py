@@ -12,7 +12,7 @@ from sparsemim import autograd as ag
 from sparsemim.cli import main
 from sparsemim.data import load_ppm, save_ppm
 from sparsemim.masking import generate_mask, masked_pixel_map
-from sparsemim.model import EncoderConfig, encoder_forward, encoder_layers
+from sparsemim.model import EncoderConfig, SparkConfig, SparkModel, encoder_forward, encoder_layers
 from sparsemim.training import dense_encoder_from_checkpoint, load_checkpoint, model_from_checkpoint, save_checkpoint
 
 TINY = ["--epochs", "1", "--batch", "4", "--steps", "2", "--image-size", "16",
@@ -205,6 +205,31 @@ class TestPretrain:
         err = capsys.readouterr().err
         assert "not finite in float32" in err and "Traceback" not in err
         assert not (out / "final.ckpt").exists()
+
+    def test_images_smaller_than_the_crop_rejected_before_any_write(self, tmp_path, capsys):
+        from sparsemim.data import synth_dataset
+
+        data, out = tmp_path / "small", tmp_path / "bad"
+        synth_dataset(4, 32, seed=1).materialize(data)
+        assert main(["pretrain", "--data", str(data), "--image-size", "64", "--patch", "16", "--batch", "4",
+                     "--steps", "1", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "image 32x32 smaller than the 64x64 training crop" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_lamb_steps_when_the_update_norm_overflows(self, tmp_path, capsys):
+        # a weight decay of 1e300 overflows the sum of squares of each decayed
+        # tensor's update; the trust ratio still scales its step to lr * ||p||
+        out = tmp_path / "run"
+        assert main(["pretrain", "--synth", "8", "--steps", "1", "--image-size", "32", "--patch", "16",
+                     "--batch", "4", "--lr", "0.01", "--weight-decay", "1e300", "--out", str(out)]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        cfg = json.loads((out / "config.json").read_text())
+        init = SparkModel(SparkConfig.from_dict(cfg["model"]), np.random.default_rng(np.random.SeedSequence([0, 1])))
+        arrays = load_checkpoint(out / "final.ckpt", model_only=True).arrays
+        for name in sorted(init.decay):
+            p = init.params[name].data
+            assert np.linalg.norm(arrays[name] - p) == pytest.approx(0.01 * np.linalg.norm(p), rel=1e-3), name
 
     # Each size makes its first dependent array larger than 128 TiB, beyond any
     # address space, so numpy refuses it without touching memory.

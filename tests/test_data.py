@@ -10,6 +10,7 @@ from sparsemim.data import (
     PpmError,
     augment,
     load_ppm,
+    ppm_size,
     save_ppm,
     synth_dataset,
 )
@@ -72,6 +73,23 @@ class TestPpm:
         p.write_bytes(b"P6\n# a comment\n1 1\n# another\n255\n" + bytes([10, 20, 30]))
         img = load_ppm(p)
         np.testing.assert_allclose(img.reshape(3), np.array([10, 20, 30]) / 255.0)
+
+    # headers that end inside, at and past the bytes ppm_size reads first
+    @pytest.mark.parametrize("comment", [0, 4070, 4085, 4088, 9000])
+    def test_size_from_header_agrees_with_decoder(self, tmp_path, comment):
+        p = tmp_path / "s.ppm"
+        p.write_bytes(b"P6\n" + (b"#" + b"c" * comment + b"\n" if comment else b"") + b"5 3\n255\n" + bytes(45))
+        assert ppm_size(p) == load_ppm(p).shape[1:] == (3, 5)
+
+    @pytest.mark.parametrize("data, match", [(b"P5\n1 1\n255\n\x00", "magic"), (b"P6\n2 2\n255\n" + bytes(5), "truncated"),
+                                             (b"P6\n1 1\n65535\n" + bytes(6), "maxval"), (b"P6\n1 1", "end of PPM header"),
+                                             (b"P6\n1 1\n255", "truncated")])
+    def test_size_from_header_rejects_what_the_decoder_rejects(self, tmp_path, data, match):
+        p = tmp_path / "bad.ppm"
+        p.write_bytes(data)
+        for read in (ppm_size, load_ppm):
+            with pytest.raises(PpmError, match=match):
+                read(p)
 
     def test_rounding_half_away_from_zero(self, tmp_path):
         img = np.array([0.5 / 255.0, 1.5 / 255.0, 254.5 / 255.0]).reshape(3, 1, 1)
