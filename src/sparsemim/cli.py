@@ -20,7 +20,7 @@ import numpy as np
 
 from . import autograd as ag
 from .data import DirectoryDataset, load_ppm, ppm_size, save_ppm, synth_dataset
-from .masking import denormalize_patches, generate_mask, masked_patch_count, patch_stats, zero_out_image
+from .masking import denormalize_patches, generate_mask, masked_patch_count, masked_pixel_map, patch_stats, zero_out_image
 from .model import (
     EncoderConfig,
     SparkConfig,
@@ -116,10 +116,17 @@ def _build_parser() -> _Parser:
 
 
 def _parse_widths(text, stages):
-    widths = tuple(int(t) for t in text.split(","))
+    if stages < 1:
+        raise UsageError(f"--stages must be at least 1, got {stages}")
+    widths = []
+    for entry in text.split(","):
+        try:
+            widths.append(int(entry))
+        except ValueError:
+            raise UsageError(f"--widths entry {entry!r} is not an integer") from None
     if len(widths) != stages:
         raise UsageError(f"--widths lists {len(widths)} values for {stages} stages")
-    return widths
+    return tuple(widths)
 
 
 def _echo_config(cfg: dict, out_dir=None):
@@ -278,11 +285,11 @@ def cmd_reconstruct(args) -> int:
                   "model": cfg.to_dict()}, args.out)
 
     with ag.no_grad():
-        recon, _, mmaps = spark_forward(model, img.astype(np.float32), mask, mode="eval")
+        recon = spark_forward(model, img.astype(np.float32), mask, mode="eval")
     mean, denom = patch_stats(img, cfg.patch_size)
     pred = denormalize_patches(recon.data, mean, denom, cfg.patch_size)[0]
     np.clip(pred, 0.0, 1.0, out=pred)
-    mm = mmaps[0]
+    mm = masked_pixel_map(mask)
 
     save_ppm(os.path.join(args.out, "masked_input.ppm"), zero_out_image(img, mask)[0])
     save_ppm(os.path.join(args.out, "reconstruction.ppm"), pred)

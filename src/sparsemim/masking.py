@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import DiffTensor
-
 __all__ = [
     "PatchMask",
     "masked_patch_count",
@@ -127,11 +125,11 @@ def patch_stats(img: np.ndarray, patch_size: int):
     return mean.reshape(denom.shape), denom  # both [N, gh, gw]
 
 
-def per_patch_normalize(img: np.ndarray, patch_size: int) -> DiffTensor:
-    """Standardize each patch of a [N,3,H,W] image to mean 0, std 1 (targets).
+def per_patch_normalize(img: np.ndarray, patch_size: int) -> np.ndarray:
+    """Standardize each patch of a [N,3,H,W] image to mean 0, std 1, in float64:
+    the reconstruction targets that ``model.spark_loss`` builds.
 
-    All 3*p*p values of a patch are pooled. The result is a constant tensor:
-    reconstruction targets do not carry gradients.
+    All 3*p*p values of a patch are pooled.
     """
     data = np.asarray(img, dtype=np.float64)
     mean, denom = patch_stats(data, patch_size)
@@ -142,7 +140,7 @@ def per_patch_normalize(img: np.ndarray, patch_size: int) -> DiffTensor:
     const = tiles.max(axis=(1, 3, 5)) == tiles.min(axis=(1, 3, 5))
     if const.any():
         out = np.where(const[:, None, :, None, :, None], 0.0, out)
-    return DiffTensor(out.reshape(data.shape))
+    return out.reshape(data.shape)
 
 
 def denormalize_patches(pred: np.ndarray, mean: np.ndarray, denom: np.ndarray, patch_size: int) -> np.ndarray:

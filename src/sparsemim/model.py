@@ -476,9 +476,9 @@ def decoder_forward(model: SparkModel, to_dec, mode: str = "train") -> DiffTenso
     return ag.conv2d(x, model.params["decoder.proj.w"], model.params["decoder.proj.b"])
 
 
-def spark_forward(model: SparkModel, images: np.ndarray, masks, mode: str = "train"):
-    """Full forward pass over [N,3,H,W] images: returns (reconstruction,
-    targets, masked pixel maps).
+def spark_forward(model: SparkModel, images: np.ndarray, masks, mode: str = "train") -> DiffTensor:
+    """Full forward pass over [N,3,H,W] images: returns the [N,3,H,W]
+    reconstruction, in per-patch-normalized pixel units.
 
     Skip inputs are assembled deepest first; the hierarchy flag drops all but
     the deepest scale, and the zero-out flag replaces sparse gathering with a
@@ -487,8 +487,6 @@ def spark_forward(model: SparkModel, images: np.ndarray, masks, mode: str = "tra
     cfg = model.cfg
     n = images.shape[0]
     masks = _normalize_masks(masks, n, cfg.patch_size)
-    targets = per_patch_normalize(images, cfg.patch_size)
-    masked_maps = np.stack([masked_pixel_map(m) for m in masks])
 
     if cfg.masking == "sparse":
         feats = encoder_forward(model, images, masks, mode=mode)
@@ -504,23 +502,21 @@ def spark_forward(model: SparkModel, images: np.ndarray, masks, mode: str = "tra
     to_dec: list = [None] * (len(cfg.decoder_channels) - 1)
     for k in range(stages if cfg.hierarchy else 1):
         to_dec[k] = project(stages - 1 - k)
-
-    recon = decoder_forward(model, to_dec, mode=mode)
-    return recon, targets, masked_maps
+    return decoder_forward(model, to_dec, mode=mode)
 
 
-def spark_loss(recon: DiffTensor, targets: DiffTensor, masked_maps: np.ndarray, loss_on: str = "masked") -> DiffTensor:
-    """Mean squared error over masked pixels (or every pixel for loss_on='all')."""
+def spark_loss(model: SparkModel, recon: DiffTensor, images: np.ndarray, masks) -> DiffTensor:
+    """Mean squared error between ``recon`` and the per-patch-normalized
+    ``images`` (constant targets, no gradient), over the masked pixels, or over
+    every pixel when ``model.cfg.loss_on`` is "all"."""
+    masks = _normalize_masks(masks, images.shape[0], model.cfg.patch_size)
+    targets = DiffTensor(per_patch_normalize(images, model.cfg.patch_size))
     if recon.shape != targets.shape:
         raise ValueError(f"spark_loss: reconstruction {tuple(recon.shape)} != targets {tuple(targets.shape)}")
     sq = ag.square(ag.sub(recon, targets))
-    if loss_on == "masked":
-        if not masked_maps.any():
-            raise ValueError("spark_loss: masked-position loss with an empty mask")
-        return ag.mean_over(sq, masked_maps[:, None, :, :])
-    if loss_on == "all":
+    if model.cfg.loss_on == "all":
         return ag.mean_over(sq)
-    raise ValueError(f"spark_loss: unknown loss_on {loss_on!r}")
+    return ag.mean_over(sq, np.stack([masked_pixel_map(m) for m in masks])[:, None, :, :])
 
 
 # ---------------------------------------------------------------------------

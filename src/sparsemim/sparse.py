@@ -258,7 +258,7 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, rb: Rulebook) -> DiffTensor:
 
     def backward_fn(g):
         if x.requires_grad:
-            w_in = w_rows().reshape(cout, k, cin).transpose(1, 0, 2).reshape(k * cout, cin)  # W'
+            w_in = np.ascontiguousarray(wk.transpose(2, 0, 1)).reshape(k * cout, cin)  # W', in one copy
             accumulate_grad(x, _gather_rows(g, rb.inv()) @ w_in)
         if w.requires_grad:
             gw = g.T @ _gather_rows(x.data, fwd)  # [cout, (o, ci)]

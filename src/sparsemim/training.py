@@ -215,8 +215,9 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
                 srng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, int(di)]))
                 batch[slot] = augment(dataset.pixels(int(di)), size, srng)
                 masks.append(generate_mask(grid, grid, cfg.mask_ratio, srng, patch_size=model.cfg.patch_size))
-            recon, targets, mmaps = spark_forward(model, batch, masks, mode="train")
-            loss = spark_loss(recon, targets, mmaps, loss_on=model.cfg.loss_on)
+            # recon stays bound until the next step; freed in backward, the heap is trimmed and refaulted each step
+            recon = spark_forward(model, batch, masks, mode="train")
+            loss = spark_loss(model, recon, batch, masks)
             loss_val = loss.item()
             if not math.isfinite(loss_val):
                 ag.active_tape().clear()  # no backward will run: drop the step's graph

@@ -115,8 +115,7 @@ def end_to_end_gradcheck(lines=None) -> bool:
     tensors = [model.params[n] for n in names]
 
     def f(_):
-        recon, targets, mmaps = spark_forward(model, images, masks, mode="train")
-        return spark_loss(recon, targets, mmaps, loss_on="masked")
+        return spark_loss(model, spark_forward(model, images, masks, mode="train"), images, masks)
 
     err = ag.grad_check(f, tensors, max_entries_per_input=4, rng=np.random.default_rng(7))
     if lines is not None:
@@ -230,14 +229,14 @@ def suite_leakage():
     mm = masked_pixel_map(mask)
 
     with ag.no_grad():
-        recon_a, targets, maps = spark_forward(model, images, mask, mode="eval")
-        loss_a = spark_loss(recon_a, targets, maps).item()
+        recon_a = spark_forward(model, images, mask, mode="eval")
+        loss_a = spark_loss(model, recon_a, images, mask).item()
         feats_a = encoder_forward(model, images, mask, mode="eval")
 
         perturbed = images.copy()
         perturbed[0][:, mm] = rng.random((int(mm.sum()), 3)).T
-        recon_b, _, _ = spark_forward(model, perturbed, mask, mode="eval")
-        loss_b = spark_loss(recon_b, targets, maps).item()
+        recon_b = spark_forward(model, perturbed, mask, mode="eval")
+        loss_b = spark_loss(model, recon_b, images, mask).item()  # the clean image's targets
         feats_b = encoder_forward(model, perturbed, mask, mode="eval")
 
         feats_same = all(np.array_equal(sa.features.data, sb.features.data) for sa, sb in zip(feats_a, feats_b))
@@ -246,8 +245,7 @@ def suite_leakage():
         visible = images.copy()
         vr, vc = np.argwhere(~mm)[0]
         visible[0, 0, vr, vc] += 0.17
-        recon_c, _, _ = spark_forward(model, visible, mask, mode="eval")
-        loss_c = spark_loss(recon_c, targets, maps).item()
+        loss_c = spark_loss(model, spark_forward(model, visible, mask, mode="eval"), images, mask).item()
 
         # zero-out baseline (same seed, same parameters): the dense encoder
         # computes at masked positions, so noise injected there changes the loss.
@@ -255,13 +253,12 @@ def suite_leakage():
         # same dense path by hand, checked first against spark_forward on the clean image.
         zmodel = SparkModel(SparkConfig(encoder=enc, image_size=64, patch_size=16, dec_fea_dim=32,
                                         masking="zero_out"), np.random.default_rng(31))
-        recon_z, _, _ = spark_forward(zmodel, images, mask, mode="eval")
-        loss_z = spark_loss(recon_z, targets, maps).item()
+        loss_z = spark_loss(zmodel, spark_forward(zmodel, images, mask, mode="eval"), images, mask).item()
 
         def zero_out_loss(dense_input):
             feats = zmodel.encoder.forward(dense_input, mode="eval")
             to_dec = [_project_dense(zmodel, s, feats[s]) for s in reversed(range(enc.stages))]
-            return spark_loss(decoder_forward(zmodel, to_dec, mode="eval"), targets, maps).item()
+            return spark_loss(zmodel, decoder_forward(zmodel, to_dec, mode="eval"), images, mask).item()
 
         zeroed = images * (~mm)[None, None]
         loss_zh = zero_out_loss(zeroed)

@@ -153,7 +153,7 @@ class TestAcceptance:
         rng = np.random.default_rng(88)
         img = rng.random((2, 3, 64, 64))
         targets = per_patch_normalize(img, 16)
-        tiles = targets.data.reshape(2, 3, 4, 16, 4, 16)
+        tiles = targets.reshape(2, 3, 4, 16, 4, 16)
         means = tiles.mean(axis=(1, 3, 5))
         stds = tiles.std(axis=(1, 3, 5))
         assert np.abs(means).max() < 1e-8
@@ -162,11 +162,13 @@ class TestAcceptance:
         masks = [generate_mask(4, 4, 0.6, np.random.default_rng(s), patch_size=16) for s in (1, 2)]
         mm = np.stack([masked_pixel_map(m) for m in masks])
         recon = ag.tensor(rng.normal(size=(2, 3, 64, 64)))
-        base = spark_loss(recon, targets, mm, "masked").item()
+        model = SparkModel(SparkConfig(encoder=EncoderConfig(stages=2, widths=(4, 8)), image_size=64,
+                                       patch_size=16), None)  # the loss reads only its config
+        base = spark_loss(model, recon, img, masks).item()
         recon2 = ag.tensor(recon.data.copy())
         vis = ~mm
         recon2.data[np.broadcast_to(vis[:, None], recon2.shape)] += 5.0
-        assert spark_loss(recon2, targets, mm, "masked").item() == base
+        assert spark_loss(model, recon2, img, masks).item() == base
         _announce(8, f"visible perturbation leaves masked loss at {base:.6f}; "
                      f"targets |mean|<1e-8, |std-1|<{np.abs(stds - 1).max():.1e}")
 
@@ -218,13 +220,11 @@ class TestAcceptance:
         img = np.random.default_rng(11).random((1, 3, 32, 32))
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(12), patch_size=16)
         with ag.no_grad():
-            recon_a, targets, mm = spark_forward(model, img, mask, mode="eval")
-            loss_a = spark_loss(recon_a, targets, mm).item()
+            loss_a = spark_loss(model, spark_forward(model, img, mask, mode="eval"), img, mask).item()
             for scale in (0, 1):  # shallow scales feed only the decoder skips
                 model.params[f"proj.scale{scale}.w"].data += 3.0
                 model.params[f"embed.scale{scale}"].data -= 2.0
-            recon_b, _, _ = spark_forward(model, img, mask, mode="eval")
-            loss_b = spark_loss(recon_b, targets, mm).item()
+            loss_b = spark_loss(model, spark_forward(model, img, mask, mode="eval"), img, mask).item()
         assert loss_a == loss_b, "no-hierarchy variant still reads shallow scales"
         _announce(10, "five variants trained 20 steps with distinct configs; "
                       "no-hierarchy ignores shallow-scale inputs")

@@ -691,8 +691,7 @@ class TestGradientOwnership:
         rng = np.random.default_rng(seed + 1)
         images = rng.random((batch, 3, cfg.image_size, cfg.image_size))
         masks = [generate_mask(grid, grid, 0.6, rng, patch_size=cfg.patch_size) for _ in range(batch)]
-        recon, targets, mm = spark_forward(model, images, masks, mode="train")
-        ag.backward(spark_loss(recon, targets, mm))
+        ag.backward(spark_loss(model, spark_forward(model, images, masks, mode="train"), images, masks))
         return [p.grad.tobytes() for _, p in model.named_parameters()]
 
     @pytest.mark.parametrize("geometry", ["desk", "paper"])
@@ -796,9 +795,9 @@ class TestBackwardReleases:
         masks = [generate_mask(7, 7, 0.6, rng, patch_size=32) for _ in range(2)]
         tracemalloc.start()
         try:
-            recon, targets, mm = spark_forward(model, images, masks, mode="train")
-            loss = spark_loss(recon, targets, mm)
-            del recon, targets
+            recon = spark_forward(model, images, masks, mode="train")
+            loss = spark_loss(model, recon, images, masks)
+            del recon
             held = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
             ag.backward(loss)

@@ -44,6 +44,6 @@ def test_model_entries_are_called_by_a_train_step(monkeypatch):
     model = SparkModel(SparkConfig(encoder=enc, image_size=16, patch_size=8, dec_fea_dim=8), np.random.default_rng(0))
     images = np.random.default_rng(1).random((2, 3, 16, 16))
     masks = [generate_mask(2, 2, 0.5, np.random.default_rng(2 + i), patch_size=8) for i in range(2)]
-    recon, targets, maps = spark_forward(model, images, masks, mode="train")
-    ag.backward(spark_loss(recon, targets, maps))
+    recon = spark_forward(model, images, masks, mode="train")
+    ag.backward(spark_loss(model, recon, images, masks))
     assert not [attr for attr, n in calls.items() if n == 0]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sparsemim import autograd as ag
+from sparsemim import model as model_module
 from sparsemim.cli import main
 from sparsemim.data import load_ppm, save_ppm
 from sparsemim.masking import generate_mask, masked_pixel_map
@@ -273,6 +274,15 @@ class TestReconstruct:
         masked_in = load_ppm(out / "masked_input.ppm")
         assert np.all(masked_in[:, mm] == 0.0)
 
+    def test_builds_no_training_targets(self, trained, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("reconstruct built training targets")
+
+        monkeypatch.setattr(model_module, "per_patch_normalize", refuse)
+        save_ppm(tmp_path / "in.ppm", np.random.default_rng(0).random((3, 16, 16)))
+        assert main(["reconstruct", "--ckpt", str(trained / "final.ckpt"), "--image", str(tmp_path / "in.ppm"),
+                     "--out", str(tmp_path / "rec")]) == 0
+
     def test_missing_ckpt_is_error(self, tmp_path):
         code = main(["reconstruct", "--ckpt", str(tmp_path / "nope.ckpt"),
                      "--image", str(tmp_path / "x.ppm"), "--out", str(tmp_path / "o")])
@@ -519,3 +529,17 @@ class TestUsage:
         for argv, word in [(["--patch", "0"], "patch size"), (["--widths", "0,16,32"], "widths")]:
             assert main(["flops", *argv]) == 1, argv
             assert word in capsys.readouterr().err, argv
+
+    @pytest.mark.parametrize("argv,msg", [
+        (["flops", "--stages", "0"], "--stages must be at least 1, got 0"),
+        (["flops", "--stages", "-1"], "--stages must be at least 1, got -1"),
+        (["pretrain", "--synth", "4", "--stages", "0"], "--stages must be at least 1, got 0"),
+        (["flops", "--stages", "3", "--widths", "16,x,64"], "--widths entry 'x' is not an integer"),
+        (["pretrain", "--synth", "4", "--widths", "16,x,64"], "--widths entry 'x' is not an integer"),
+    ])
+    def test_stage_count_and_width_entry_named(self, tmp_path, capsys, argv, msg):
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert msg in err and "Traceback" not in err
+        assert not out.exists()

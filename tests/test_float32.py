@@ -203,8 +203,8 @@ def test_float32_forward_matches_float64(masking):
     images = np.stack([synth_dataset(4, 32, seed=7).pixels(i) for i in range(2)])
     masks = [generate_mask(4, 4, 0.6, np.random.default_rng(s), patch_size=8) for s in (1, 2)]
     with ag.no_grad():
-        want = spark_forward(model64, images, masks, mode="eval")[0].data
-        got = spark_forward(model32, images.astype(np.float32), masks, mode="eval")[0].data
+        want = spark_forward(model64, images, masks, mode="eval").data
+        got = spark_forward(model32, images.astype(np.float32), masks, mode="eval").data
     assert want.dtype == np.float64 and got.dtype == np.float32
     assert np.abs(got - want).max() <= FORWARD_BOUND * np.abs(want).max()
 
@@ -214,7 +214,7 @@ def test_reconstruct_runs_the_forward_in_float32(checkpoint, tmp_path, monkeypat
 
     def forward(model, images, masks, mode):
         out = spark_forward(model, images, masks, mode=mode)
-        seen.append((images.dtype, {p.data.dtype for p in model.params.values()}, out[0].data.dtype))
+        seen.append((images.dtype, {p.data.dtype for p in model.params.values()}, out.data.dtype))
         return out
 
     monkeypatch.setattr(cli, "spark_forward", forward)

@@ -1,11 +1,16 @@
 """Mask generation, per-scale active sets, target normalization, zero-out,
 and the erosion profile (checked against a scipy morphology oracle)."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+import sparsemim
 from sparsemim import autograd as ag
 from sparsemim.masking import (
     PatchMask,
@@ -108,7 +113,7 @@ class TestPerPatchNormalize:
     def test_constant_patch_all_zeros(self):
         img = np.full((1, 3, 8, 8), 0.37)
         out = per_patch_normalize(img, 8)
-        np.testing.assert_array_equal(out.data, np.zeros_like(img))
+        np.testing.assert_array_equal(out, np.zeros_like(img))
 
     def test_value_grid_oracle(self):
         # one 4x4 patch per channel holding 0..15; all channels equal
@@ -117,14 +122,14 @@ class TestPerPatchNormalize:
         out = per_patch_normalize(img, 4)
         flat = img.reshape(-1)
         expected = (vals - flat.mean()) / flat.std()
-        np.testing.assert_allclose(out.data[0, 0], expected, rtol=1e-9)
-        patch = out.data.reshape(-1)
+        np.testing.assert_allclose(out[0, 0], expected, rtol=1e-9)
+        patch = out.reshape(-1)
         assert abs(patch.mean()) < 1e-10 and abs(patch.std() - 1) < 1e-6
 
     def test_stats_invariant(self):
         rng = np.random.default_rng(7)
         img = rng.random((2, 3, 32, 32))
-        out = per_patch_normalize(img, 8).data
+        out = per_patch_normalize(img, 8)
         tiles = out.reshape(2, 3, 4, 8, 4, 8)
         means = tiles.mean(axis=(1, 3, 5))
         stds = tiles.std(axis=(1, 3, 5))
@@ -134,8 +139,8 @@ class TestPerPatchNormalize:
     def test_idempotent(self):
         rng = np.random.default_rng(8)
         img = rng.random((1, 3, 16, 16))
-        once = per_patch_normalize(img, 8).data
-        twice = per_patch_normalize(once, 8).data
+        once = per_patch_normalize(img, 8)
+        twice = per_patch_normalize(once, 8)
         np.testing.assert_allclose(twice, once, atol=1e-9)
 
     def test_non_divisible_rejected(self):
@@ -145,10 +150,19 @@ class TestPerPatchNormalize:
     def test_denormalize_round_trip(self):
         rng = np.random.default_rng(9)
         img = rng.random((1, 3, 16, 16))
-        normed = per_patch_normalize(img, 8).data
+        normed = per_patch_normalize(img, 8)
         mean, denom = patch_stats(img, 8)
         back = denormalize_patches(normed, mean, denom, 8)
         np.testing.assert_allclose(back, img, atol=1e-9)
+
+
+def test_masking_imports_without_the_engine():
+    # masking is numpy-only: the loss, not the mask code, wraps targets as tensors
+    src = os.path.dirname(os.path.dirname(sparsemim.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, sparsemim.masking; print(sorted(m for m in sys.modules if m.startswith('sparsemim')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "['sparsemim', 'sparsemim.masking']"
 
 
 class TestZeroOut:

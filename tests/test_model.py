@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from sparsemim import autograd as ag
-from sparsemim.masking import generate_mask, masked_pixel_map, per_patch_normalize
+from sparsemim.masking import PatchMask, generate_mask, masked_pixel_map, per_patch_normalize
 from sparsemim.model import (
     EncoderConfig,
     SparkConfig,
@@ -279,44 +279,48 @@ class TestSparkForwardAndLoss:
         img = np.random.default_rng(19).random((2, 3, 16, 16))
         masks = [generate_mask(2, 2, 0.5, np.random.default_rng(s), patch_size=8) for s in (20, 21)]
         with ag.no_grad():
-            recon, targets, mm = spark_forward(model, img, masks, mode="eval")
-        assert recon.shape == (2, 3, 16, 16) and targets.shape == (2, 3, 16, 16)
-        assert mm.shape == (2, 16, 16)
+            recon = spark_forward(model, img, masks, mode="eval")
+        assert isinstance(recon, ag.DiffTensor) and recon.shape == (2, 3, 16, 16)
 
     def test_loss_zero_when_equal_on_masked(self):
+        model = tiny_model()
         rng = np.random.default_rng(22)
-        targets = ag.tensor(rng.normal(size=(1, 3, 8, 8)))
-        recon = ag.tensor(targets.data.copy())
-        mm = np.zeros((1, 8, 8), dtype=bool)
-        mm[0, :4, :4] = True
-        recon.data[0, :, ~mm[0]] = rng.normal(size=(48, 3))  # arbitrary on visible
-        assert spark_loss(recon, targets, mm, "masked").item() == 0.0
+        img = rng.random((1, 3, 16, 16))
+        mask = generate_mask(2, 2, 0.5, np.random.default_rng(23), patch_size=8)
+        mm = masked_pixel_map(mask)
+        recon = ag.tensor(per_patch_normalize(img, 8))
+        recon.data[0][:, ~mm] = rng.normal(size=(3, int((~mm).sum())))  # arbitrary on visible
+        assert spark_loss(model, recon, img, mask).item() == 0.0
 
     def test_visible_perturbation_leaves_masked_loss(self):
+        model = tiny_model()
         rng = np.random.default_rng(23)
-        targets = ag.tensor(rng.normal(size=(1, 3, 8, 8)))
-        recon_a = ag.tensor(rng.normal(size=(1, 3, 8, 8)))
-        mm = np.zeros((1, 8, 8), dtype=bool)
-        mm[0, 2:5, 1:7] = True
-        la = spark_loss(recon_a, targets, mm, "masked").item()
+        img = rng.random((1, 3, 16, 16))
+        mask = generate_mask(2, 2, 0.5, np.random.default_rng(24), patch_size=8)
+        mm = masked_pixel_map(mask)
+        recon_a = ag.tensor(rng.normal(size=(1, 3, 16, 16)))
+        la = spark_loss(model, recon_a, img, mask).item()
         recon_b = ag.tensor(recon_a.data.copy())
-        recon_b.data[0, :, ~mm[0]] += rng.normal(size=(int((~mm[0]).sum()), 3))
-        lb = spark_loss(recon_b, targets, mm, "masked").item()
+        recon_b.data[0][:, ~mm] += rng.normal(size=(3, int((~mm).sum())))
+        lb = spark_loss(model, recon_b, img, mask).item()
         assert la == lb
 
     def test_2x2_hand_summed(self):
-        recon = ag.tensor(np.array([1.0, 2.0, 3.0, 4.0]).reshape(1, 1, 2, 2))
-        targets = ag.tensor(np.array([0.0, 1.0, 1.0, 0.0]).reshape(1, 1, 2, 2))
-        mm = np.array([[[True, False], [True, True]]])
-        # selected squared errors: (1-0)^2, (3-1)^2, (4-0)^2 -> mean = 7.0
-        assert spark_loss(recon, targets, mm, "masked").item() == pytest.approx(7.0)
-        # all mode: (1+1+4+16)/4 = 5.5
-        assert spark_loss(recon, targets, mm, "all").item() == pytest.approx(5.5)
+        # every 8x8 patch of the image is constant, so every target is exactly 0
+        # and the loss is the mean of recon^2 over the selected pixels
+        img = np.kron(np.array([[0.2, 0.4], [0.6, 0.8]]), np.ones((8, 8)))[None, None].repeat(3, axis=1)
+        recon = ag.tensor(np.kron(np.array([[1.0, 2.0], [3.0, 4.0]]), np.ones((8, 8)))[None, None].repeat(3, axis=1))
+        mask = PatchMask(2, 2, 8, np.array([[False, True], [False, False]]))
+        # masked patches hold 1, 3 and 4 -> (1 + 9 + 16) / 3
+        assert spark_loss(tiny_model(), recon, img, mask).item() == pytest.approx(26 / 3)
+        # all mode: (1 + 4 + 9 + 16) / 4 = 7.5
+        assert spark_loss(tiny_model(loss_on="all"), recon, img, mask).item() == pytest.approx(7.5)
 
     def test_empty_mask_rejected(self):
-        x = ag.tensor(np.zeros((1, 3, 4, 4)))
-        with pytest.raises(ValueError, match="empty"):
-            spark_loss(x, x, np.zeros((1, 4, 4), dtype=bool), "masked")
+        x = ag.tensor(np.zeros((1, 3, 16, 16)))
+        mask = PatchMask(2, 2, 8, np.ones((2, 2), dtype=bool))
+        with pytest.raises(ValueError, match="empty selection mask"):
+            spark_loss(tiny_model(), x, np.zeros((1, 3, 16, 16)), mask)
 
     @pytest.mark.parametrize("masking", ["sparse", "zero_out"])
     def test_mask_of_another_patch_size_rejected(self, masking):
@@ -327,14 +331,25 @@ class TestSparkForwardAndLoss:
             spark_forward(model, img, mask, mode="train")
         with pytest.raises(ValueError, match="mask patch size 8 != model patch size 16"):
             encoder_forward(model, img, [mask], mode="train")
+        with pytest.raises(ValueError, match="mask patch size 8 != model patch size 16"):
+            spark_loss(model, ag.tensor(np.zeros((1, 3, 32, 32))), img, [mask])
+
+    def test_loss_rejects_a_mask_count_unlike_the_batch(self):
+        model = tiny_model()
+        img = np.random.default_rng(28).random((2, 3, 16, 16))
+        mask = generate_mask(2, 2, 0.5, np.random.default_rng(29), patch_size=8)
+        with pytest.raises(ValueError, match="expected 2 masks for batch of 2, got 3"):
+            spark_loss(model, ag.tensor(np.zeros((2, 3, 16, 16))), img, [mask] * 3)
 
     def test_targets_are_per_patch_normalized(self):
         model = tiny_model()
         img = np.random.default_rng(24).random((1, 3, 16, 16))
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(25), patch_size=8)
-        with ag.no_grad():
-            _, targets, _ = spark_forward(model, img, mask, mode="eval")
-        np.testing.assert_array_equal(targets.data, per_patch_normalize(img, 8).data)
+        mm = masked_pixel_map(mask)
+        targets = per_patch_normalize(img, 8)
+        # a zero reconstruction leaves the masked mean of targets^2
+        loss = spark_loss(model, ag.tensor(np.zeros((1, 3, 16, 16))), img, mask).item()
+        assert loss == pytest.approx(np.mean(targets[0][:, mm] ** 2), rel=1e-12)
 
 
 class TestAblations:
@@ -343,16 +358,13 @@ class TestAblations:
         img = np.random.default_rng(26).random((1, 3, 16, 16))
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(27), patch_size=8)
         with ag.no_grad():
-            recon_a, targets, mm = spark_forward(model, img, mask, mode="eval")
-            loss_a = spark_loss(recon_a, targets, mm).item()
+            loss_a = spark_loss(model, spark_forward(model, img, mask, mode="eval"), img, mask).item()
             # shallow-scale projection and embedding are unused when hierarchy is off
             model.params["proj.scale0.w"].data += 7.0
             model.params["embed.scale0"].data += 3.0
-            recon_b, _, _ = spark_forward(model, img, mask, mode="eval")
-            loss_b = spark_loss(recon_b, targets, mm).item()
+            loss_b = spark_loss(model, spark_forward(model, img, mask, mode="eval"), img, mask).item()
             model.params["proj.scale1.w"].data += 0.1  # the deep scale is used
-            recon_c, _, _ = spark_forward(model, img, mask, mode="eval")
-            loss_c = spark_loss(recon_c, targets, mm).item()
+            loss_c = spark_loss(model, spark_forward(model, img, mask, mode="eval"), img, mask).item()
         assert loss_a == loss_b
         assert loss_a != loss_c
 
@@ -361,17 +373,20 @@ class TestAblations:
         img = np.random.default_rng(28).random((2, 3, 16, 16))
         masks = [generate_mask(2, 2, 0.5, np.random.default_rng(s), patch_size=8) for s in (29, 30)]
         with ag.no_grad():
-            recon, targets, mm = spark_forward(model, img, masks, mode="eval")
+            recon = spark_forward(model, img, masks, mode="eval")
         assert recon.shape == (2, 3, 16, 16)
 
     def test_loss_all_mode(self):
-        model = tiny_model(loss_on="all")
+        # spark_loss reads loss_on from the model's config
+        masked, every = tiny_model(), tiny_model(loss_on="all")
         img = np.random.default_rng(31).random((1, 3, 16, 16))
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(32), patch_size=8)
         with ag.no_grad():
-            recon, targets, mm = spark_forward(model, img, mask, mode="eval")
-        loss = spark_loss(recon, targets, mm, model.cfg.loss_on)
-        assert np.isfinite(loss.item())
+            recon = spark_forward(every, img, mask, mode="eval")
+        sq = (recon.data - per_patch_normalize(img, 8))[0] ** 2
+        mm = masked_pixel_map(mask)
+        assert spark_loss(every, recon, img, mask).item() == pytest.approx(sq.mean(), rel=1e-12)
+        assert spark_loss(masked, recon, img, mask).item() == pytest.approx(sq[:, mm].mean(), rel=1e-12)
 
 
 class TestApe:
@@ -384,8 +399,8 @@ class TestApe:
         img = np.random.default_rng(34).random((1, 3, 16, 16))
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(35), patch_size=8)
         with ag.no_grad():
-            ra, *_ = spark_forward(a, img, mask, mode="eval")
-            rb, *_ = spark_forward(b, img, mask, mode="eval")
+            ra = spark_forward(a, img, mask, mode="eval")
+            rb = spark_forward(b, img, mask, mode="eval")
         assert np.array_equal(ra.data, rb.data)
 
     def test_gradient_reaches_embedding(self):
@@ -394,15 +409,13 @@ class TestApe:
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(37), patch_size=8)
 
         def f(_):
-            recon, targets, mm = spark_forward(model, img, mask, mode="train")
-            return spark_loss(recon, targets, mm)
+            return spark_loss(model, spark_forward(model, img, mask, mode="train"), img, mask)
 
         ape = model.params["ape"]
         err = ag.grad_check(f, [ape], max_entries_per_input=6, rng=np.random.default_rng(38))
         assert err < 1e-4
         model.zero_grad()
-        recon, targets, mm = spark_forward(model, img, mask, mode="train")
-        ag.backward(spark_loss(recon, targets, mm))
+        ag.backward(spark_loss(model, spark_forward(model, img, mask, mode="train"), img, mask))
         assert ape.grad is not None and np.any(ape.grad != 0.0)
 
 
@@ -419,12 +432,12 @@ class TestLeakGuard:
         mask = generate_mask(4, 4, 0.5, np.random.default_rng(41), patch_size=8)
         mm = masked_pixel_map(mask)
         with ag.no_grad():
-            recon_a, targets, maps = spark_forward(model, img, mask, mode="eval")
-            la = spark_loss(recon_a, targets, maps).item()
+            recon_a = spark_forward(model, img, mask, mode="eval")
+            la = spark_loss(model, recon_a, img, mask).item()
             img_b = img.copy()
             img_b[0][:, mm] = rng.random((3, int(mm.sum())))
-            recon_b, _, _ = spark_forward(model, img_b, mask, mode="eval")
-            lb = spark_loss(recon_b, targets, maps).item()
+            recon_b = spark_forward(model, img_b, mask, mode="eval")
+            lb = spark_loss(model, recon_b, img, mask).item()  # the clean image's targets
         assert np.array_equal(recon_a.data, recon_b.data)
         assert la == lb
 

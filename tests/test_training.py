@@ -181,8 +181,8 @@ def backward_grads(model, seed):
     rng = np.random.default_rng(seed)
     masks = [generate_mask(2, 2, 0.5, rng, patch_size=8) for _ in range(2)]
     model.zero_grad()
-    recon, targets, mm = spark_forward(model, rng.random((2, 3, 16, 16)), masks, mode="train")
-    ag.backward(spark_loss(recon, targets, mm))
+    images = rng.random((2, 3, 16, 16))
+    ag.backward(spark_loss(model, spark_forward(model, images, masks, mode="train"), images, masks))
     return [p.grad if p.grad is not None else np.zeros_like(p.data) for _, p in model.named_parameters()]
 
 
@@ -343,8 +343,8 @@ class TestCheckpoint:
 
         mask = generate_mask(2, 2, 0.5, np.random.default_rng(5), patch_size=8)
         with ag.no_grad():
-            r1, *_ = spark_forward(m1, img, mask, mode="eval")
-            r2, *_ = spark_forward(m2, img, mask, mode="eval")
+            r1 = spark_forward(m1, img, mask, mode="eval")
+            r2 = spark_forward(m2, img, mask, mode="eval")
         assert np.array_equal(r1.data, r2.data)
 
     def test_params_preserved_to_f32(self, tmp_path):
