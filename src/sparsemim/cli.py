@@ -54,14 +54,16 @@ class UsageError(ValueError):
     pass
 
 
-# pretrain's numeric flags and their types (every other flag takes a string);
-# _check_file_value holds --config values to the same types and choices
-PRETRAIN_NUMBERS = {
-    "epochs": int, "batch": int, "mask_ratio": float, "patch": int, "stages": int, "seed": int,
-    "image_size": int, "dec_width": int, "blocks": int, "lr": float, "steps": int,
-    "weight_decay": float, "down_kernel": int,
+# pretrain's settings, key: (type, default, choices). The table builds each
+# flag, checks each --config value and seeds the resolved configuration
+PRETRAIN = {
+    "epochs": (int, 2, None), "batch": (int, 8, None), "mask_ratio": (float, 0.6, None),
+    "patch": (int, 32, None), "stages": (int, 3, None), "seed": (int, 0, None),
+    "image_size": (int, 64, None), "dec_width": (int, None, None), "blocks": (int, 1, None),
+    "lr": (float, None, None), "steps": (int, None, None), "weight_decay": (float, 0.04, None),
+    "down_kernel": (int, 2, [2, 3]), "widths": (str, "16,32,64", None),
+    "optimizer": (str, "lamb", ["lamb", "adam"]), "variant": (str, "baseline", sorted(VARIANTS)),
 }
-PRETRAIN_CHOICES = {"optimizer": ["lamb", "adam"], "down_kernel": [2, 3], "variant": sorted(VARIANTS)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,11 +84,9 @@ def _build_parser() -> _Parser:
     src.add_argument("--synth", type=int, help="number of synthetic images to train on")
     tr.add_argument("--out", required=True, help="run directory for artifacts")
     tr.add_argument("--config", help="JSON config file; explicit flags override its values")
-    for key, typ in PRETRAIN_NUMBERS.items():
-        tr.add_argument("--" + key.replace("_", "-"), type=typ, choices=PRETRAIN_CHOICES.get(key), default=None)
-    tr.add_argument("--widths", default=None, help="comma-separated stage widths, e.g. 16,32,64")
-    tr.add_argument("--optimizer", choices=PRETRAIN_CHOICES["optimizer"], default=None)
-    tr.add_argument("--variant", choices=PRETRAIN_CHOICES["variant"], default=None)
+    for key, (typ, _, choices) in PRETRAIN.items():
+        tr.add_argument("--" + key.replace("_", "-"), type=typ, choices=choices, default=None,
+                        help="comma-separated stage widths, e.g. 16,32,64" if key == "widths" else None)
 
     rc = sub.add_parser("reconstruct", help="reconstruct one image with a checkpoint")
     rc.add_argument("--ckpt", required=True)
@@ -105,8 +105,9 @@ def _build_parser() -> _Parser:
     fl.add_argument("--mask-ratio", type=float, default=0.6)
     fl.add_argument("--stages", type=int, default=4)
     fl.add_argument("--widths", default=None)
-    fl.add_argument("--blocks", type=int, default=DEFAULTS["blocks"])
-    fl.add_argument("--down-kernel", type=int, choices=[2, 3], default=DEFAULTS["down_kernel"])
+    for key in ("blocks", "down_kernel"):  # pretrain's defaults and choices
+        typ, default, choices = PRETRAIN[key]
+        fl.add_argument("--" + key.replace("_", "-"), type=typ, choices=choices, default=default)
     fl.add_argument("--seed", type=int, default=0)
     fl.add_argument("--out", default=None, help="optional directory for flops.csv")
 
@@ -137,51 +138,50 @@ def _echo_config(cfg: dict, out_dir=None):
             f.write(text + "\n")
 
 
-DEFAULTS = {
-    "epochs": 2, "batch": 8, "mask_ratio": 0.6, "patch": 32, "stages": 3,
-    "widths": "16,32,64", "seed": 0, "image_size": 64, "dec_width": None,
-    "blocks": 1, "lr": None, "steps": None, "optimizer": "lamb",
-    "weight_decay": 0.04, "variant": "baseline", "down_kernel": 2,
-}
+def _refuse_overwrite(inputs, outputs):
+    """Raise UsageError if a path the command writes names a file it reads; ``./``
+    spellings and links are caught, as the files themselves are compared."""
+    for out in filter(os.path.exists, outputs):
+        for path in inputs:
+            if os.path.samefile(path, out):
+                raise UsageError(f"{out} is the input {path}; refusing to write over it")
 
 
 def _check_file_value(key, value):
     """Reject a --config value that its flag would not take: null only where the
     default is null, an int (not a bool) for an int flag, an int or a float (not a
     bool) for a float flag, a string otherwise, and one of the flag's choices."""
-    want = PRETRAIN_NUMBERS.get(key, str)
+    want, default, choices = PRETRAIN[key]
     if value is None:
-        ok = DEFAULTS[key] is None
+        ok = default is None
     elif want is str:
         ok = isinstance(value, str)
     else:
         ok = not isinstance(value, bool) and isinstance(value, (int, float) if want is float else int)
-    choices = PRETRAIN_CHOICES.get(key)
     if not ok or (value is not None and choices and value not in choices):
         takes = {int: "an integer", float: "a number", str: "a string"}[want]
         takes += f" in {choices}" if choices else ""
-        takes += " or null" if DEFAULTS[key] is None else ""
+        takes += " or null" if default is None else ""
         raise UsageError(f"--config value {key}={json.dumps(value)} does not fit "
                          f"--{key.replace('_', '-')}, which takes {takes}")
 
 
 def cmd_pretrain(args) -> int:
-    resolved = dict(DEFAULTS)
+    resolved = {key: default for key, (_, default, _) in PRETRAIN.items()}
     if args.config:
         with open(args.config) as f:
             file_cfg = json.load(f)
         if not isinstance(file_cfg, dict):
             raise UsageError("--config file must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS)
+        unknown = set(file_cfg) - set(PRETRAIN)
         if unknown:
             raise UsageError(f"unknown keys in --config file: {sorted(unknown)}")
         for key, value in file_cfg.items():
             _check_file_value(key, value)
         resolved.update(file_cfg)
-    for key in DEFAULTS:
-        flag_val = getattr(args, key, None)
-        if flag_val is not None:
-            resolved[key] = flag_val
+    for key in PRETRAIN:
+        if getattr(args, key) is not None:
+            resolved[key] = getattr(args, key)
 
     widths = _parse_widths(str(resolved["widths"]), resolved["stages"])
     try:
@@ -231,14 +231,19 @@ def cmd_pretrain(args) -> int:
     # np.empty touches no page of the batch
     model = SparkModel(model_cfg, np.random.default_rng(np.random.SeedSequence([resolved["seed"], 1])))
     np.empty((train_cfg.batch_size, 3, model_cfg.image_size, model_cfg.image_size))
+    _refuse_overwrite([args.config] if args.config else [],
+                      [os.path.join(args.out, name) for name in ("config.json", "metrics.csv", "final.ckpt")])
 
     os.makedirs(args.out, exist_ok=True)
     full = {"command": "pretrain", "data": args.data, "synth": args.synth, "out": args.out,
-            **{k: resolved[k] for k in DEFAULTS},
+            **resolved,
             "model": model_cfg.to_dict(), "train": train_cfg.to_dict()}
     _echo_config(full, args.out)
 
-    rows, opt = train(model, dataset, train_cfg, metrics_path=os.path.join(args.out, "metrics.csv"))
+    with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as metrics:
+        metrics.write("step,lr,loss\n")
+        rows, opt = train(model, dataset, train_cfg,
+                          log=lambda r: metrics.write(f"{r['step']},{r['lr']:.10g},{r['loss']:.17g}\n"))
 
     ckpt_cfg = {"kind": "spark", "model": model_cfg.to_dict(), "train": train_cfg.to_dict(),
                 "step": len(rows), "opt_t": opt.t}
@@ -261,7 +266,7 @@ def _trained_mask_ratio(config: dict) -> float:
     train = config.get("train", {})
     if not isinstance(train, dict):
         raise CheckpointError(f"checkpoint 'train' must be an object, got {type(train).__name__}")
-    ratio = train.get("mask_ratio", DEFAULTS["mask_ratio"])
+    ratio = train.get("mask_ratio", PRETRAIN["mask_ratio"][1])
     if isinstance(ratio, bool) or not isinstance(ratio, (int, float)) or not 0.0 <= ratio < 1.0:
         raise CheckpointError(f"checkpoint train.mask_ratio must be a number in [0, 1), got {ratio!r}")
     return float(ratio)
@@ -278,6 +283,8 @@ def cmd_reconstruct(args) -> int:
     grid = cfg.image_size // cfg.patch_size
     mask = generate_mask(grid, grid, ratio, np.random.default_rng(args.seed), patch_size=cfg.patch_size)
     img = _center_crop(load_ppm(args.image), cfg.image_size)[None]
+    _refuse_overwrite([args.ckpt, args.image], [os.path.join(args.out, name) for name in (
+        "config.json", "masked_input.ppm", "reconstruction.ppm", "composite.ppm")])
 
     os.makedirs(args.out, exist_ok=True)
     _echo_config({"command": "reconstruct", "ckpt": args.ckpt, "image": args.image,
@@ -312,6 +319,7 @@ def cmd_convert(args) -> int:
     arrays = model.encoder.state_arrays()
     cfg = {"kind": "dense_encoder", "encoder": model.cfg.to_dict()["encoder"],
            "ape": model.cfg.ape, "image_size": model.cfg.image_size}
+    _refuse_overwrite([args.ckpt], [args.out])
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
     save_checkpoint(args.out, arrays, cfg)

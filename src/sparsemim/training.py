@@ -168,15 +168,16 @@ def count_steps(cfg: TrainConfig, n_data: int) -> int:
     return total_steps
 
 
-def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=None):
+def train(model: SparkModel, dataset, cfg: TrainConfig, log=None):
     """Pre-train ``model`` on ``dataset`` (anything with __len__ and pixels(i)).
 
     Step s takes batch s mod steps-per-epoch of epoch s // steps-per-epoch's
     shuffled order, augments each image and samples its mask from
     (seed, epoch, index) alone, runs the masked forward/backward, and takes
     one optimizer step under the cosine schedule. Returns the list
-    of {step, lr, loss} rows (also written as CSV when ``metrics_path``
-    is given). A non-finite loss aborts with a diagnostic.
+    of {step, lr, loss} rows, each passed to ``log`` as it is made; an
+    exception from ``log`` ends the run at that step. A non-finite loss
+    aborts with a diagnostic.
     """
     from .data import augment  # local import to keep module load cheap
 
@@ -198,43 +199,34 @@ def train(model: SparkModel, dataset, cfg: TrainConfig, metrics_path=None, log=N
     size = model.cfg.image_size
     grid = size // model.cfg.patch_size
     rows = []
-    writer = open(metrics_path, "w", newline="") if metrics_path else None
-    if writer:
-        writer.write("step,lr,loss\n")
     model.zero_grad()  # a gradient the model brings in is not summed into step 0
-    try:
-        for step in range(total_steps):
-            epoch, b = divmod(step, steps_per_epoch)
-            if b == 0:
-                order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch])).permutation(n_data)
-            lr = cosine_lr(step, total_steps, peak, warmup)
-            idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
-            batch = np.empty((cfg.batch_size, 3, size, size))
-            masks = []
-            for slot, di in enumerate(idxs):
-                srng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, int(di)]))
-                batch[slot] = augment(dataset.pixels(int(di)), size, srng)
-                masks.append(generate_mask(grid, grid, cfg.mask_ratio, srng, patch_size=model.cfg.patch_size))
-            # recon stays bound until the next step; freed in backward, the heap is trimmed and refaulted each step
-            recon = spark_forward(model, batch, masks, mode="train")
-            loss = spark_loss(model, recon, batch, masks)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                ag.active_tape().clear()  # no backward will run: drop the step's graph
-                raise TrainingDiverged(f"non-finite loss {loss_val} at step {step} (epoch {epoch}); lr={lr:.3e}")
-            ag.backward(loss)
-            step_fn(params, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in tensors],
-                    opt, lr, weight_decay=cfg.weight_decay, decay_mask=decay_mask)
-            model.zero_grad()  # the step's gradients are dead once the update is taken
-            row = {"step": step, "lr": lr, "loss": loss_val}
-            rows.append(row)
-            if writer:
-                writer.write(f"{step},{lr:.10g},{loss_val:.17g}\n")
-            if log:
-                log(row)
-    finally:
-        if writer:
-            writer.close()
+    for step in range(total_steps):
+        epoch, b = divmod(step, steps_per_epoch)
+        if b == 0:
+            order = np.random.default_rng(np.random.SeedSequence([cfg.seed, 7, epoch])).permutation(n_data)
+        lr = cosine_lr(step, total_steps, peak, warmup)
+        idxs = order[b * cfg.batch_size : (b + 1) * cfg.batch_size]
+        batch = np.empty((cfg.batch_size, 3, size, size))
+        masks = []
+        for slot, di in enumerate(idxs):
+            srng = np.random.default_rng(np.random.SeedSequence([cfg.seed, epoch, int(di)]))
+            batch[slot] = augment(dataset.pixels(int(di)), size, srng)
+            masks.append(generate_mask(grid, grid, cfg.mask_ratio, srng, patch_size=model.cfg.patch_size))
+        # recon stays bound until the next step; freed in backward, the heap is trimmed and refaulted each step
+        recon = spark_forward(model, batch, masks, mode="train")
+        loss = spark_loss(model, recon, batch, masks)
+        loss_val = loss.item()
+        if not math.isfinite(loss_val):
+            ag.active_tape().clear()  # no backward will run: drop the step's graph
+            raise TrainingDiverged(f"non-finite loss {loss_val} at step {step} (epoch {epoch}); lr={lr:.3e}")
+        ag.backward(loss)
+        step_fn(params, [p.grad if p.grad is not None else np.zeros_like(p.data) for p in tensors],
+                opt, lr, weight_decay=cfg.weight_decay, decay_mask=decay_mask)
+        model.zero_grad()  # the step's gradients are dead once the update is taken
+        row = {"step": step, "lr": lr, "loss": loss_val}
+        rows.append(row)
+        if log:
+            log(row)
     return rows, opt
 
 
@@ -254,16 +246,7 @@ class CheckpointError(ValueError):
 class Checkpoint:
     config: dict
     arrays: "OrderedDict[str, np.ndarray]" = field(default_factory=OrderedDict)
-    skipped: dict = field(default_factory=dict)  # name -> manifest shape of each array left undecoded
-
-    @property
-    def step(self) -> int:
-        return self.config.get("step", 0)
-
-    @property
-    def shapes(self) -> dict:
-        """The shape of every array the file holds, decoded or not."""
-        return {**{name: arr.shape for name, arr in self.arrays.items()}, **self.skipped}
+    shapes: dict = field(default_factory=dict)  # name -> shape of every array the file holds, decoded or not
 
 
 def save_checkpoint(path, arrays: "OrderedDict[str, np.ndarray]", config: dict):
@@ -344,9 +327,10 @@ def load_checkpoint(path, model_only: bool = False, dtype=np.float64) -> Checkpo
     ``dtype`` float64 the buffer is converted with one ``astype``; with float32
     it is used as it is. Each decoded array is a view of its run's buffer in
     ``dtype``, so loading never holds a copy of the whole file. With
-    ``model_only`` the optimizer moments are neither read nor converted: only
-    their manifest shapes are kept, in ``skipped``. Every entry is checked
-    either way, so a file loads with ``model_only`` exactly when it loads without.
+    ``model_only`` the optimizer moments are neither read nor converted; only
+    their shapes are kept. ``shapes`` holds every entry's shape, in manifest
+    order. Every entry is checked either way, so a file loads with
+    ``model_only`` exactly when it loads without.
     """
     with open(path, "rb") as f:
         size = os.fstat(f.fileno()).st_size
@@ -370,12 +354,11 @@ def load_checkpoint(path, model_only: bool = False, dtype=np.float64) -> Checkpo
         ckpt = Checkpoint(config=header["config"])
         wanted = []  # (file offset, count, manifest index, name, shape)
         representable = set()
-        seen = set()
         for i, entry in enumerate(header["manifest"]):
             name, shape = entry["name"], tuple(entry["shape"])
-            if name in seen:
+            if name in ckpt.shapes:
                 raise CheckpointError(f"corrupt checkpoint manifest: array {name!r} is listed twice")
-            seen.add(name)
+            ckpt.shapes[name] = shape
             count = math.prod(shape)  # exact: a huge shape cannot wrap around
             start = base + entry["offset"]
             if start + 4 * count > size:
@@ -386,9 +369,7 @@ def load_checkpoint(path, model_only: bool = False, dtype=np.float64) -> Checkpo
                 except ValueError as e:  # an empty array with a dimension numpy cannot represent
                     raise CheckpointError(f"corrupt checkpoint manifest entry {name!r}: {e}") from e
                 representable.add(shape)
-            if model_only and name.startswith(OPT_PREFIXES):
-                ckpt.skipped[name] = shape
-            else:
+            if not (model_only and name.startswith(OPT_PREFIXES)):
                 wanted.append((start, count, i, name, shape))
         decoded = {}
         for run in _runs(wanted):

@@ -10,7 +10,8 @@ import pytest
 
 from sparsemim import autograd as ag
 from sparsemim import model as model_module
-from sparsemim.cli import main
+from sparsemim import training
+from sparsemim.cli import PRETRAIN, main
 from sparsemim.data import load_ppm, save_ppm
 from sparsemim.masking import generate_mask, masked_pixel_map
 from sparsemim.model import EncoderConfig, SparkConfig, SparkModel, encoder_forward, encoder_layers
@@ -32,8 +33,28 @@ class TestPretrain:
         assert cfg["command"] == "pretrain" and cfg["variant"] == "baseline"
         for name in ("config.json", "metrics.csv", "final.ckpt"):
             assert (tmp_path / "run" / name).exists()
-        lines = (tmp_path / "run" / "metrics.csv").read_text().strip().split("\n")
-        assert lines[0] == "step,lr,loss" and len(lines) == 3
+        header, *rows = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
+        assert header == "step,lr,loss" and len(rows) == 2
+        for step, row in enumerate(rows):
+            lr, loss = map(float, row.split(",")[1:])
+            assert row == f"{step},{lr:.10g},{loss:.17g}" and lr > 0 and loss > 0
+
+    def test_diverged_run_keeps_its_earlier_rows(self, tmp_path, capsys, monkeypatch):
+        losses = []
+
+        def loss(*args, **kwargs):  # step 1's loss is NaN
+            losses.append(model_module.spark_loss(*args, **kwargs))
+            if len(losses) == 2:
+                losses[-1].data = np.full_like(losses[-1].data, np.nan)
+            return losses[-1]
+
+        monkeypatch.setattr(training, "spark_loss", loss)
+        out = tmp_path / "run"
+        assert run_pretrain(out, extra=["--steps", "3"]) == 2
+        assert "non-finite loss" in capsys.readouterr().err
+        header, *rows = (out / "metrics.csv").read_text().splitlines()
+        assert header == "step,lr,loss" and [row.split(",")[0] for row in rows] == ["0"]
+        assert not (out / "final.ckpt").exists()
 
     def test_mask_ratio_one_rejected(self, tmp_path, capsys):
         code = run_pretrain(tmp_path / "bad", extra=["--mask-ratio", "1.0"])
@@ -172,6 +193,16 @@ class TestPretrain:
         assert run_pretrain(tmp_path / "r1") == 0
         assert run_pretrain(tmp_path / "r2") == 0
         assert (tmp_path / "r1" / "metrics.csv").read_bytes() == (tmp_path / "r2" / "metrics.csv").read_bytes()
+
+    def test_config_listing_every_default_matches_no_config(self, tmp_path):
+        out = tmp_path / "run"
+        argv = ["pretrain", "--synth", "8", "--out", str(out)]
+        assert main(argv) == 0
+        want = {name: (out / name).read_bytes() for name in ("config.json", "metrics.csv", "final.ckpt")}
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: default for key, (_, default, _) in PRETRAIN.items()}))
+        assert main([*argv, "--config", str(cfg_file)]) == 0
+        assert {name: (out / name).read_bytes() for name in want} == want
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
@@ -413,6 +444,33 @@ def test_path_of_the_wrong_kind_is_a_usage_error(trained, tmp_path, capsys, case
     err = capsys.readouterr().err
     assert err.startswith(f"sparsemim {argv[0]}: ") and "Traceback" not in err
     assert sorted(os.listdir(tmp_path)) == before and not os.listdir(a_dir) and a_file.read_bytes() == b"kept"
+
+
+@pytest.mark.parametrize("case", ["convert --out ./ckpt", "reconstruct --image composite",
+                                  "reconstruct --image link", "pretrain --config"])
+def test_command_refuses_to_write_over_its_input(trained, tmp_path, capsys, case):
+    ckpt, img, rec = tmp_path / "c.ckpt", tmp_path / "x.ppm", tmp_path / "rec"
+    ckpt.write_bytes((trained / "final.ckpt").read_bytes())
+    save_ppm(img, np.random.default_rng(0).random((3, 16, 16)))
+    assert main(["reconstruct", "--ckpt", str(ckpt), "--image", str(img), "--out", str(rec)]) == 0
+    os.symlink(rec / "composite.ppm", tmp_path / "link.ppm")
+    (tmp_path / "run").mkdir()
+    (tmp_path / "run" / "config.json").write_text(json.dumps({"steps": 1}))
+    argv = {
+        "convert --out ./ckpt": ["convert", "--ckpt", str(ckpt), "--out", os.path.join(tmp_path, ".", "c.ckpt")],
+        "reconstruct --image composite": ["reconstruct", "--ckpt", str(ckpt), "--image", str(rec / "composite.ppm"),
+                                          "--out", str(rec)],
+        "reconstruct --image link": ["reconstruct", "--ckpt", str(ckpt), "--image", str(tmp_path / "link.ppm"),
+                                     "--out", os.path.join(rec, ".")],
+        "pretrain --config": ["pretrain", "--synth", "12", "--config", str(tmp_path / "run" / "config.json"),
+                              "--out", str(tmp_path / "run"), *TINY],
+    }[case]
+    capsys.readouterr()
+    before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"sparsemim {argv[0]}: ") and "refusing to write over it" in err and "Traceback" not in err
+    assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
 def test_reconstruct_without_train_section_uses_0_6(trained, tmp_path, capsys):

@@ -188,23 +188,29 @@ class TestDenseLoader:
         assert main(["convert", "--ckpt", str(src), "--out", str(out)]) == 0
         return load_checkpoint(out)
 
+    @staticmethod
+    def _file_with(ck, arrays, path):
+        """``ck`` written with ``arrays`` in place of its own, and read back."""
+        save_checkpoint(path, arrays, ck.config)
+        return load_checkpoint(path)
+
     @pytest.mark.parametrize("name", ["encoder.stem.bn.running_var", "encoder.stage1.down.w",
                                       "encoder.stage1.block0.bn1.gamma"])
-    def test_missing_array(self, converted, name):
-        del converted.arrays[name]
+    def test_missing_array(self, converted, tmp_path, name):
+        arrays = {n: a for n, a in converted.arrays.items() if n != name}
         with pytest.raises(CheckpointError, match=f"no array '{name}'"):
-            dense_encoder_from_checkpoint(converted)
+            dense_encoder_from_checkpoint(self._file_with(converted, arrays, tmp_path / "edited.ckpt"))
 
-    def test_misshaped_and_unexpected_arrays(self, converted):
-        arrays = converted.arrays
+    def test_misshaped_and_unexpected_arrays(self, converted, tmp_path):
+        arrays = dict(converted.arrays)
         good = arrays["encoder.stage0.block0.conv0.w"]
         arrays["encoder.stage0.block0.conv0.w"] = good[:, :, :2]
         with pytest.raises(CheckpointError, match="has shape"):
-            dense_encoder_from_checkpoint(converted)
+            dense_encoder_from_checkpoint(self._file_with(converted, arrays, tmp_path / "edited.ckpt"))
         arrays["encoder.stage0.block0.conv0.w"] = good
         arrays["ape"] = np.zeros((1, 4, 4, 4))  # the header says ape is off
         with pytest.raises(CheckpointError, match="unexpected arrays \\['ape'\\]"):
-            dense_encoder_from_checkpoint(converted)
+            dense_encoder_from_checkpoint(self._file_with(converted, arrays, tmp_path / "edited.ckpt"))
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     def test_non_finite_array(self, converted, value):

@@ -256,15 +256,39 @@ class TestTrainLoop:
         rows, _ = train(model, synth_dataset(16, 16, seed=1), self._cfg(max_steps=2))
         assert len(rows) == 2 and model.cfg.loss_on == "all"
 
-    def test_metrics_csv_schema(self, tmp_path):
-        model = desk_model(seed=0)
-        path = tmp_path / "metrics.csv"
-        train(model, synth_dataset(16, 16, seed=1), self._cfg(max_steps=3), metrics_path=path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "step,lr,loss"
-        assert len(lines) == 4
-        step, lr, loss = lines[1].split(",")
-        assert step == "0" and float(lr) > 0 and float(loss) > 0
+    def test_log_receives_each_row_as_it_is_made(self, monkeypatch):
+        forwards, logged = [], []
+
+        def forward(*args, **kwargs):
+            forwards.append(1)
+            return spark_forward(*args, **kwargs)
+
+        def log(row):
+            assert len(forwards) == row["step"] + 1  # called before the next step's forward
+            logged.append(dict(row))
+
+        monkeypatch.setattr(training, "spark_forward", forward)
+        rows, _ = train(desk_model(seed=0), synth_dataset(16, 16, seed=1), self._cfg(max_steps=3), log=log)
+        assert logged == rows and [r["step"] for r in rows] == [0, 1, 2]
+
+    def test_exception_from_log_ends_train_at_that_step(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        updates = []
+
+        def lamb(*args, **kwargs):
+            updates.append(1)
+            return lamb_step(*args, **kwargs)
+
+        def log(row):
+            if row["step"] == 1:
+                raise Stop
+
+        monkeypatch.setattr(training, "lamb_step", lamb)
+        with pytest.raises(Stop):
+            train(desk_model(seed=0), synth_dataset(16, 16, seed=1), self._cfg(max_steps=4), log=log)
+        assert len(updates) == 2
 
     def test_step_gradients_freed_before_next_forward(self, monkeypatch):
         refs, alive = [], []
@@ -363,7 +387,7 @@ class TestCheckpoint:
         self._save(p, model)
         ck = load_checkpoint(p)
         assert ck.config["rng_state"] == np.random.default_rng(3).bit_generator.state
-        assert ck.step == 7
+        assert ck.config["step"] == 7
 
     def test_truncated_rejected(self, tmp_path):
         model = desk_model(seed=2)
@@ -425,7 +449,8 @@ class TestCheckpoint:
         for a, b in zip(opt.m, opt2.m):
             np.testing.assert_array_equal(b, a.astype(np.float32).astype(np.float64))
         ck = load_checkpoint(p, model_only=True)  # the moments stay undecoded; the model loads the same
-        assert not any(n.startswith("opt.") for n in ck.arrays) and len(ck.skipped) == 2 * len(opt.m)
+        undecoded = {n: ck.shapes[n] for n in set(ck.shapes) - set(ck.arrays)}
+        assert undecoded == {f"opt.{k}.{n}": param.shape for k in "mv" for n, param in model.params.items()}
         m3, opt3 = model_from_checkpoint(ck)
         assert opt3 is None
         for (n2, a2), (n3, a3) in zip(m2.state_arrays().items(), m3.state_arrays().items()):
@@ -540,19 +565,18 @@ def save_checkpoint_reference(path, arrays, config):
 
 
 def load_checkpoint_reference(path, model_only=False):
-    """A per-array reader of a well-formed file: (arrays, skipped) as load_checkpoint gives them."""
+    """A per-array reader of a well-formed file: (arrays, shapes) as load_checkpoint gives them."""
     raw = path.read_bytes()
     hlen = struct.unpack("<Q", raw[8:16])[0]
     base = 16 + hlen
-    arrays, skipped = {}, {}
+    arrays, shapes = {}, {}
     for e in json.loads(raw[16:base])["manifest"]:
-        shape = tuple(e["shape"])
+        shape = shapes[e["name"]] = tuple(e["shape"])
         if model_only and e["name"].startswith(("opt.m.", "opt.v.")):
-            skipped[e["name"]] = shape
             continue
         flat = np.frombuffer(raw, "<f4", math.prod(shape), base + e["offset"])
         arrays[e["name"]] = flat.astype(np.float64).reshape(shape)
-    return arrays, skipped
+    return arrays, shapes
 
 
 class CountingFile:
@@ -609,8 +633,8 @@ class TestCheckpointRuns:
     def test_matches_per_array_reader(self, tmp_path, readintos, model_only, runs):
         p = self._write(tmp_path / "runs.ckpt")
         ck = load_checkpoint(p, model_only=model_only)
-        arrays, skipped = load_checkpoint_reference(p, model_only)
-        assert list(ck.arrays) == list(arrays) and ck.skipped == skipped
+        arrays, shapes = load_checkpoint_reference(p, model_only)
+        assert list(ck.arrays) == list(arrays) and list(ck.shapes.items()) == list(shapes.items())
         for name, ref in arrays.items():
             got = ck.arrays[name]
             assert got.dtype == np.float64 and got.shape == ref.shape and got.tobytes() == ref.tobytes()
