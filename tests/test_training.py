@@ -256,6 +256,33 @@ class TestTrainLoop:
         rows, _ = train(model, synth_dataset(16, 16, seed=1), self._cfg(max_steps=2))
         assert len(rows) == 2 and model.cfg.loss_on == "all"
 
+    def test_metrics_csv_schema(self, tmp_path, monkeypatch, capsys):
+        # train opens no file; pretrain writes metrics.csv from its log, one line per row train returns
+        from sparsemim import cli
+
+        returned = []
+
+        def recording_train(*args, **kwargs):
+            returned.append(train(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(cli, "train", recording_train)
+        out = tmp_path / "run"
+        assert cli.main(["pretrain", "--synth", "16", "--out", str(out), "--epochs", "1", "--batch", "4",
+                         "--steps", "3", "--image-size", "16", "--patch", "8", "--stages", "2",
+                         "--widths", "4,8", "--seed", "0"]) == 0
+        capsys.readouterr()
+        lines = (out / "metrics.csv").read_text().strip().split("\n")
+        assert lines[0] == "step,lr,loss"
+        assert len(lines) == 4
+        step, lr, loss = lines[1].split(",")
+        assert step == "0" and float(lr) > 0 and float(loss) > 0
+        (rows, _), = returned
+        for line, row in zip(lines[1:], rows):
+            step, lr, loss = line.split(",")
+            assert int(step) == row["step"] and float(loss) == row["loss"]
+            assert float(lr) == pytest.approx(row["lr"], rel=1e-9)
+
     def test_log_receives_each_row_as_it_is_made(self, monkeypatch):
         forwards, logged = [], []
 
