@@ -113,16 +113,25 @@ EPS_STD = 1e-6
 
 
 def patch_stats(img: np.ndarray, patch_size: int):
-    """Per-patch mean and std-denominator of a [N,3,H,W] array, pooled over channels."""
+    """Per-patch mean and std-denominator of a [N,3,H,W] array, pooled over
+    channels, in float64.
+
+    Both come from one patch-major float64 copy, [N*gh*gw, 3*p*p], reduced
+    along its last axis as ``np.var`` does it (the mean, then the mean of the
+    squared deviations, squared in place), so each reduction runs over one
+    contiguous row."""
     n, c, h, w = img.shape
     if h % patch_size or w % patch_size:
         raise ValueError(f"patch_stats: image {h}x{w} not divisible by patch size {patch_size}")
     gh, gw = h // patch_size, w // patch_size
-    tiles = img.reshape(n, c, gh, patch_size, gw, patch_size)
-    mean = tiles.mean(axis=(1, 3, 5), keepdims=True)
-    var = tiles.var(axis=(1, 3, 5), mean=mean)  # reuses the mean rather than summing the tiles again
-    denom = np.sqrt(var + EPS_STD * EPS_STD)
-    return mean.reshape(denom.shape), denom  # both [N, gh, gw]
+    tiles = img.reshape(n, c, gh, patch_size, gw, patch_size).transpose(0, 2, 4, 1, 3, 5)
+    rows = tiles.astype(np.float64, order="C").reshape(n * gh * gw, -1)
+    count = rows.shape[1]
+    mean = rows.sum(axis=1) / count
+    rows -= mean[:, None]
+    rows *= rows
+    denom = np.sqrt(rows.sum(axis=1) / count + EPS_STD * EPS_STD)
+    return mean.reshape(n, gh, gw), denom.reshape(n, gh, gw)
 
 
 def per_patch_normalize(img: np.ndarray, patch_size: int) -> np.ndarray:

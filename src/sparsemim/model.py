@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
+from collections.abc import Mapping
 from dataclasses import asdict, dataclass, field, fields
 from typing import NamedTuple
 
@@ -204,36 +205,54 @@ class SparkConfig:
         return from_fields(cls, d)
 
 
-def _normal(rng, std, shape) -> np.ndarray:
-    return np.zeros(shape) if rng is None else rng.normal(0.0, std, size=shape)
+def _initial(init, name, shape, std=None, fill=0.0) -> np.ndarray:
+    """The first value of array ``name``. From a mapping ``init`` it is the array
+    held under that name, as stored (a ValueError unless it has ``shape``).
+    Otherwise it is a draw of N(0, ``std``) from Generator ``init`` (zeros with
+    ``init`` None), or ``fill`` everywhere where no ``std`` is given."""
+    if isinstance(init, Mapping):
+        if name not in init:
+            raise ValueError(f"checkpoint has no array {name!r}")
+        arr = init[name]
+        if arr.shape != tuple(shape):
+            raise ValueError(f"checkpoint array {name!r} has shape {list(arr.shape)}, expected {list(shape)}")
+        return arr
+    if std is None:
+        return np.full(shape, fill)
+    return np.zeros(shape) if init is None else init.normal(0.0, std, size=shape)
 
 
 class _Store:
     """Parameter store: an insertion-ordered name -> DiffTensor map (the
     checkpoint manifest order), batch-norm running stats alongside in
     ``bn_states``, and the names under ``decay``, which receive weight decay
-    (conv and projection weights only)."""
+    (conv and projection weights only). Each array's first value comes from
+    ``init`` as ``_initial`` reads it."""
 
     def __init__(self):
         self.params: "OrderedDict[str, DiffTensor]" = OrderedDict()
         self.bn_states: "OrderedDict[str, BatchNormState]" = OrderedDict()
         self.decay: set[str] = set()
 
-    def _conv_param(self, name, cout, cin, kh, kw, rng):
-        t = DiffTensor(_normal(rng, math.sqrt(2.0 / (cin * kh * kw)), (cout, cin, kh, kw)), requires_grad=True)
+    def _conv_param(self, name, cout, cin, kh, kw, init):
+        t = DiffTensor(_initial(init, name, (cout, cin, kh, kw), math.sqrt(2.0 / (cin * kh * kw))),
+                       requires_grad=True)
         self.params[name] = t
         self.decay.add(name)
         return t
 
-    def _vec_param(self, name, values):
-        t = DiffTensor(values, requires_grad=True)
+    def _vec_param(self, name, shape, init, std=None, fill=0.0):
+        t = DiffTensor(_initial(init, name, shape, std, fill), requires_grad=True)
         self.params[name] = t
         return t
 
-    def _bn_param(self, prefix, channels):
-        self._vec_param(f"{prefix}.gamma", np.ones(channels))
-        self._vec_param(f"{prefix}.beta", np.zeros(channels))
-        self.bn_states[prefix] = BatchNormState(channels)
+    def _bn_param(self, prefix, channels, init):
+        self._vec_param(f"{prefix}.gamma", (channels,), init, fill=1.0)
+        self._vec_param(f"{prefix}.beta", (channels,), init)
+        st = self.bn_states[prefix] = BatchNormState(channels)
+        if isinstance(init, Mapping):  # float64 copies: training updates running stats in place
+            st.running_mean = np.array(_initial(init, f"{prefix}.running_mean", (channels,)), dtype=np.float64)
+            st.running_var = np.array(_initial(init, f"{prefix}.running_var", (channels,)), dtype=np.float64)
 
     def named_parameters(self):
         return self.params.items()
@@ -250,30 +269,22 @@ class _Store:
             out[f"{name}.running_var"] = st.running_var
         return out
 
-    def load_state_arrays(self, arrays: dict):
-        """Take every array of ``state_arrays``, by name, from ``arrays``; the
-        caller checks their names and shapes. Parameters keep a float32 array's
-        dtype (the model then computes in float32); running stats are float64."""
-        for name, p in self.params.items():
-            p.data = ag.as_data(arrays[name])
-        for name, st in self.bn_states.items():
-            st.running_mean = np.asarray(arrays[f"{name}.running_mean"], dtype=np.float64).copy()
-            st.running_var = np.asarray(arrays[f"{name}.running_var"], dtype=np.float64).copy()
-
 
 class SparkModel(_Store):
     """The encoder (``self.encoder``), the per-scale embeddings and
     projections, and the decoder, in one store whose order is the checkpoint
     manifest's: the encoder's arrays first."""
 
-    def __init__(self, cfg: SparkConfig, rng: np.random.Generator | None):
-        """Draw the initial parameters from ``rng``. With ``rng`` None nothing is
-        drawn: the would-be random parameters are zeros, for a caller that loads
-        every array (``model_from_checkpoint``)."""
+    def __init__(self, cfg: SparkConfig, init: np.random.Generator | Mapping | None):
+        """Draw the initial parameters from Generator ``init``. With ``init`` None
+        nothing is drawn: the would-be random parameters are zeros. With ``init``
+        a mapping of arrays by name (``model_from_checkpoint``), every array is
+        taken from it as stored and none is allocated in its place; a missing or
+        misshaped one raises ValueError."""
         super().__init__()
         self.cfg = cfg
         enc = cfg.encoder
-        self.encoder = DenseEncoder(enc, cfg.image_size if cfg.ape else None, rng)
+        self.encoder = DenseEncoder(enc, cfg.image_size if cfg.ape else None, init)
         self.params.update(self.encoder.params)
         self.bn_states.update(self.encoder.bn_states)
         self.decay.update(self.encoder.decay)
@@ -281,22 +292,22 @@ class SparkModel(_Store):
         chans = cfg.decoder_channels
         for i in range(enc.stages):
             # mask-fill embedding and width-matching projection for scale i
-            self._vec_param(f"embed.scale{i}", _normal(rng, 0.02, enc.widths[i]))
+            self._vec_param(f"embed.scale{i}", (enc.widths[i],), init, std=0.02)
             dec_w = chans[enc.stages - 1 - i]
-            self._conv_param(f"proj.scale{i}.w", dec_w, enc.widths[i], 1, 1, rng)
-            self._vec_param(f"proj.scale{i}.b", np.zeros(dec_w))
+            self._conv_param(f"proj.scale{i}.w", dec_w, enc.widths[i], 1, 1, init)
+            self._vec_param(f"proj.scale{i}.b", (dec_w,), init)
 
         for k in range(len(chans) - 1):
             cin, cout = chans[k], chans[k + 1]
             pre = f"decoder.stage{k}"
-            self._conv_param(f"{pre}.up.w", cin, cin, 4, 4, rng)
-            self._vec_param(f"{pre}.up.b", np.zeros(cin))
-            self._conv_param(f"{pre}.conv0.w", cin, cin, 3, 3, rng)
-            self._bn_param(f"{pre}.bn0", cin)
-            self._conv_param(f"{pre}.conv1.w", cout, cin, 3, 3, rng)
-            self._bn_param(f"{pre}.bn1", cout)
-        self._conv_param("decoder.proj.w", 3, chans[-1], 1, 1, rng)
-        self._vec_param("decoder.proj.b", np.zeros(3))
+            self._conv_param(f"{pre}.up.w", cin, cin, 4, 4, init)
+            self._vec_param(f"{pre}.up.b", (cin,), init)
+            self._conv_param(f"{pre}.conv0.w", cin, cin, 3, 3, init)
+            self._bn_param(f"{pre}.bn0", cin, init)
+            self._conv_param(f"{pre}.conv1.w", cout, cin, 3, 3, init)
+            self._bn_param(f"{pre}.bn1", cout, init)
+        self._conv_param("decoder.proj.w", 3, chans[-1], 1, 1, init)
+        self._vec_param("decoder.proj.b", (3,), init)
 
 
 # ---------------------------------------------------------------------------
@@ -379,19 +390,20 @@ class DenseEncoder(_Store):
     shares every tensor and running-stat object with it.
     """
 
-    def __init__(self, enc_cfg: EncoderConfig, ape_size: int | None, rng: np.random.Generator | None):
+    def __init__(self, enc_cfg: EncoderConfig, ape_size: int | None, init: np.random.Generator | Mapping | None):
         """Build every layer of ``encoder_layers(enc_cfg)``: its weight drawn from
-        ``rng`` (zeros with ``rng`` None), then its batch norm. With ``ape_size``
-        an image size, a learnable embedding per stem output site of that image
-        follows the stem's batch norm."""
+        Generator ``init`` (zeros with ``init`` None, taken as stored from a
+        mapping of arrays), then its batch norm. With ``ape_size`` an image size,
+        a learnable embedding per stem output site of that image follows the
+        stem's batch norm."""
         super().__init__()
         self.cfg = enc_cfg
         for i, layer in enumerate(encoder_layers(enc_cfg)):
-            self._conv_param(layer.weight, layer.cout, layer.cin, layer.kernel, layer.kernel, rng)
-            self._bn_param(layer.bn, layer.cout)
+            self._conv_param(layer.weight, layer.cout, layer.cin, layer.kernel, layer.kernel, init)
+            self._bn_param(layer.bn, layer.cout, init)
             if i == 0 and ape_size is not None:
                 h4 = ape_size // STEM_STRIDE
-                self._vec_param("ape", np.zeros((1, layer.cout, h4, h4)))
+                self._vec_param("ape", (1, layer.cout, h4, h4), init)
 
     def forward(self, images: np.ndarray, mode: str = "eval"):
         """Every stage's output, shallow to deep, for a batch of [N,3,H,W] images."""

@@ -225,20 +225,47 @@ def build_rulebook(src: ActiveSet, kernel: int, dst: ActiveSet | None = None, st
     return Rulebook(k, fwd, src, dst)
 
 
-def _gather_rows(a: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Rows of ``a`` plus one zero row, gathered along ``table`` into [rows, K * channels]."""
+def _gather_rows(a: np.ndarray, table: np.ndarray, tap_minor: bool = False) -> np.ndarray:
+    """Rows of ``a`` plus one zero row, gathered along ``table`` into [rows, K * channels]:
+    columns (o, c), or (c, o) with ``tap_minor``."""
+    m, k = table.shape
     padded = np.concatenate([a, np.zeros((1, a.shape[1]), dtype=a.dtype)])
-    return np.take(padded, table, axis=0).reshape(table.shape[0], table.shape[1] * a.shape[1])
+    rows = np.take(padded, table, axis=0)  # [m, K, C]
+    return (rows.transpose(0, 2, 1) if tap_minor else rows).reshape(m, k * a.shape[1])
+
+
+# W' is copied in one pass while the weight fits in a core's L2 cache, and in blocks of
+# output channels that each read at most 512 KB of it beyond that. On a Xeon with 2 MB of
+# L2 per core (1 BLAS thread), [256, 256, 9] float64 took 1.45 ms in one pass and 0.51 ms
+# in blocks; at 128 channels and below one pass is the faster.
+_ONE_PASS_BYTES, _BLOCK_BYTES = 1 << 21, 1 << 19
+
+
+def _tap_major(wk: np.ndarray) -> np.ndarray:
+    """W' = ``wk`` [cout, cin, K] as a C-ordered [K, cout, cin] copy."""
+    if wk.nbytes <= _ONE_PASS_BYTES:
+        return np.ascontiguousarray(wk.transpose(2, 0, 1))
+    cout = wk.shape[0]
+    step = max(1, cout * _BLOCK_BYTES // wk.nbytes)
+    out = np.empty((wk.shape[2], cout, wk.shape[1]), dtype=wk.dtype)
+    for c0 in range(0, cout, step):
+        out[:, c0 : c0 + step] = wk[c0 : c0 + step].transpose(2, 0, 1)
+    return out
 
 
 def _apply_rulebook(x: DiffTensor, w: DiffTensor, rb: Rulebook) -> DiffTensor:
     """One gather-GEMM along the rulebook's neighbour tables; differentiable.
 
-    Forward: ``x_pad[fwd].reshape(M, K*Cin) @ W`` with ``W[(o, ci), co] =
-    w[co, ci, o]``. Backward re-gathers instead of keeping that matrix:
-    the weight gradient is ``g.T @ x_pad[fwd]`` and the input gradient
-    ``g_pad[inv].reshape(num_in, K*Cout) @ W'`` with ``W'[(o, co), ci] =
-    w[co, ci, o]``.
+    Forward: ``R @ W`` with the M gathered rows ``R`` of ``x_pad[fwd]``. Only
+    the smaller operand is relaid out. With fewer output rows than output
+    channels (M < Cout, so R is smaller than the weight), ``R`` takes the
+    weight's own column order, ``R[q, (ci, o)] = x_pad[fwd[q, o], ci]``, and
+    ``W = w.reshape(cout, cin*K).T`` is the weight as stored. Otherwise
+    ``R[q, (o, ci)]`` is the gather as it comes and ``W[(o, ci), co] =
+    w[co, ci, o]`` a copy. Backward re-gathers ``R`` instead of keeping it:
+    the weight gradient is ``g.T @ R`` in ``R``'s column order, and the input
+    gradient ``g_pad[inv].reshape(num_in, K*Cout) @ W'`` with ``W'[(o, co), ci]
+    = w[co, ci, o]``.
     """
     cout, cin, kh, kw = w.shape
     if x.shape[1] != cin:
@@ -248,21 +275,21 @@ def _apply_rulebook(x: DiffTensor, w: DiffTensor, rb: Rulebook) -> DiffTensor:
     fwd = rb.fwd
     k = kh * kw
     wk = w.data.reshape(cout, cin, k)
+    as_stored = rb.num_out < cout
+    # W.T as [co, cols of R]: the weight as stored, or a copy that swaps only its inner
+    # axes, which moves whole runs of the weight and is several times faster than building W
+    w_t = w.data.reshape(cout, cin * k) if as_stored else wk.transpose(0, 2, 1).reshape(cout, k * cin)
 
-    def w_rows():
-        # W.T = w as [co, (o, ci)]: swapping only the inner axes moves whole runs
-        # of the weight and copies several times faster than building W itself
-        return wk.transpose(0, 2, 1).reshape(cout, k * cin)
-
-    out = DiffTensor(_gather_rows(x.data, fwd) @ w_rows().T)
+    out = DiffTensor(_gather_rows(x.data, fwd, as_stored) @ w_t.T)
 
     def backward_fn(g):
         if x.requires_grad:
-            w_in = np.ascontiguousarray(wk.transpose(2, 0, 1)).reshape(k * cout, cin)  # W', in one copy
-            accumulate_grad(x, _gather_rows(g, rb.inv()) @ w_in)
+            accumulate_grad(x, _gather_rows(g, rb.inv()) @ _tap_major(wk).reshape(k * cout, cin))
         if w.requires_grad:
-            gw = g.T @ _gather_rows(x.data, fwd)  # [cout, (o, ci)]
-            accumulate_grad(w, np.ascontiguousarray(gw.reshape(cout, k, cin).transpose(0, 2, 1)).reshape(w.shape))
+            gw = g.T @ _gather_rows(x.data, fwd, as_stored)
+            if not as_stored:  # [co, (o, ci)] -> w's [co, (ci, o)]
+                gw = np.ascontiguousarray(gw.reshape(cout, k, cin).transpose(0, 2, 1))
+            accumulate_grad(w, gw.reshape(w.shape))
 
     return record_op(out, (x, w), backward_fn)
 

@@ -421,7 +421,9 @@ def _check_arrays(ckpt: Checkpoint, shapes: dict):
 def _decode_config(decode, d, what: str):
     try:
         return decode(d)
-    except (ValueError, TypeError, MemoryError) as e:  # a missing, unknown or ill-typed key, or no room for the store
+    # a missing, unknown or ill-typed key, a store array that the file lacks or holds
+    # at another shape, or no room for the store
+    except (ValueError, TypeError, MemoryError) as e:
         raise CheckpointError(f"bad {what} config in checkpoint: {e}") from e
 
 
@@ -431,14 +433,14 @@ def model_from_checkpoint(ckpt: Checkpoint):
     Stored optimizer moments are checked for presence and shape either way."""
     if ckpt.config.get("kind") != "spark":
         raise CheckpointError(f"not a model checkpoint (kind={ckpt.config.get('kind')!r})")
-    # no init draws: load_state_arrays replaces every array
-    model = _decode_config(lambda d: SparkModel(SparkConfig.from_dict(d), None), ckpt.config.get("model"), "model")
+    # the store takes each array as decoded, checking its name and shape; nothing is drawn or zero-filled
+    model = _decode_config(lambda d: SparkModel(SparkConfig.from_dict(d), ckpt.arrays),
+                           ckpt.config.get("model"), "model")
     names = list(model.params.keys())
     shapes = {name: arr.shape for name, arr in model.state_arrays().items()}
     if f"opt.m.{names[0]}" in ckpt.shapes:
         shapes.update({f"opt.{k}.{n}": model.params[n].shape for k in "mv" for n in names})
     _check_arrays(ckpt, shapes)
-    model.load_state_arrays(ckpt.arrays)
     opt = None
     if f"opt.m.{names[0]}" in ckpt.arrays:  # stored and decoded
         opt = OptimizerState([model.params[n].shape for n in names])
@@ -459,8 +461,7 @@ def dense_encoder_from_checkpoint(ckpt: Checkpoint) -> DenseEncoder:
         if not _is_count(size):
             raise CheckpointError(f"dense-encoder checkpoint with ape has no non-negative integer image_size "
                                   f"({size!r})")
-    dense = _decode_config(lambda d: DenseEncoder(EncoderConfig.from_dict(d), size, None),
+    dense = _decode_config(lambda d: DenseEncoder(EncoderConfig.from_dict(d), size, ckpt.arrays),
                            ckpt.config.get("encoder"), "encoder")
     _check_arrays(ckpt, {name: arr.shape for name, arr in dense.state_arrays().items()})
-    dense.load_state_arrays(ckpt.arrays)
     return dense

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from sparsemim import autograd as ag
+from sparsemim import cli
 from sparsemim import model as model_module
 from sparsemim import training
 from sparsemim.cli import PRETRAIN, main
@@ -55,6 +56,22 @@ class TestPretrain:
         header, *rows = (out / "metrics.csv").read_text().splitlines()
         assert header == "step,lr,loss" and [row.split(",")[0] for row in rows] == ["0"]
         assert not (out / "final.ckpt").exists()
+
+    def test_each_row_on_disk_when_log_returns(self, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        seen = []
+
+        def train(model, dataset, cfg, log):
+            def log_and_read(row):
+                log(row)
+                seen.append((out / "metrics.csv").read_text().splitlines())
+                assert seen[-1][-1] == f"{row['step']},{row['lr']:.10g},{row['loss']:.17g}"
+            return training.train(model, dataset, cfg, log=log_and_read)
+
+        monkeypatch.setattr(cli, "train", train)
+        assert run_pretrain(out, extra=["--steps", "3"]) == 0
+        assert [len(lines) for lines in seen] == [2, 3, 4]
+        assert seen[-1] == (out / "metrics.csv").read_text().splitlines()
 
     def test_mask_ratio_one_rejected(self, tmp_path, capsys):
         code = run_pretrain(tmp_path / "bad", extra=["--mask-ratio", "1.0"])

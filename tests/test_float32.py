@@ -197,9 +197,8 @@ FORWARD_BOUND = 1e-5
 @pytest.mark.parametrize("masking", ["sparse", "zero_out"])
 def test_float32_forward_matches_float64(masking):
     model64 = tiny_model(masking)
-    model32 = SparkModel(model64.cfg, None)
-    model32.load_state_arrays({k: v.astype(np.float32) if k in model64.params else v
-                               for k, v in model64.state_arrays().items()})
+    model32 = SparkModel(model64.cfg, {k: v.astype(np.float32) if k in model64.params else v
+                                       for k, v in model64.state_arrays().items()})
     images = np.stack([synth_dataset(4, 32, seed=7).pixels(i) for i in range(2)])
     masks = [generate_mask(4, 4, 0.6, np.random.default_rng(s), patch_size=8) for s in (1, 2)]
     with ag.no_grad():

@@ -13,6 +13,7 @@ from scipy import ndimage
 import sparsemim
 from sparsemim import autograd as ag
 from sparsemim.masking import (
+    EPS_STD,
     PatchMask,
     active_set_at_scale,
     erosion_profile,
@@ -146,6 +147,16 @@ class TestPerPatchNormalize:
     def test_non_divisible_rejected(self):
         with pytest.raises(ValueError, match="divisible"):
             per_patch_normalize(np.zeros((1, 3, 10, 10)), 4)
+
+    @pytest.mark.parametrize("shape, p", [((2, 3, 32, 32), 8), ((1, 3, 8, 8), 8), ((1, 3, 224, 224), 32)])
+    def test_patch_stats_match_the_multi_axis_reductions(self, shape, p):
+        img = np.random.default_rng(11).random(shape)
+        before = img.copy()
+        mean, denom = patch_stats(img, p)
+        tiles = img.reshape(shape[0], 3, shape[2] // p, p, shape[3] // p, p)
+        np.testing.assert_allclose(mean, tiles.mean(axis=(1, 3, 5)), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(denom, np.sqrt(tiles.var(axis=(1, 3, 5)) + EPS_STD ** 2), rtol=0, atol=1e-14)
+        np.testing.assert_array_equal(img, before)  # the reductions run on a copy, even of a one-patch image
 
     def test_denormalize_round_trip(self):
         rng = np.random.default_rng(9)

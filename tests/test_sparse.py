@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sparsemim import autograd as ag
+from sparsemim import sparse
 from sparsemim.sparse import (
     ActiveSet,
     SparseTensor2D,
@@ -303,6 +304,73 @@ class TestBatchedGradients:
         np.testing.assert_allclose(out.features.data, yd.data[tb, :, tc[:, 0], tc[:, 1]], rtol=0, atol=1e-12)
         np.testing.assert_allclose(feats.grad, xd.grad[batch, :, coords[:, 0], coords[:, 1]], rtol=0, atol=1e-12)
         np.testing.assert_allclose(ws.grad, wd.grad, rtol=0, atol=1e-12)
+
+
+class TestOperandOrder:
+    """A sparse conv multiplies the weight as stored when it has fewer output rows
+    than output channels and relays it out otherwise; both orders, and an empty
+    output set, match the dense conv forward and in both gradients."""
+
+    # (output rows M against output channels, rows per sample, cin, cout)
+    ORDERS = {"rows_fewer": (2, 3, 12), "rows_more": (7, 3, 2), "empty": (0, 2, 5)}
+
+    @pytest.mark.parametrize("order", sorted(ORDERS))
+    @pytest.mark.parametrize("kind", ["subm1", "subm3", "down2", "down3"])
+    def test_matches_dense(self, kind, order, monkeypatch):
+        per_sample, cin, cout = self.ORDERS[order]
+        gathers, gather = [], sparse._gather_rows  # tap_minor of the forward's and the weight gradient's gathers
+
+        def recording(a, table, tap_minor=False):
+            if table is rb.fwd:
+                gathers.append(tap_minor)
+            return gather(a, table, tap_minor)
+
+        monkeypatch.setattr(sparse, "_gather_rows", recording)
+        rng = np.random.default_rng(sum(map(ord, kind + order)))
+        n, h, w, k = 2, 6, 6, int(kind[-1])
+        sets = [np.array(sorted(map(tuple, rng.permutation(np.argwhere(np.ones((h, w))))[:per_sample])),
+                         dtype=np.int64).reshape(-1, 2) for _ in range(n)]
+        sites = ActiveSet.stack(h, w, sets)
+        coords, batch = sites.coords, sites.batch
+        x = rng.normal(size=(len(sites), cin))
+        wt = rng.normal(size=(cout, cin, k, k))
+        dense_x = np.zeros((n, cin, h, w))
+        dense_x[batch, :, coords[:, 0], coords[:, 1]] = x
+        if kind.startswith("subm"):
+            stride, pad, rb = 1, k // 2, build_rulebook(sites, k)
+        else:
+            stride, pad = 2, k - 2
+            reach = ag.conv2d(ag.tensor((dense_x != 0).any(axis=1, keepdims=True).astype(float)),
+                              ag.tensor(np.ones((1, 1, k, k))), stride=2, padding=pad).data[:, 0]
+            t = np.argwhere(reach > 0)
+            rb = build_rulebook(sites, k, ActiveSet(reach.shape[1], reach.shape[2], t[:, 1:], t[:, 0]),
+                                stride=2, padding=pad)
+        assert (rb.num_out == 0) if order == "empty" else ((rb.num_out < cout) == (order == "rows_fewer"))
+
+        feats, ws = ag.tensor(x, requires_grad=True), ag.tensor(wt, requires_grad=True)
+        sp = SparseTensor2D(sites, feats)
+        out = subm_conv2d(sp, ws, rb) if stride == 1 else sparse_downsample(sp, ws, rb)
+        gout = rng.normal(size=out.features.shape)
+        ag.backward(ag.sum_over(ag.mul(out.features, ag.tensor(gout))))
+        xd, wd = ag.tensor(dense_x, requires_grad=True), ag.tensor(wt, requires_grad=True)
+        yd = ag.conv2d(xd, wd, stride=stride, padding=pad)
+        tb, tc = rb.dst.batch, rb.dst.coords
+        gdense = np.zeros(yd.shape)
+        gdense[tb, :, tc[:, 0], tc[:, 1]] = gout
+        ag.backward(ag.sum_over(ag.mul(yd, ag.tensor(gdense))))
+        assert out.features.shape == (rb.num_out, cout)
+        assert np.abs(out.features.data - yd.data[tb, :, tc[:, 0], tc[:, 1]]).max(initial=0.0) < 1e-9
+        assert np.abs(feats.grad - xd.grad[batch, :, coords[:, 0], coords[:, 1]]).max(initial=0.0) < 1e-9
+        assert ws.grad.flags.c_contiguous and np.abs(ws.grad - wd.grad).max() < 1e-9
+        assert gathers == [order != "rows_more"] * 2
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("width", [64, 256])  # one copy, and blocks of output channels
+    def test_tap_major_weight_copy_is_exact(self, dtype, width):
+        wk = np.random.default_rng(width).normal(size=(width, width, 9)).astype(dtype)
+        got = sparse._tap_major(wk)
+        assert got.flags.c_contiguous and got.dtype == dtype
+        assert np.array_equal(got, wk.transpose(2, 0, 1))
 
 
 class TestSubmConv:

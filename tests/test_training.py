@@ -5,6 +5,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 import types
 import weakref
 
@@ -482,6 +483,26 @@ class TestCheckpoint:
         assert opt3 is None
         for (n2, a2), (n3, a3) in zip(m2.state_arrays().items(), m3.state_arrays().items()):
             assert n2 == n3 and a2.tobytes() == a3.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_takes_the_decoded_arrays_without_allocating_a_store(self, tmp_path, dtype):
+        # a decoder-heavy model: 3.9M values, 32 MB as a float64 store
+        enc = EncoderConfig(stages=2, widths=(64, 256), blocks_per_stage=1)
+        model = SparkModel(SparkConfig(encoder=enc, image_size=32, patch_size=8, dec_fea_dim=256),
+                           np.random.default_rng(0))
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model_checkpoint_arrays(model), {"kind": "spark", "model": model.cfg.to_dict()})
+        ck = load_checkpoint(p, dtype=dtype)
+        tracemalloc.start()
+        try:
+            loaded, _ = model_from_checkpoint(ck)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the largest transient is the finite check of one array, 1 byte per value
+        assert peak < max(a.size for a in ck.arrays.values()) + (256 << 10)
+        for name, param in loaded.params.items():
+            assert param.data.dtype == dtype and np.shares_memory(param.data, ck.arrays[name])
 
 
 def write_raw_checkpoint(path, header, payload=b""):
