@@ -28,11 +28,14 @@ Every convolution is lowered to GEMMs one way, the row-shift lowering of MEC
 column-shifted copies of the padded input, from which each kernel row reads
 one contiguous window, so the lowered matrix holds ``kw`` copies of the input
 rather than im2col's ``kh*kw``. Its forward, weight gradient and input
-gradient all run on that one kernel; both gradients read the row shifts of
-the output gradient, so a convolution saves only its input and weight for the
-backward, not the lowered matrix. A strided convolution is the stride-1
-correlation of the input's space-to-depth with the weight's, and the x2
-transposed convolution is the input adjoint of a stride-2 convolution.
+gradient all run on that one kernel, one block of output columns at a time;
+a matrix larger than ``_ONE_PASS_BYTES`` is never built whole, only each
+block's slab of the rows it reads, with the same bits. Both gradients read
+the row shifts of the output gradient, so a convolution saves only its input
+and weight for the backward, not the lowered matrix. A strided convolution
+is the stride-1 correlation of the input's space-to-depth with the weight's
+(rebuilt in the backward, not saved), and the x2 transposed convolution is
+the input adjoint of a stride-2 convolution.
 Batch norm carries its activation (``clamp``: None, ``np.inf`` for ReLU,
 ``6.0`` for ReLU6), so a normalise-and-activate layer is one tape node.
 """
@@ -58,6 +61,7 @@ __all__ = [
     "square",
     "sum_over",
     "mean_over",
+    "mse",
     "conv2d",
     "conv_transpose2d",
     "batchnorm2d",
@@ -327,6 +331,38 @@ def mean_over(x: DiffTensor, over=None) -> DiffTensor:
     return record_op(out, (x,), backward_fn)
 
 
+def mse(x: DiffTensor, target: np.ndarray, over=None) -> DiffTensor:
+    """Mean of ``(x - target)**2`` over every entry, or (``over`` a boolean array
+    broadcastable to ``x``'s shape) over the selected entries; ``target`` is a
+    constant array of ``x``'s shape. One tape node, which keeps only the difference.
+
+    The same arithmetic, in the same order, as :func:`mean_over` of
+    :func:`square` of :func:`sub`, so the loss and its gradient keep their bits.
+    """
+    if target.shape != x.shape:
+        raise ValueError(f"mse: shape mismatch {tuple(x.shape)} vs {tuple(target.shape)}")
+    if over is not None and not (isinstance(over, np.ndarray) and over.dtype == bool):
+        raise ValueError(f"mse: over must be None or a boolean mask, got {type(over).__name__}")
+    d = x.data - target
+    if over is None:
+        count, mask, sq = d.size, None, d * d
+    else:
+        mask = np.broadcast_to(over, d.shape)
+        count = int(mask.sum())
+        if count == 0:
+            raise ValueError("mse: empty selection mask")
+        sq = d[mask]  # squared after selection: the same squares, in the same order
+        sq *= sq
+    out = DiffTensor(sq.sum() / count)
+
+    def backward_fn(g):
+        # the gradient 2.0 * d * (g / count) [* mask] is formed in d, which nothing else holds
+        np.multiply(d, 2.0, out=d)
+        accumulate_grad(x, np.multiply(d, g / count if mask is None else (float(g) / count) * mask, out=d))
+
+    return record_op(out, (x,), backward_fn)
+
+
 # ---------------------------------------------------------------------------
 # convolutions
 # ---------------------------------------------------------------------------
@@ -337,10 +373,18 @@ def mean_over(x: DiffTensor, over=None) -> DiffTensor:
 # cache. On the paper decoder's 56-224 px layers (batch 4, one BLAS thread),
 # 4096 beat 1024, 2048 and 8192.
 _CORR_BLOCK = 4096
+# Largest row-shift matrix (bytes) built whole. A larger one is built one block
+# at a time, as the slab of rows that the block's kh windows read. A paper
+# step (batch 4) blocks its 112 and 224 px decoder layers (9.3-18.5 MiB); at
+# 16 MiB only the 224 px ones blocked and its peak RSS was 3 MB higher. The
+# desk recipe (at most 6.2 MiB) and a float32 batch-1 paper forward never
+# block: blocking desk's small backward matrices slowed its step 1.07x.
+_ONE_PASS_BYTES = 8 << 20
 
 
-def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
-    """[N,C,H,W] -> M = [N, C*kw, Hp*Wo], the row-shift lowering of a stride-1 correlation.
+def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int, a: int = 0, b: int | None = None) -> np.ndarray:
+    """[N,C,H,W] -> M[:, :, a*Wo:b*Wo], rows a..b of the row-shift lowering M = [N, C*kw, Hp*Wo]
+    of a stride-1 correlation (all of it by default).
 
     ``M[n, c*kw + j, r*Wo + q] = xp[n, c, r, q + j]``, where ``xp`` is ``x``
     zero-padded by (ph, pw) (a negative amount crops), ``Hp = H + 2*ph`` and
@@ -350,19 +394,43 @@ def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int) -> np.ndarray:
     then a view of ``x``; that is safe because no op writes its inputs in place.
     """
     n, c, h, w = x.shape
-    if kw == 1 and ph == pw == 0:
-        return x.reshape(n, c, h * w)
     hp, wo = h + 2 * ph, w + 2 * pw - kw + 1
-    m = np.empty((n, c, kw, hp, wo), dtype=x.dtype)
-    r0, r1 = max(ph, 0), min(hp, h + ph)
-    m[:, :, :, :r0] = 0  # only the pad is zeroed; the copies fill the rest
-    m[:, :, :, r1:] = 0
+    b = hp if b is None else b
+    if kw == 1 and ph == pw == 0:
+        return x.reshape(n, c, h * w)[:, :, a * w : b * w]
+    m = np.empty((n, c, kw, b - a, wo), dtype=x.dtype)
+    r0 = min(max(ph, a), b)  # rows r0..r1 hold x; only the pad around them is zeroed
+    r1 = max(min(h + ph, b), r0)
+    m[:, :, :, : r0 - a] = 0
+    m[:, :, :, r1 - a :] = 0
     for j in range(kw):
         q0, q1 = max(pw - j, 0), min(wo, w + pw - j)
-        m[:, :, j, r0:r1, :q0] = 0
-        m[:, :, j, r0:r1, q1:] = 0
-        m[:, :, j, r0:r1, q0:q1] = x[:, :, r0 - ph : r1 - ph, q0 + j - pw : q1 + j - pw]
-    return m.reshape(n, c * kw, hp * wo)
+        m[:, :, j, r0 - a : r1 - a, :q0] = 0
+        m[:, :, j, r0 - a : r1 - a, q1:] = 0
+        m[:, :, j, r0 - a : r1 - a, q0:q1] = x[:, :, r0 - ph : r1 - ph, q0 + j - pw : q1 + j - pw]
+    return m.reshape(n, c * kw, (b - a) * wo)
+
+
+def _slabs(x: np.ndarray, kh: int, kw: int, ph: int, pw: int, cols: int):
+    """Per block of ``_CORR_BLOCK`` output columns ``s..e`` of a stride-1 kh x kw correlation
+    of ``x`` padded by (ph, pw), in ascending order: ``(s, e, slab, o)``.
+
+    Kernel row ``i`` reads ``slab[:, :, o + i*Wo : o + i*Wo + e - s]``, the window
+    ``M[:, :, i*Wo + s : i*Wo + e]`` of the row shifts ``M``. If ``M`` fits in
+    ``_ONE_PASS_BYTES`` it is built once and every slab is ``M``; otherwise
+    each slab holds only the rows of ``M`` that its block reads.
+    """
+    n, c, h, w = x.shape
+    wo = w + 2 * pw - kw + 1
+    whole = n * c * kw * (h + 2 * ph) * wo * x.itemsize <= _ONE_PASS_BYTES
+    m = _row_shifts(x, kw, ph, pw) if whole else None
+    for s in range(0, cols, _CORR_BLOCK):
+        e = min(s + _CORR_BLOCK, cols)
+        if whole:
+            yield s, e, m, s
+        else:
+            a = s // wo
+            yield s, e, _row_shifts(x, kw, ph, pw, a, (e - 1) // wo + kh), s - a * wo
 
 
 def _kernel_rows(w: np.ndarray) -> np.ndarray:
@@ -371,39 +439,38 @@ def _kernel_rows(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(w.transpose(2, 0, 1, 3)).reshape(kh, cout, c * kw)
 
 
-def _corr_rows(m: np.ndarray, wr: np.ndarray, ho: int, wo: int) -> np.ndarray:
-    """Stride-1 correlation from row shifts: ``sum_i wr[i] @ M[:, :, i*Wo:(i+Ho)*Wo]`` -> [N, Cout, Ho*Wo].
-
-    Summed one block of ``_CORR_BLOCK`` output columns at a time, kernel rows
-    in ascending order.
-    """
-    kh, cout, _ = wr.shape
-    cols = ho * wo
-    out = np.empty((m.shape[0], cout, cols), dtype=np.result_type(m, wr))
-    for s in range(0, cols, _CORR_BLOCK):
-        e = min(s + _CORR_BLOCK, cols)
-        blk = out[:, :, s:e]
-        np.matmul(wr[0], m[:, :, s:e], out=blk)
-        for i in range(1, kh):
-            blk += np.matmul(wr[i], m[:, :, i * wo + s : i * wo + e])
-    return out
+def _corr_block(blk: np.ndarray, wr: np.ndarray, slab: np.ndarray, o: int, wo: int):
+    """``blk = sum_i wr[i] @ slab[:, :, o + i*Wo : o + i*Wo + width]``, kernel rows in ascending order."""
+    e = o + blk.shape[2]
+    np.matmul(wr[0], slab[:, :, o:e], out=blk)
+    for i in range(1, wr.shape[0]):
+        blk += np.matmul(wr[i], slab[:, :, i * wo + o : i * wo + e])
 
 
 def _corr(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
-    """Stride-1 correlation of [N,C,H,W] with [Cout,C,kh,kw], zero padding ``padding`` -> [N, Cout, Ho, Wo]."""
+    """Stride-1 correlation of [N,C,H,W] with [Cout,C,kh,kw], zero padding ``padding`` -> [N, Cout, Ho, Wo].
+
+    Row shifts: ``sum_i wr[i] @ M[:, :, i*Wo:(i+Ho)*Wo]``, summed one block of
+    output columns at a time.
+    """
     n = x.shape[0]
     cout, _, kh, kw = w.shape
     ho, wo = x.shape[2] + 2 * padding - kh + 1, x.shape[3] + 2 * padding - kw + 1
-    return _corr_rows(_row_shifts(x, kw, padding, padding), _kernel_rows(w), ho, wo).reshape(n, cout, ho, wo)
+    wr = _kernel_rows(w)
+    out = np.empty((n, cout, ho * wo), dtype=np.result_type(x, wr))
+    for s, e, slab, o in _slabs(x, kh, kw, padding, padding, ho * wo):
+        _corr_block(out[:, :, s:e], wr, slab, o, wo)
+    return out.reshape(n, cout, ho, wo)
 
 
 def _corr_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int, need_x: bool, need_w: bool):
     """Input and weight gradients of :func:`_corr` of ``x`` for output gradient ``g`` (None where not needed).
 
     Both run on the row shifts ``gm`` of ``g`` padded by (kh-1-p, kw-1-p), so
-    the forward's own lowering need not be kept. The input gradient is the
-    correlation of that padded ``g``, ``gp``, with the kernel flipped in both
-    spatial axes and its channel axes swapped. The weight gradient is
+    the forward's own lowering need not be kept, and both read each block's
+    slab of ``gm`` as it is built. The input gradient is the correlation of
+    that padded ``g``, ``gp``, with the kernel flipped in both spatial axes and
+    its channel axes swapped. The weight gradient is
 
         gw[co, c, a, b] = sum_{n,y,q} x[n, c, y, q] * gp[n, co, y+kh-1-a, q+kw-1-b],
 
@@ -414,20 +481,22 @@ def _corr_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int, need_
     n, cout, ho, wo = g.shape
     _, c, kh, kw = w.shape
     h, wd = ho - 2 * padding + kh - 1, wo - 2 * padding + kw - 1
-    gm = _row_shifts(g, kw, kh - 1 - padding, kw - 1 - padding)
-    gx = gw = None
+    gx = gr = None
     if need_w:
         xf = x.reshape(n, c, h * wd)
-        gr = np.zeros((kh, c, cout * kw), dtype=np.result_type(x, gm))
-        for s in range(0, h * wd, _CORR_BLOCK):
-            e = min(s + _CORR_BLOCK, h * wd)
-            for i in range(kh):
-                gr[i] += np.matmul(xf[:, :, s:e], gm[:, :, i * wd + s : i * wd + e].transpose(0, 2, 1)).sum(axis=0)
-        gw = gr.reshape(kh, c, cout, kw)[::-1, :, :, ::-1].transpose(2, 1, 0, 3)
+        gr = np.zeros((kh, c, cout * kw), dtype=np.result_type(x, g))
     if need_x:
-        flipped = w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        gx = _corr_rows(gm, _kernel_rows(flipped), h, wd).reshape(n, c, h, wd)
-    return gx, gw
+        fr = _kernel_rows(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        gx = np.empty((n, c, h * wd), dtype=np.result_type(g, fr))
+    for s, e, slab, o in _slabs(g, kh, kw, kh - 1 - padding, kw - 1 - padding, h * wd):
+        if need_w:
+            for i in range(kh):
+                win = slab[:, :, i * wd + o : i * wd + o + e - s]
+                gr[i] += np.matmul(xf[:, :, s:e], win.transpose(0, 2, 1)).sum(axis=0)
+        if need_x:
+            _corr_block(gx[:, :, s:e], fr, slab, o, wd)
+    gw = None if gr is None else gr.reshape(kh, c, cout, kw)[::-1, :, :, ::-1].transpose(2, 1, 0, 3)
+    return (None if gx is None else gx.reshape(n, c, h, wd)), gw
 
 
 def _phases(s: int, p: int, size, blocks):
@@ -484,7 +553,8 @@ def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: in
     [Cout, Cin*s*s, kh', kw'], kh' = ceil(kh/s), the weight zero-filled up to
     a multiple of s. At stride 1 both are views and the row shifts pad. The
     correlation and its gradients run on the row-shift kernel; depth-to-space,
-    the exact adjoint, maps the gradients back.
+    the exact adjoint, maps the gradients back. The backward keeps ``x``
+    itself and rebuilds its space-to-depth when the weight needs a gradient.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be 4-d [N,C,H,W], got {x.ndim}-d")
@@ -507,14 +577,16 @@ def conv2d(x: DiffTensor, w: DiffTensor, b: DiffTensor | None = None, stride: in
 
     s, khs, kws = stride, -(-kh // stride), -(-kw // stride)
     pc, ps = (padding, 0) if s == 1 else (0, padding)  # padding of the correlation, of the space-to-depth
-    ws = _s2d(w.data, s, 0, khs, kws)
-    xs = _s2d(x.data, s, ps, ho + khs - 1 - 2 * pc, wo + kws - 1 - 2 * pc)
-    y = _corr(xs, ws, pc)
+    hb, wb = ho + khs - 1 - 2 * pc, wo + kws - 1 - 2 * pc
+    xd, ws = x.data, _s2d(w.data, s, 0, khs, kws)
+    y = _corr(_s2d(xd, s, ps, hb, wb), ws, pc)
     if b is not None:
         y += b.data[:, None, None]
     out = DiffTensor(y)
 
     def backward_fn(g):
+        # the space-to-depth of x is rebuilt, not kept: at stride 1 it is a view
+        xs = _s2d(xd, s, ps, hb, wb) if w.requires_grad else None
         gx, gw = _corr_grads(g, xs, ws, pc, x.requires_grad, w.requires_grad)
         if gw is not None:
             accumulate_grad(w, _d2s(gw, s, 0, kh, kw))

@@ -104,11 +104,13 @@ def save_ppm(path, img: np.ndarray):
     img = np.asarray(img, dtype=np.float64)
     if img.ndim != 3 or img.shape[0] != 3:
         raise PpmError(f"save_ppm: expected [3,H,W] array, got {img.shape}")
-    q = np.clip(np.floor(img * 255.0 + 0.5), 0, 255).astype(np.uint8)
     h, w = img.shape[1], img.shape[2]
+    buf = np.multiply(img.transpose(1, 2, 0), 255.0, out=np.empty((h, w, 3)))  # quantized in place, HWC
+    buf += 0.5
+    np.floor(buf, out=buf)
+    np.clip(buf, 0, 255, out=buf)
     with open(path, "wb") as f:
-        f.write(f"P6\n{w} {h}\n255\n".encode("ascii"))
-        f.write(q.transpose(1, 2, 0).tobytes())
+        f.write(f"P6\n{w} {h}\n255\n".encode("ascii") + buf.astype(np.uint8).tobytes())
 
 
 # ---------------------------------------------------------------------------

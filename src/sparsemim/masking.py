@@ -143,12 +143,13 @@ def per_patch_normalize(img: np.ndarray, patch_size: int) -> np.ndarray:
     data = np.asarray(img, dtype=np.float64)
     mean, denom = patch_stats(data, patch_size)
     tiles = data.reshape(data.shape[0], data.shape[1], mean.shape[1], patch_size, mean.shape[2], patch_size)
-    out = (tiles - mean[:, None, :, None, :, None]) / denom[:, None, :, None, :, None]
+    out = tiles - mean[:, None, :, None, :, None]
+    out /= denom[:, None, :, None, :, None]
     # exactly constant patches map to exactly zero (mean rounding would
     # otherwise leave an eps-amplified residual)
     const = tiles.max(axis=(1, 3, 5)) == tiles.min(axis=(1, 3, 5))
     if const.any():
-        out = np.where(const[:, None, :, None, :, None], 0.0, out)
+        np.copyto(out, 0.0, where=const[:, None, :, None, :, None])
     return out.reshape(data.shape)
 
 

@@ -522,13 +522,12 @@ def spark_loss(model: SparkModel, recon: DiffTensor, images: np.ndarray, masks) 
     ``images`` (constant targets, no gradient), over the masked pixels, or over
     every pixel when ``model.cfg.loss_on`` is "all"."""
     masks = _normalize_masks(masks, images.shape[0], model.cfg.patch_size)
-    targets = DiffTensor(per_patch_normalize(images, model.cfg.patch_size))
+    targets = per_patch_normalize(images, model.cfg.patch_size)
     if recon.shape != targets.shape:
         raise ValueError(f"spark_loss: reconstruction {tuple(recon.shape)} != targets {tuple(targets.shape)}")
-    sq = ag.square(ag.sub(recon, targets))
     if model.cfg.loss_on == "all":
-        return ag.mean_over(sq)
-    return ag.mean_over(sq, np.stack([masked_pixel_map(m) for m in masks])[:, None, :, :])
+        return ag.mse(recon, targets)
+    return ag.mse(recon, targets, np.stack([masked_pixel_map(m) for m in masks])[:, None, :, :])
 
 
 # ---------------------------------------------------------------------------

@@ -80,6 +80,14 @@ def suite_gradcheck():
     msel = rng.random((3, 3)) < 0.5
     ok &= check("mean_over(mask)", lambda t: ag.mean_over(ag.square(t[0]), msel), [xa], 1e-6)
 
+    # add_broadcast and mse draw from their own generator, so no other check's inputs move
+    brng = np.random.default_rng(44)
+    xp, pe = (ag.tensor(brng.normal(size=s), requires_grad=True) for s in ((2, 3, 4, 4), (1, 3, 1, 4)))
+    ok &= check("add_broadcast", lambda t: ag.mean_over(ag.square(ag.add_broadcast(t[0], t[1]))), [xp, pe], 1e-6)
+    mtgt, msel4 = brng.normal(size=(2, 3, 4, 4)), brng.random((2, 1, 4, 4)) < 0.5
+    ok &= check("mse", lambda t: ag.mse(t[0], mtgt), [xp], 1e-6)
+    ok &= check("mse(mask)", lambda t: ag.mse(t[0], mtgt, msel4), [xp], 1e-6)
+
     # composite: conv -> bn with relu6 -> mse against a fixed target
     st2 = ag.BatchNormState(3)
     tgt = rng.normal(size=(2, 3, 5, 5))

@@ -232,7 +232,13 @@ class TestConvGradientForms:
                     for pw in range(-1, 4):
                         if h + 2 * ph < 1 or w + 2 * pw - kw + 1 < 1:
                             continue
-                        assert np.array_equal(ag._row_shifts(x, kw, ph, pw), zero_filled(x, kw, ph, pw))
+                        whole = zero_filled(x, kw, ph, pw)
+                        assert np.array_equal(ag._row_shifts(x, kw, ph, pw), whole)
+                        # every slab of rows a..b is those rows of the whole matrix
+                        wo = w + 2 * pw - kw + 1
+                        for a in range(h + 2 * ph):
+                            for b in range(a + 1, h + 2 * ph + 1):
+                                assert np.array_equal(ag._row_shifts(x, kw, ph, pw, a, b), whole[:, :, a * wo : b * wo])
                         cases += 1
         assert cases > 200
 
@@ -289,6 +295,91 @@ class TestConvGradientForms:
         assert ag.grad_check(f, [x, w, b]) <= 1e-4
 
 
+class TestBlockedLowering:
+    """Row shifts built one block's slab at a time give the bits of the whole matrix."""
+
+    @staticmethod
+    def _run(op, x, w, g, monkeypatch, cap, **kw):
+        """Forward, input and weight gradients of ``op`` with the one-pass cap at ``cap``;
+        also the row ranges of every row-shift build."""
+        built = []
+        row_shifts = getattr(ag._row_shifts, "__wrapped__", ag._row_shifts)  # not an earlier run's spy
+
+        def spy(x, kw, ph, pw, a=0, b=None):
+            built.append((a, b))
+            return row_shifts(x, kw, ph, pw, a, b)
+
+        spy.__wrapped__ = row_shifts
+
+        monkeypatch.setattr(ag, "_ONE_PASS_BYTES", cap)
+        monkeypatch.setattr(ag, "_row_shifts", spy)
+        xt, wt = ag.tensor(x, requires_grad=True), ag.tensor(w, requires_grad=True)
+        y = op(xt, wt, **kw)
+        ag.backward(ag.sum_over(ag.mul(y, ag.tensor(g))))
+        return (y.data, xt.grad, wt.grad), built
+
+    def _assert_same_bits(self, op, x, w, monkeypatch, **kw):
+        rng = np.random.default_rng(61)
+        with ag.no_grad():
+            shape = op(ag.tensor(x), ag.tensor(w), **kw).shape
+        g = rng.normal(size=shape)
+        whole, built_whole = self._run(op, x, w, g, monkeypatch, 1 << 62, **kw)
+        blocked, built_blocked = self._run(op, x, w, g, monkeypatch, 0, **kw)
+        for a, b in zip(whole, blocked):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert all(b is None for _, b in built_whole)
+        return built_blocked
+
+    # 70x67 and the stride-2 grid of 140x133 give Ho*Wo above the column block,
+    # no multiple of it, and block edges in mid-row (Wo does not divide 4096)
+    @pytest.mark.parametrize("k", [1, 3, 5])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv2d_blocked_matches_whole(self, k, pad, stride, monkeypatch):
+        rng = np.random.default_rng(60 + k)
+        h, wd = (70, 67) if stride == 1 else (140, 133)
+        x, w = rng.normal(size=(2, 3, h, wd)), rng.normal(size=(4, 3, k, k))
+        built = self._assert_same_bits(ag.conv2d, x, w, monkeypatch, stride=stride, padding=pad)
+        assert sum(b is not None for _, b in built) > 2
+
+    def test_conv_transpose2d_blocked_matches_whole(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        x, w = rng.normal(size=(2, 3, 70, 67)), rng.normal(size=(3, 2, 4, 4))
+        built = self._assert_same_bits(ag.conv_transpose2d, x, w, monkeypatch)
+        assert sum(b is not None for _, b in built) > 2
+
+    def test_cap_is_the_largest_matrix_built_whole(self, monkeypatch):
+        rng = np.random.default_rng(63)
+        x, w = rng.normal(size=(2, 3, 70, 67)), rng.normal(size=(4, 3, 3, 3))
+        g = rng.normal(size=(2, 4, 70, 67))
+        nbytes = x.shape[0] * x.shape[1] * 3 * 72 * 67 * x.itemsize  # the forward's M: C*kw rows of Hp*Wo
+        ref, _ = self._run(ag.conv2d, x, w, g, monkeypatch, 1 << 62, padding=1)
+        # the forward's slabs: each block's first row to its last row read by kernel row 2, plus one
+        slabs = [(s // 67, (min(s + ag._CORR_BLOCK, 70 * 67) - 1) // 67 + 3) for s in range(0, 70 * 67, ag._CORR_BLOCK)]
+        for cap, forward_builds in ((nbytes, [(0, None)]), (nbytes - 1, slabs)):
+            got, built = self._run(ag.conv2d, x, w, g, monkeypatch, cap, padding=1)
+            assert all(np.array_equal(a, b) for a, b in zip(ref, got))
+            assert built[: len(forward_builds)] == forward_builds
+
+    def test_large_conv_allocates_less_than_its_whole_matrix(self):
+        # [4,4,224,224] x [4,4,3,3], padding 1: the whole row-shift matrix is
+        # 4*12*226*224 float64, 19.4 MB; forward + backward stay under it
+        rng = np.random.default_rng(64)
+        x = ag.tensor(rng.normal(size=(4, 4, 224, 224)), requires_grad=True)
+        w = ag.tensor(rng.normal(size=(4, 4, 3, 3)), requires_grad=True)
+        whole = 4 * 12 * 226 * 224 * 8
+        assert whole > ag._ONE_PASS_BYTES
+        tracemalloc.start()
+        try:
+            ag.backward(ag.sum_over(ag.conv2d(x, w, padding=1)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            ag.active_tape().clear()
+        assert x.grad is not None and w.grad is not None
+        assert peak < whole, f"peak {peak / 1e6:.1f} MB"
+
+
 class TestConvSavedState:
     """What a recorded conv2d keeps for its backward, and its weight gradient alone."""
 
@@ -301,13 +392,12 @@ class TestConvSavedState:
         saved = [c.cell_contents for c in y.tape_node.backward_fn.__closure__ if isinstance(c.cell_contents, np.ndarray)]
         ag.active_tape().clear()
         ks = -(-k // stride)
+        # the input itself, at every stride: a strided conv's backward rebuilds its space-to-depth
+        inputs = [a for a in saved if a is x.data]
         if stride == 1:
-            inputs = [a for a in saved if a.size == x.size and np.shares_memory(a, x.data)]
             weights = [a for a in saved if a.size == w.size and np.shares_memory(a, w.data)]
-        else:  # the space-to-depth copies of both
-            xs = ag._s2d(x.data, stride, pad, y.shape[2] + ks - 1, y.shape[3] + ks - 1)
+        else:  # the weight's space-to-depth copy
             ws = ag._s2d(w.data, stride, 0, ks, ks)
-            inputs = [a for a in saved if a.shape == xs.shape and np.array_equal(a, xs)]
             weights = [a for a in saved if a.shape == ws.shape and np.array_equal(a, ws)]
         assert len(inputs) == len(weights) == 1 and len(saved) == 2
 
@@ -780,13 +870,16 @@ class TestBackwardReleases:
     def test_backward_peak_over_forward_held_memory(self):
         # One training step at the paper geometry (224 px, 32 px patches, 4
         # stages 32..256, 2 blocks, decoder 64), batch 2, numpy allocations
-        # above the model traced: the forward holds 75.5 MB and backward peaks
-        # at 77.9 MB (1.03x). With the tape holding every op output until
-        # backward returned, it peaked at 96.8 MB (1.28x). With each batch norm
-        # and its clamp as two tape nodes and every first gradient copied, it
-        # held 88.8 MB and peaked at 108.9 MB (1.23x). Keeping every gradient
-        # and closure to the end of backward, with each conv saving its
-        # row-shift lowering, held 125.2 MB and peaked at 221.7 MB (1.77x).
+        # above the model traced: the forward holds 64.2 MB and backward peaks
+        # at 66.6 MB (1.04x). With the loss as three tape nodes (sub, square,
+        # mean_over) and each strided conv keeping its input's space-to-depth,
+        # it held 71.1 MB and peaked at 73.5 MB (1.03x). With the tape holding
+        # every op output until backward returned, it peaked at 96.8 MB
+        # (1.28x). With each batch norm and its clamp as two tape nodes and
+        # every first gradient copied, it held 88.8 MB and peaked at 108.9 MB
+        # (1.23x). Keeping every gradient and closure to the end of backward,
+        # with each conv saving its row-shift lowering, held 125.2 MB and
+        # peaked at 221.7 MB (1.77x).
         cfg = SparkConfig(encoder=EncoderConfig(stages=4, widths=(32, 64, 128, 256), blocks_per_stage=2),
                           image_size=224, patch_size=32, dec_fea_dim=64)
         model = SparkModel(cfg, np.random.default_rng(0))

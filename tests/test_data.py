@@ -42,6 +42,20 @@ class TestPpm:
         save_ppm(p2, load_ppm(p1))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_save_bytes_match_reference_quantizer(self, tmp_path):
+        def reference(img):  # round half up, clip, channel-interleaved rows
+            q = np.clip(np.floor(img * 255.0 + 0.5), 0, 255).astype(np.uint8)
+            return f"P6\n{img.shape[2]} {img.shape[1]}\n255\n".encode("ascii") + q.transpose(1, 2, 0).tobytes()
+
+        rng = np.random.default_rng(3)
+        ties = (rng.integers(-3, 260, size=(3, 9, 14)) + 0.5) / 255.0  # each * 255.0 is exactly k + 0.5
+        assert np.all(ties * 255.0 % 1 == 0.5)
+        for img in (rng.random((3, 17, 23)), rng.normal(0.5, 1.0, size=(3, 5, 31)), ties,
+                    rng.random((3, 12, 7)).astype(np.float32), rng.random((3, 6, 5))[:, ::-1, ::2]):
+            p = tmp_path / "q.ppm"
+            save_ppm(p, img)
+            assert p.read_bytes() == reference(np.asarray(img, dtype=np.float64))
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.ppm"
         p.write_bytes(b"P5\n1 1\n255\n\x00")

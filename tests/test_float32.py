@@ -57,6 +57,8 @@ SELECT = R.random((2, 1, 8, 8)) < 0.4
     ("sum_over", lambda t: ag.sum_over(t[0]), [X]),
     ("mean_over", lambda t: ag.mean_over(t[0]), [X]),
     ("mean_over masked", lambda t: ag.mean_over(t[0], SELECT), [X]),
+    ("mse", lambda t: ag.mse(t[0], t[1].data), [X, Y]),
+    ("mse masked", lambda t: ag.mse(t[0], t[1].data, SELECT), [X, Y]),
 ])
 def test_pointwise_and_reductions(name, op, arrays):
     assert_float32_matches(op, arrays)
