@@ -55,12 +55,6 @@ __all__ = [
     "active_tape",
     "add",
     "add_broadcast",
-    "sub",
-    "mul",
-    "mul_scalar",
-    "square",
-    "sum_over",
-    "mean_over",
     "mse",
     "conv2d",
     "conv_transpose2d",
@@ -212,13 +206,9 @@ def tensor(data, requires_grad: bool = False) -> DiffTensor:
 # ---------------------------------------------------------------------------
 
 
-def _check_same_shape(op, a, b):
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {tuple(a.shape)} vs {tuple(b.shape)}")
-
-
 def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    _check_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"add: shape mismatch {tuple(a.shape)} vs {tuple(b.shape)}")
     out = DiffTensor(a.data + b.data)
 
     def backward_fn(g):
@@ -229,106 +219,18 @@ def add(a: DiffTensor, b: DiffTensor) -> DiffTensor:
 
 
 def add_broadcast(x: DiffTensor, p: DiffTensor) -> DiffTensor:
-    """x + p with numpy broadcasting; the grad of p sums over broadcast axes."""
-    try:
-        out_data = x.data + p.data
-    except ValueError as e:
-        raise ValueError(f"add_broadcast: incompatible shapes {x.shape} vs {p.shape}") from e
-    if out_data.shape != x.data.shape:
-        raise ValueError(f"add_broadcast: rhs {tuple(p.shape)} must broadcast into lhs {tuple(x.shape)}")
-    out = DiffTensor(out_data)
+    """x + p for p of shape ``(1,) + x.shape[1:]``, added to every sample of x;
+    the grad of p is the grad summed over the samples."""
+    if p.shape != (1,) + x.shape[1:]:
+        raise ValueError(f"add_broadcast: rhs {tuple(p.shape)} is not one sample of lhs {tuple(x.shape)}")
+    out = DiffTensor(x.data + p.data)
 
     def backward_fn(g):
         accumulate_grad(x, g)
         if p.requires_grad:
-            gp = g
-            # sum out leading axes then any axes where p has extent 1
-            extra = gp.ndim - p.data.ndim
-            if extra:
-                gp = gp.sum(axis=tuple(range(extra)))
-            axes = tuple(i for i, d in enumerate(p.data.shape) if d == 1 and gp.shape[i] != 1)
-            if axes:
-                gp = gp.sum(axis=axes, keepdims=True)
-            accumulate_grad(p, gp)
+            accumulate_grad(p, g.sum(axis=0, keepdims=True))
 
     return record_op(out, (x, p), backward_fn)
-
-
-def sub(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    _check_same_shape("sub", a, b)
-    out = DiffTensor(a.data - b.data)
-
-    def backward_fn(g):
-        accumulate_grad(a, g)
-        accumulate_grad(b, -g)
-
-    return record_op(out, (a, b), backward_fn)
-
-
-def mul(a: DiffTensor, b: DiffTensor) -> DiffTensor:
-    _check_same_shape("mul", a, b)
-    out = DiffTensor(a.data * b.data)
-
-    def backward_fn(g):
-        accumulate_grad(a, g * b.data)
-        accumulate_grad(b, g * a.data)
-
-    return record_op(out, (a, b), backward_fn)
-
-
-def mul_scalar(x: DiffTensor, s: float) -> DiffTensor:
-    s = float(s)
-    out = DiffTensor(x.data * s)
-
-    def backward_fn(g):
-        accumulate_grad(x, g * s)
-
-    return record_op(out, (x,), backward_fn)
-
-
-def square(x: DiffTensor) -> DiffTensor:
-    out = DiffTensor(x.data * x.data)
-
-    def backward_fn(g):
-        accumulate_grad(x, 2.0 * x.data * g)
-
-    return record_op(out, (x,), backward_fn)
-
-
-def sum_over(x: DiffTensor) -> DiffTensor:
-    """Sum of every entry of ``x``."""
-    out = DiffTensor(x.data.sum())
-
-    def backward_fn(g):
-        accumulate_grad(x, np.broadcast_to(g, x.data.shape))
-
-    return record_op(out, (x,), backward_fn)
-
-
-def mean_over(x: DiffTensor, over=None) -> DiffTensor:
-    """Mean of every entry of ``x``, or (``over`` a boolean array broadcastable
-    to ``x``'s shape) the scalar mean of the selected entries."""
-    if over is not None:
-        if not (isinstance(over, np.ndarray) and over.dtype == bool):
-            raise ValueError(f"mean_over: over must be None or a boolean mask, got {type(over).__name__}")
-        mask = np.broadcast_to(over, x.data.shape)
-        count = int(mask.sum())
-        if count == 0:
-            raise ValueError("mean_over: empty selection mask")
-        out = DiffTensor(x.data[mask].sum() / count)
-
-        def backward_fn(g):
-            accumulate_grad(x, (float(g) / count) * mask)
-
-        return record_op(out, (x,), backward_fn)
-
-    n = x.data.size
-    out = DiffTensor(x.data.sum() / n)
-
-    def backward_fn(g):
-        accumulate_grad(x, np.broadcast_to(g / n, x.data.shape))
-
-    return record_op(out, (x,), backward_fn)
 
 
 def mse(x: DiffTensor, target: np.ndarray, over=None) -> DiffTensor:
@@ -336,8 +238,9 @@ def mse(x: DiffTensor, target: np.ndarray, over=None) -> DiffTensor:
     broadcastable to ``x``'s shape) over the selected entries; ``target`` is a
     constant array of ``x``'s shape. One tape node, which keeps only the difference.
 
-    The same arithmetic, in the same order, as :func:`mean_over` of
-    :func:`square` of :func:`sub`, so the loss and its gradient keep their bits.
+    With ``d = x - target``, the value is ``sum(d * d) / count`` (the selected
+    entries squared after selection, summed in row-major order) and the gradient
+    ``(d * 2.0) * (g / count)``, zero off the selection.
     """
     if target.shape != x.shape:
         raise ValueError(f"mse: shape mismatch {tuple(x.shape)} vs {tuple(target.shape)}")

@@ -418,9 +418,7 @@ class DenseEncoder(_Store):
         for i, layer in enumerate(encoder_layers(enc)):
             x_in = x
             x = ag.conv2d(x, self.params[layer.weight], stride=layer.stride, padding=layer.padding)
-            if i == 0 and ape is not None:
-                if ape.shape[2:] != x.shape[2:]:
-                    raise ValueError("DenseEncoder: positional embedding size does not match input")
+            if i == 0 and ape is not None:  # a ValueError unless the embedding's size is the stem's output's
                 x = ag.add_broadcast(x, ape)
             x = ag.batchnorm2d(x, self.params[f"{layer.bn}.gamma"], self.params[f"{layer.bn}.beta"],
                                self.bn_states[layer.bn], mode=mode, clamp=np.inf)

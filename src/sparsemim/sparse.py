@@ -156,15 +156,6 @@ class Rulebook:
     def total_pairs(self) -> int:
         return int(np.count_nonzero(self.fwd != self.num_in))
 
-    @property
-    def pairs(self) -> list:
-        """Per offset, the [m_o, 2] int64 (input row, output row) pairs in ascending output row."""
-        out = []
-        for col in self.fwd.T:
-            q = np.flatnonzero(col != self.num_in)
-            out.append(np.stack([col[q], q], axis=1))
-        return out
-
     def inv(self) -> np.ndarray:
         """``inv[i, o]``: the output row that input row i feeds at offset o, or
         ``num_out`` if none. Built on first use and cached."""

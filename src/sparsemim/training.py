@@ -413,9 +413,12 @@ def _check_arrays(ckpt: Checkpoint, shapes: dict):
                                   f"expected {list(shape)}")
     if len(held) != len(shapes):
         raise CheckpointError(f"checkpoint has unexpected arrays {sorted(set(held) - set(shapes))}")
-    for name, arr in ckpt.arrays.items():
-        if not np.isfinite(arr).all():
-            raise CheckpointError(f"checkpoint array {name!r} holds a non-finite value")
+    # a finite sum proves every element finite; only a non-finite one, which finite
+    # values can also give by overflow, needs the exact check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, arr in ckpt.arrays.items():
+            if not (math.isfinite(arr.sum()) or np.isfinite(arr).all()):
+                raise CheckpointError(f"checkpoint array {name!r} holds a non-finite value")
 
 
 def _decode_config(decode, d, what: str):

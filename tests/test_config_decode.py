@@ -97,10 +97,11 @@ class TestLegacyHeaders:
 
 
 def test_mean_over_rejects_axes():
+    # the loss's mean over a selection: mse's ``over`` is a boolean mask, never axes or a float array
     x = ag.tensor(np.ones((2, 3)))
     for over in ((0, 1), 0, np.ones((2, 3))):
         with pytest.raises(ValueError, match="boolean mask"):
-            ag.mean_over(x, over=over)
+            ag.mse(x, np.zeros((2, 3)), over=over)
 
 
 class TestMalformedCheckpointExits2:

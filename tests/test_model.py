@@ -22,6 +22,8 @@ from sparsemim.model import (
 )
 from sparsemim.verify import end_to_end_gradcheck
 
+from gradtools import backprop, mean_square
+
 
 def tiny_model(stages=2, widths=(4, 8), image=16, patch=8, dec=8, seed=5, **flags):
     enc = EncoderConfig(stages=stages, widths=widths, blocks_per_stage=1)
@@ -145,25 +147,21 @@ class TestEncoderForward:
             ref = encoder_forward(model, img, masks, mode="eval")
         weights = [rng.normal(size=sp.features.shape) for sp in ref]
 
-        def loss(stages, b=None):
-            # sum of features x weights; with b, a single-sample run takes the weights of sample b's rows
-            terms = [ag.sum_over(ag.mul(sp.features, ag.tensor(w if b is None else w[r.batch == b])))
-                     for sp, w, r in zip(stages, weights, ref)]
-            total = terms[0]
-            for t in terms[1:]:
-                total = ag.add(total, t)
-            return total
+        def backward(stages, b=None):
+            # of the sum of features x weights; with b, a single-sample run takes the weights of sample b's rows
+            backprop([sp.features for sp in stages],
+                     [w if b is None else w[r.batch == b] for w, r in zip(weights, ref)])
 
         def grads():
             out = {name: p.grad.copy() for name, p in model.named_parameters() if p.grad is not None}
             model.zero_grad()
             return out
 
-        ag.backward(loss(encoder_forward(model, img, masks, mode="eval")))
+        backward(encoder_forward(model, img, masks, mode="eval"))
         batched = grads()
         summed = {}
         for b, mask in enumerate(masks):
-            ag.backward(loss(encoder_forward(model, img[b : b + 1], mask, mode="eval"), b))
+            backward(encoder_forward(model, img[b : b + 1], mask, mode="eval"), b)
             for name, g in grads().items():
                 summed[name] = summed.get(name, 0.0) + g
         assert batched.keys() == summed.keys() and "ape" in batched
@@ -247,7 +245,7 @@ class TestProjectAndDensify:
         mask0 = generate_mask(2, 2, 0.0, np.random.default_rng(16), patch_size=8)
         feats = encoder_forward(model, img, mask0, mode="eval")
         out = project_and_densify(model, 1, feats[1], 1)
-        ag.backward(ag.sum_over(ag.square(out)))
+        backprop(out, 2.0 * out.data)
         np.testing.assert_array_equal(model.params["embed.scale1"].grad, 0.0)
 
     def test_fully_inactive_constant_field(self):
@@ -267,7 +265,7 @@ class TestProjectAndDensify:
 
         def f(_):
             feats = encoder_forward(model, img, mask, mode="eval")
-            return ag.mean_over(ag.square(project_and_densify(model, 1, feats[1], 1)))
+            return mean_square(project_and_densify(model, 1, feats[1], 1))
 
         embed = model.params["embed.scale1"]
         assert ag.grad_check(f, [embed]) < 1e-6

@@ -464,6 +464,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="'opt.v.decoder.proj.b' holds a non-finite value"):
             model_from_checkpoint(ck)
 
+    def test_finite_values_whose_sum_overflows_load(self, tmp_path):
+        # two float32 3e38 sum to inf, so the exact check decides; a NaN beside them still fails it
+        model = desk_model(seed=2)
+        p = tmp_path / "m.ckpt"
+        save_checkpoint(p, model_checkpoint_arrays(model), {"kind": "spark", "model": model.cfg.to_dict()})
+        ck = load_checkpoint(p, dtype=np.float32)
+        b = ck.arrays["decoder.proj.b"]
+        b[:2] = 3e38
+        with np.errstate(over="ignore"):
+            assert b.dtype == np.float32 and np.isinf(b.sum())
+        model_from_checkpoint(ck)
+        b[2] = np.nan
+        with pytest.raises(CheckpointError, match="'decoder.proj.b' holds a non-finite value"):
+            model_from_checkpoint(ck)
+
     def test_optimizer_state_round_trip(self, tmp_path):
         model = desk_model(seed=2)
         rows, opt = train(model, synth_dataset(8, 16, seed=1),
