@@ -28,9 +28,10 @@ Every convolution is lowered to GEMMs one way, the row-shift lowering of MEC
 column-shifted copies of the padded input, from which each kernel row reads
 one contiguous window, so the lowered matrix holds ``kw`` copies of the input
 rather than im2col's ``kh*kw``. Its forward, weight gradient and input
-gradient all run on that one kernel, one block of output columns at a time;
-a matrix larger than ``_ONE_PASS_BYTES`` is never built whole, only each
-block's slab of the rows it reads, with the same bits. Both gradients read
+gradient all run on that one kernel, one block of output columns and one
+sample at a time: the matrix is never built whole, only each sample's slab
+of the rows a block reads, and every GEMM is the one a matmul over the
+stacked batch would make, so the bits are the whole matrix's. Both gradients read
 the row shifts of the output gradient, so a convolution saves only its input
 and weight for the backward, not the lowered matrix. A strided convolution
 is the stride-1 correlation of the input's space-to-depth with the weight's
@@ -276,13 +277,6 @@ def mse(x: DiffTensor, target: np.ndarray, over=None) -> DiffTensor:
 # cache. On the paper decoder's 56-224 px layers (batch 4, one BLAS thread),
 # 4096 beat 1024, 2048 and 8192.
 _CORR_BLOCK = 4096
-# Largest row-shift matrix (bytes) built whole. A larger one is built one block
-# at a time, as the slab of rows that the block's kh windows read. A paper
-# step (batch 4) blocks its 112 and 224 px decoder layers (9.3-18.5 MiB); at
-# 16 MiB only the 224 px ones blocked and its peak RSS was 3 MB higher. The
-# desk recipe (at most 6.2 MiB) and a float32 batch-1 paper forward never
-# block: blocking desk's small backward matrices slowed its step 1.07x.
-_ONE_PASS_BYTES = 8 << 20
 
 
 def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int, a: int = 0, b: int | None = None) -> np.ndarray:
@@ -316,24 +310,21 @@ def _row_shifts(x: np.ndarray, kw: int, ph: int, pw: int, a: int = 0, b: int | N
 
 def _slabs(x: np.ndarray, kh: int, kw: int, ph: int, pw: int, cols: int):
     """Per block of ``_CORR_BLOCK`` output columns ``s..e`` of a stride-1 kh x kw correlation
-    of ``x`` padded by (ph, pw), in ascending order: ``(s, e, slab, o)``.
+    of ``x`` padded by (ph, pw), and per sample ``b`` within it, in ascending order:
+    ``(s, e, b, slab, o)``.
 
-    Kernel row ``i`` reads ``slab[:, :, o + i*Wo : o + i*Wo + e - s]``, the window
-    ``M[:, :, i*Wo + s : i*Wo + e]`` of the row shifts ``M``. If ``M`` fits in
-    ``_ONE_PASS_BYTES`` it is built once and every slab is ``M``; otherwise
-    each slab holds only the rows of ``M`` that its block reads.
+    ``slab`` holds sample ``b``'s rows of the row shifts ``M`` that the block
+    reads, so kernel row ``i`` reads ``slab[:, :, o + i*Wo : o + i*Wo + e - s]``,
+    the window ``M[b:b+1, :, i*Wo + s : i*Wo + e]``. The next GEMM reads it
+    while it is still in cache, and no more than one sample's block is built.
     """
-    n, c, h, w = x.shape
+    n, _, _, w = x.shape
     wo = w + 2 * pw - kw + 1
-    whole = n * c * kw * (h + 2 * ph) * wo * x.itemsize <= _ONE_PASS_BYTES
-    m = _row_shifts(x, kw, ph, pw) if whole else None
     for s in range(0, cols, _CORR_BLOCK):
         e = min(s + _CORR_BLOCK, cols)
-        if whole:
-            yield s, e, m, s
-        else:
-            a = s // wo
-            yield s, e, _row_shifts(x, kw, ph, pw, a, (e - 1) // wo + kh), s - a * wo
+        a = s // wo
+        for b in range(n):
+            yield s, e, b, _row_shifts(x[b : b + 1], kw, ph, pw, a, (e - 1) // wo + kh), s - a * wo
 
 
 def _kernel_rows(w: np.ndarray) -> np.ndarray:
@@ -354,15 +345,15 @@ def _corr(x: np.ndarray, w: np.ndarray, padding: int) -> np.ndarray:
     """Stride-1 correlation of [N,C,H,W] with [Cout,C,kh,kw], zero padding ``padding`` -> [N, Cout, Ho, Wo].
 
     Row shifts: ``sum_i wr[i] @ M[:, :, i*Wo:(i+Ho)*Wo]``, summed one block of
-    output columns at a time.
+    output columns and one sample at a time.
     """
     n = x.shape[0]
     cout, _, kh, kw = w.shape
     ho, wo = x.shape[2] + 2 * padding - kh + 1, x.shape[3] + 2 * padding - kw + 1
     wr = _kernel_rows(w)
     out = np.empty((n, cout, ho * wo), dtype=np.result_type(x, wr))
-    for s, e, slab, o in _slabs(x, kh, kw, padding, padding, ho * wo):
-        _corr_block(out[:, :, s:e], wr, slab, o, wo)
+    for s, e, b, slab, o in _slabs(x, kh, kw, padding, padding, ho * wo):
+        _corr_block(out[b : b + 1, :, s:e], wr, slab, o, wo)
     return out.reshape(n, cout, ho, wo)
 
 
@@ -370,8 +361,8 @@ def _corr_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int, need_
     """Input and weight gradients of :func:`_corr` of ``x`` for output gradient ``g`` (None where not needed).
 
     Both run on the row shifts ``gm`` of ``g`` padded by (kh-1-p, kw-1-p), so
-    the forward's own lowering need not be kept, and both read each block's
-    slab of ``gm`` as it is built. The input gradient is the correlation of
+    the forward's own lowering need not be kept, and both read each (block,
+    sample) slab of ``gm`` as it is built. The input gradient is the correlation of
     that padded ``g``, ``gp``, with the kernel flipped in both spatial axes and
     its channel axes swapped. The weight gradient is
 
@@ -379,7 +370,9 @@ def _corr_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int, need_
 
     so ``x_flat @ gm_window_i.T``, with ``gm_window_i = gm[:, :, i*W:(i+H)*W]``,
     is its kernel row ``a = kh-1-i`` with the columns reversed (``b = kw-1-j``),
-    summed one block of ``_CORR_BLOCK`` input columns at a time.
+    summed one block of ``_CORR_BLOCK`` input columns at a time. A block's
+    per-sample products are kept until its last sample, then summed over the
+    batch in sample order, as a stacked matmul's ``sum(axis=0)`` would.
     """
     n, cout, ho, wo = g.shape
     _, c, kh, kw = w.shape
@@ -388,16 +381,19 @@ def _corr_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray, padding: int, need_
     if need_w:
         xf = x.reshape(n, c, h * wd)
         gr = np.zeros((kh, c, cout * kw), dtype=np.result_type(x, g))
+        part = np.empty((kh, n, c, cout * kw), dtype=gr.dtype)
     if need_x:
         fr = _kernel_rows(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
         gx = np.empty((n, c, h * wd), dtype=np.result_type(g, fr))
-    for s, e, slab, o in _slabs(g, kh, kw, kh - 1 - padding, kw - 1 - padding, h * wd):
+    for s, e, b, slab, o in _slabs(g, kh, kw, kh - 1 - padding, kw - 1 - padding, h * wd):
         if need_w:
             for i in range(kh):
-                win = slab[:, :, i * wd + o : i * wd + o + e - s]
-                gr[i] += np.matmul(xf[:, :, s:e], win.transpose(0, 2, 1)).sum(axis=0)
+                np.matmul(xf[b, :, s:e], slab[0, :, i * wd + o : i * wd + o + e - s].T, out=part[i, b])
+            if b == n - 1:  # the block's last sample: sum its products over the batch
+                for i in range(kh):
+                    gr[i] += part[i].sum(axis=0)
         if need_x:
-            _corr_block(gx[:, :, s:e], fr, slab, o, wd)
+            _corr_block(gx[b : b + 1, :, s:e], fr, slab, o, wd)
     gw = None if gr is None else gr.reshape(kh, c, cout, kw)[::-1, :, :, ::-1].transpose(2, 1, 0, 3)
     return (None if gx is None else gx.reshape(n, c, h, wd)), gw
 

@@ -132,17 +132,18 @@ class Rulebook:
     ``dst``: ``fwd[q, o]`` is the src row that dst row q reads at kernel
     offset o (offsets in row-major scan order), or ``num_in`` where that
     input site is inactive; the conv appends a zero row there. A submanifold
-    rulebook has ``dst is src``.
+    rulebook has ``dst is src``. ``inv`` is the inverse table if the caller
+    already has it.
     """
 
     __slots__ = ("kernel", "fwd", "src", "dst", "_inv")
 
-    def __init__(self, kernel: int, fwd, src: ActiveSet, dst: ActiveSet):
+    def __init__(self, kernel: int, fwd, src: ActiveSet, dst: ActiveSet, inv=None):
         self.kernel = kernel
         self.fwd = fwd
         self.src = src
         self.dst = dst
-        self._inv = None
+        self._inv = inv
 
     @property
     def num_in(self) -> int:
@@ -158,7 +159,7 @@ class Rulebook:
 
     def inv(self) -> np.ndarray:
         """``inv[i, o]``: the output row that input row i feeds at offset o, or
-        ``num_out`` if none. Built on first use and cached."""
+        ``num_out`` if none. Built on first use and cached, unless given."""
         if self._inv is None:
             k = self.fwd.shape[1]
             q, o = np.nonzero(self.fwd != self.num_in)
@@ -181,7 +182,9 @@ def build_rulebook(src: ActiveSet, kernel: int, dst: ActiveSet | None = None, st
     empty field means the set and the stride geometry disagree (a mask
     alignment bug upstream). With no ``dst`` the output set is ``src``: a
     submanifold conv, which needs an odd kernel, stride 1 and the default
-    padding kernel // 2.
+    padding kernel // 2. Its inverse table is its forward table reversed,
+    ``inv[i, o] = fwd[i, K-1-o]``: site q reads site i at offset (a, b)
+    exactly when i reads q at (k-1-a, k-1-b), and ``num_in == num_out``.
     """
     k, p = kernel, kernel // 2 if padding is None else padding
     if p < 0:
@@ -213,7 +216,8 @@ def build_rulebook(src: ActiveSet, kernel: int, dst: ActiveSet | None = None, st
             f"build_rulebook: target site {tuple(int(v) for v in bad)} has an empty "
             f"receptive field (mask/stride misalignment)"
         )
-    return Rulebook(k, fwd, src, dst)
+    subm = dst is src and stride == 1 and p == k // 2
+    return Rulebook(k, fwd, src, dst, fwd[:, ::-1] if subm else None)
 
 
 def _gather_rows(a: np.ndarray, table: np.ndarray, tap_minor: bool = False) -> np.ndarray:

@@ -298,40 +298,67 @@ class TestConvGradientForms:
         assert ag.grad_check(f, [x, w, b]) <= 1e-4
 
 
+def _whole_batch_corr(x, w, padding):
+    """The correlation on the whole batch's row shifts, built once: per block of output columns,
+    one stacked matmul per kernel row over all samples."""
+    n, (cout, _, kh, kw) = x.shape[0], w.shape
+    ho, wo = x.shape[2] + 2 * padding - kh + 1, x.shape[3] + 2 * padding - kw + 1
+    m, wr = ag._row_shifts(x, kw, padding, padding), ag._kernel_rows(w)
+    out = np.empty((n, cout, ho * wo), dtype=np.result_type(x, wr))
+    for s in range(0, ho * wo, ag._CORR_BLOCK):
+        ag._corr_block(out[:, :, s : s + ag._CORR_BLOCK], wr, m, s, wo)
+    return out.reshape(n, cout, ho, wo)
+
+
+def _whole_batch_corr_grads(g, x, w, padding, need_x, need_w):
+    """Both gradients of :func:`_whole_batch_corr` from the whole batch's row shifts of ``g``;
+    each block's weight-gradient products are one stacked matmul summed over the batch."""
+    n, cout, ho, wo = g.shape
+    _, c, kh, kw = w.shape
+    h, wd = ho - 2 * padding + kh - 1, wo - 2 * padding + kw - 1
+    gm = ag._row_shifts(g, kw, kh - 1 - padding, kw - 1 - padding)
+    gx = gw = None
+    if need_x:
+        fr = ag._kernel_rows(w[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+        gx = np.empty((n, c, h * wd), dtype=np.result_type(g, fr))
+        for s in range(0, h * wd, ag._CORR_BLOCK):
+            ag._corr_block(gx[:, :, s : s + ag._CORR_BLOCK], fr, gm, s, wd)
+        gx = gx.reshape(n, c, h, wd)
+    if need_w:
+        xf = x.reshape(n, c, h * wd)
+        gr = np.zeros((kh, c, cout * kw), dtype=np.result_type(x, g))
+        for s in range(0, h * wd, ag._CORR_BLOCK):
+            e = min(s + ag._CORR_BLOCK, h * wd)
+            for i in range(kh):
+                win = gm[:, :, i * wd + s : i * wd + e]
+                gr[i] += np.matmul(xf[:, :, s:e], win.transpose(0, 2, 1)).sum(axis=0)
+        gw = gr.reshape(kh, c, cout, kw)[::-1, :, :, ::-1].transpose(2, 1, 0, 3)
+    return gx, gw
+
+
 class TestBlockedLowering:
-    """Row shifts built one block's slab at a time give the bits of the whole matrix."""
+    """Row shifts built one (column block, sample) slab at a time give the bits of the
+    whole batch's matrix, built once and multiplied over the stacked batch."""
 
     @staticmethod
-    def _run(op, x, w, g, monkeypatch, cap, **kw):
-        """Forward, input and weight gradients of ``op`` with the one-pass cap at ``cap``;
-        also the row ranges of every row-shift build."""
-        built = []
-        row_shifts = getattr(ag._row_shifts, "__wrapped__", ag._row_shifts)  # not an earlier run's spy
-
-        def spy(x, kw, ph, pw, a=0, b=None):
-            built.append((a, b))
-            return row_shifts(x, kw, ph, pw, a, b)
-
-        spy.__wrapped__ = row_shifts
-
-        monkeypatch.setattr(ag, "_ONE_PASS_BYTES", cap)
-        monkeypatch.setattr(ag, "_row_shifts", spy)
+    def _run(op, x, w, g, **kw):
         xt, wt = ag.tensor(x, requires_grad=True), ag.tensor(w, requires_grad=True)
         y = op(xt, wt, **kw)
         backprop(y, g)
-        return (y.data, xt.grad, wt.grad), built
+        return y.data, xt.grad, wt.grad
 
     def _assert_same_bits(self, op, x, w, monkeypatch, **kw):
         rng = np.random.default_rng(61)
         with ag.no_grad():
             shape = op(ag.tensor(x), ag.tensor(w), **kw).shape
-        g = rng.normal(size=shape)
-        whole, built_whole = self._run(op, x, w, g, monkeypatch, 1 << 62, **kw)
-        blocked, built_blocked = self._run(op, x, w, g, monkeypatch, 0, **kw)
+        g = rng.normal(size=shape).astype(x.dtype)
+        blocked = self._run(op, x, w, g, **kw)
+        with monkeypatch.context() as m:
+            m.setattr(ag, "_corr", _whole_batch_corr)
+            m.setattr(ag, "_corr_grads", _whole_batch_corr_grads)
+            whole = self._run(op, x, w, g, **kw)
         for a, b in zip(whole, blocked):
-            assert a.dtype == b.dtype and np.array_equal(a, b)
-        assert all(b is None for _, b in built_whole)
-        return built_blocked
+            assert a.dtype == b.dtype == x.dtype and np.array_equal(a, b)
 
     # 70x67 and the stride-2 grid of 140x133 give Ho*Wo above the column block,
     # no multiple of it, and block edges in mid-row (Wo does not divide 4096)
@@ -342,45 +369,59 @@ class TestBlockedLowering:
         rng = np.random.default_rng(60 + k)
         h, wd = (70, 67) if stride == 1 else (140, 133)
         x, w = rng.normal(size=(2, 3, h, wd)), rng.normal(size=(4, 3, k, k))
-        built = self._assert_same_bits(ag.conv2d, x, w, monkeypatch, stride=stride, padding=pad)
-        assert sum(b is not None for _, b in built) > 2
+        self._assert_same_bits(ag.conv2d, x, w, monkeypatch, stride=stride, padding=pad)
 
     def test_conv_transpose2d_blocked_matches_whole(self, monkeypatch):
         rng = np.random.default_rng(62)
         x, w = rng.normal(size=(2, 3, 70, 67)), rng.normal(size=(3, 2, 4, 4))
-        built = self._assert_same_bits(ag.conv_transpose2d, x, w, monkeypatch)
-        assert sum(b is not None for _, b in built) > 2
+        self._assert_same_bits(ag.conv_transpose2d, x, w, monkeypatch)
 
-    def test_cap_is_the_largest_matrix_built_whole(self, monkeypatch):
+    def test_float32_blocked_matches_whole(self, monkeypatch):
+        rng = np.random.default_rng(65)
+        x, w = rng.normal(size=(3, 3, 70, 67)), rng.normal(size=(4, 3, 3, 3))
+        self._assert_same_bits(ag.conv2d, x.astype(np.float32), w.astype(np.float32), monkeypatch, padding=1)
+
+    def test_every_build_is_one_sample_of_one_block(self, monkeypatch):
         rng = np.random.default_rng(63)
         x, w = rng.normal(size=(2, 3, 70, 67)), rng.normal(size=(4, 3, 3, 3))
         g = rng.normal(size=(2, 4, 70, 67))
-        nbytes = x.shape[0] * x.shape[1] * 3 * 72 * 67 * x.itemsize  # the forward's M: C*kw rows of Hp*Wo
-        ref, _ = self._run(ag.conv2d, x, w, g, monkeypatch, 1 << 62, padding=1)
-        # the forward's slabs: each block's first row to its last row read by kernel row 2, plus one
-        slabs = [(s // 67, (min(s + ag._CORR_BLOCK, 70 * 67) - 1) // 67 + 3) for s in range(0, 70 * 67, ag._CORR_BLOCK)]
-        for cap, forward_builds in ((nbytes, [(0, None)]), (nbytes - 1, slabs)):
-            got, built = self._run(ag.conv2d, x, w, g, monkeypatch, cap, padding=1)
-            assert all(np.array_equal(a, b) for a, b in zip(ref, got))
-            assert built[: len(forward_builds)] == forward_builds
+        built = []
+        row_shifts = ag._row_shifts
+
+        def spy(xb, kw, ph, pw, a=0, b=None):
+            built.append((xb, a, b))
+            return row_shifts(xb, kw, ph, pw, a, b)
+
+        monkeypatch.setattr(ag, "_row_shifts", spy)
+        self._run(ag.conv2d, x, w, g, padding=1)
+        # per block, ascending, then per sample: the block's first row to its last row read by kernel row 2, plus one
+        blocks = [(s // 67, (min(s + ag._CORR_BLOCK, 70 * 67) - 1) // 67 + 3) for s in range(0, 70 * 67, ag._CORR_BLOCK)]
+        order = [(n, a, b) for a, b in blocks for n in range(2)]
+        assert len(blocks) == 2 and len(built) == 2 * len(order)
+        # the forward's of x, then the backward's of g padded by 1, which serve both gradients
+        for src, builds in ((x, built[: len(order)]), (g, built[len(order) :])):
+            for (xb, a, b), (n, a_want, b_want) in zip(builds, order):
+                assert xb.shape == (1,) + src.shape[1:] and np.shares_memory(xb, src[n])
+                assert (a, b) == (a_want, b_want)
 
     def test_large_conv_allocates_less_than_its_whole_matrix(self):
         # [4,4,224,224] x [4,4,3,3], padding 1: the whole row-shift matrix is
-        # 4*12*226*224 float64, 19.4 MB; forward + backward stay under it
+        # 4*12*226*224 float64, 19.4 MB; at the desk decoder's [8,8,64,64] x [8,8,3,3]
+        # it is 8*24*66*64 float64, 6.49 MB. Forward + backward stay under it
         rng = np.random.default_rng(64)
-        x = ag.tensor(rng.normal(size=(4, 4, 224, 224)), requires_grad=True)
-        w = ag.tensor(rng.normal(size=(4, 4, 3, 3)), requires_grad=True)
-        whole = 4 * 12 * 226 * 224 * 8
-        assert whole > ag._ONE_PASS_BYTES
-        tracemalloc.start()
-        try:
-            backprop(ag.conv2d(x, w, padding=1))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-            ag.active_tape().clear()
-        assert x.grad is not None and w.grad is not None
-        assert peak < whole, f"peak {peak / 1e6:.1f} MB"
+        for n, c, h in [(4, 4, 224), (8, 8, 64)]:
+            x = ag.tensor(rng.normal(size=(n, c, h, h)), requires_grad=True)
+            w = ag.tensor(rng.normal(size=(c, c, 3, 3)), requires_grad=True)
+            whole = n * c * 3 * (h + 2) * h * 8
+            tracemalloc.start()
+            try:
+                backprop(ag.conv2d(x, w, padding=1))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                ag.active_tape().clear()
+            assert x.grad is not None and w.grad is not None
+            assert peak < whole, f"[{n},{c},{h},{h}]: peak {peak / 1e6:.2f} MB"
 
 
 class TestConvSavedState:

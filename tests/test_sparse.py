@@ -273,6 +273,35 @@ class TestRulebookTable:
             assert np.array_equal(got, self._inverse_from_pairs(rb))
             assert rb.inv() is got
 
+    @staticmethod
+    def _scattered_inverse(rb):
+        """The inverse table built by scattering every active pair of ``fwd``."""
+        k = rb.fwd.shape[1]
+        q, o = np.nonzero(rb.fwd != rb.num_in)
+        inv = np.full(rb.num_in * k, rb.num_out, dtype=np.int64)
+        inv[rb.fwd[q, o] * k + o] = q
+        return inv.reshape(rb.num_in, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 9), st.integers(1, 9),
+           st.sampled_from([1, 3, 5]), st.floats(0.2, 0.8))
+    def test_submanifold_inv_is_fwd_reversed(self, seed, n, h, w, k, ratio):
+        rng = np.random.default_rng(seed)
+        sites = ActiveSet.stack(h, w, [np.argwhere(rng.random((h, w)) >= ratio) for _ in range(n)])
+        for rb in (build_rulebook(sites, k), build_rulebook(sites, k, sites, stride=1, padding=k // 2)):
+            got = rb.inv()
+            assert np.array_equal(got, self._scattered_inverse(rb))
+            assert not len(sites) or np.shares_memory(got, rb.fwd)  # no table is built
+
+    def test_strided_rulebook_onto_its_own_set_scatters_its_inverse(self):
+        # on a 1x1 grid, stride 3 and padding 2 map a set onto itself, but each site reads
+        # itself at the last tap, not the centre: the reversed table would be wrong
+        sites = ActiveSet.stack(1, 1, [[(0, 0)], [(0, 0)]])
+        rb = build_rulebook(sites, 3, sites, stride=3, padding=2)
+        assert rb.dst is rb.src and not np.shares_memory(rb.inv(), rb.fwd)
+        assert np.array_equal(rb.inv(), self._scattered_inverse(rb))
+        assert not np.array_equal(rb.inv(), rb.fwd[:, ::-1])
+
 
 class TestBatchedGradients:
     """Gradients of a batched sparse conv equal the dense conv's, restricted to active sites."""
